@@ -102,43 +102,48 @@ def cmd_node(args) -> int:
     return 0
 
 
+def _corrupt_first_created():
+    """A fresh tamper hook that flips one bit of the first CREATED cell."""
+    done = []
+
+    def tamper(src, dst, cell):
+        if done or cell.command != CellCommand.CREATED:
+            return cell
+        done.append(cell)
+        payload = bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:]
+        return Cell(cell.circ_id, cell.command, payload)
+    return tamper
+
+
 def cmd_client(args) -> int:
     hops = args.hops.split(",")
+    tamper = _corrupt_first_created() if args.corrupt_created else None
     if args.sim:
-        return _client_sim(args, hops)
+        return _client_sim(args, hops, tamper)
     dir_client = DirectoryClient(_dir_address(args))
     params = _load_params(args.params)
     client = StreamCircuitClient(params, dir_client, _rng(args.seed))
     try:
-        state = client.build(hops, corrupt_created=args.corrupt_created)
+        state = client.build(hops, tamper=tamper)
+        if state.phase != Phase.READY:
+            print(f"failed reason={state.failure}")
+            return 3
+        _print_confirmations(state)
+        if args.action == "send":
+            response = client.send_data(1, args.message.encode())
+            print(f"response={response.decode(errors='replace')}")
     except NotFound as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
-    if state.phase != Phase.READY:
-        print(f"failed reason={state.failure}")
-        return 3
-    _print_confirmations(state)
-    if args.action == "send":
-        response = client.send_data(1, args.message.encode())
-        print(f"response={response.decode(errors='replace')}")
-    client.close()
+    finally:
+        client.close()
     return 0
 
 
-def _client_sim(args, hops) -> int:
+def _client_sim(args, hops, tamper) -> int:
     sim, client, nodes = build_simulation(args.r_bits, args.seed or 0,
                                           node_names=tuple(hops), echo_data=True)
-    if args.corrupt_created:
-        state = {"done": False}
-
-        def tamper(src, dst, cell):
-            if not state["done"] and cell.command == CellCommand.CREATED:
-                state["done"] = True
-                payload = bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:]
-                return Cell(cell.circ_id, cell.command, payload)
-            return cell
-
-        sim.tamper = tamper
+    sim.tamper = tamper
     circuit = run_build(sim, client, hops)
     if circuit.phase != Phase.READY:
         print(f"failed reason={circuit.failure}")

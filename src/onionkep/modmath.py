@@ -38,32 +38,18 @@ _SMALL_PRIMES = _sieve(2000)
 MILLER_RABIN_ROUNDS = 64
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus via square-and-multiply (built-in pow)."""
-    if modulus < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    return pow(base, exp, modulus)
-
-
 def mod_inv(a: int, modulus: int) -> int:
-    """Multiplicative inverse of a mod modulus, by extended Euclid.
+    """Multiplicative inverse of a mod modulus (built-in pow).
 
     Raises NonInvertible when gcd(a, modulus) != 1. The result is the
     canonical representative in [1, modulus).
     """
     if modulus < 2:
         raise InvalidModulus(f"modulus must be >= 2, got {modulus}")
-    t, new_t = 0, 1
-    r, new_r = modulus, a % modulus
-    while new_r != 0:
-        q = r // new_r
-        t, new_t = new_t, t - q * new_t
-        r, new_r = new_r, r - q * new_r
-    if r != 1:
-        raise NonInvertible(f"gcd(a, modulus) = {r} != 1")
-    return t % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NonInvertible(f"{a} has no inverse modulo {modulus}") from None
 
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,

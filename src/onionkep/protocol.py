@@ -5,6 +5,10 @@ Every transition is a pure function from (state, input cell) to
 and nothing here performs I/O, so identical inputs always replay to
 identical outputs.
 
+Every protocol rule lives here once. ``client_step`` is the one build
+driver and ``Relay`` the one relay host: both runtimes (``simnet`` and
+``transport``) use them and only move the resulting cells.
+
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
 already-built prefix, is turned into a CREATE by the current terminal hop,
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Union
+from typing import Callable, Union
 
 from .errors import (
     MalformedPayload,
@@ -124,6 +128,9 @@ class TearDown:
 
 Action = Union[SendCell, DeliverLocal, TearDown]
 
+# Link-level test hook of both runtimes: the cell to deliver, or None to drop.
+TamperFn = Callable[[str, str, Cell], Union[Cell, None]]
+
 
 # -- client side -------------------------------------------------------------
 
@@ -186,6 +193,18 @@ def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, l
     if cell.command == CellCommand.DESTROY:
         return replace(state, phase=Phase.FAILED, failure="destroyed by relay"), []
     return state, []
+
+
+def client_step(state: CircuitState, cell: Cell, path,
+                rng: random.Random) -> tuple[CircuitState, list[Action]]:
+    """Build driver: feed one cell, then, once the built prefix is READY,
+    extend toward the next descriptor (``name``, ``public``) of ``path``."""
+    state, actions = client_handle_cell(state, cell)
+    if state.phase == Phase.READY and len(state.hops) < len(path):
+        desc = path[len(state.hops)]
+        state, send = client_extend(state, desc.name, desc.public, rng)
+        actions = actions + [send]
+    return state, actions
 
 
 def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState, list[Action]]:
@@ -299,6 +318,12 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
     payload = chunk_encrypt(frame, entry.session, state.params)
     return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, payload))
+
+
+def node_drop_link(state: NodeState, link: str) -> NodeState:
+    """Forget every circuit riding on a lost link, in either direction."""
+    return replace(state, entries=tuple(e for e in state.entries
+                                        if e.prev_link != link and e.next_link != link))
 
 
 def _node_handle_create(state: NodeState, from_link: str,
@@ -427,3 +452,34 @@ def _swap(entries: tuple[CircuitEntry, ...], old: CircuitEntry,
 
 def _remove(entries: tuple[CircuitEntry, ...], victim: CircuitEntry) -> tuple[CircuitEntry, ...]:
     return tuple(e for e in entries if e is not victim)
+
+
+# -- relay host --------------------------------------------------------------
+
+class Relay:
+    """The relay host of both runtimes: owns one NodeState, records exit
+    deliveries and, with ``echo_data``, answers each one back."""
+
+    def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
+                 config: ProtocolConfig = DEFAULT_CONFIG, echo_data: bool = False):
+        self.name = name
+        self.state = NodeState(name=name, params=params, keypair=keypair, config=config)
+        self.echo_data = echo_data
+        self.delivered: list[tuple[int, bytes]] = []
+
+    def handle(self, link: str, cell: Cell) -> list[SendCell]:
+        self.state, actions = node_handle_cell(self.state, link, cell)
+        sends = [a for a in actions if isinstance(a, SendCell)]
+        for action in actions:
+            if isinstance(action, DeliverLocal):
+                self.delivered.append((action.stream_id, action.data))
+                if self.echo_data:
+                    sends.append(node_reply_data(self.state, cell.circ_id, link,
+                                                 action.stream_id, action.data))
+        return sends
+
+    def drop_link(self, link: str) -> None:
+        self.state = node_drop_link(self.state, link)
+
+    def session_keys(self) -> list[int]:
+        return [entry.session.raw for entry in self.state.entries]

@@ -1,9 +1,11 @@
 """Deterministic in-process network simulator with transcript capture.
 
 Single-threaded event loop: one (src, dst, cell) event is popped at a time
-in FIFO order, handed to the owning state machine, and the resulting
-SendCell actions are enqueued. Time is a step counter; equal seeds and
-scripts produce byte-identical transcripts.
+in FIFO order, handed to the destination host, and the SendCell actions it
+returns are enqueued. The hosts are ``protocol.Relay`` (as ``SimNode``) and
+a client that drives its build through ``protocol.client_step``, so this
+module only moves cells. Time is a step counter; equal seeds and scripts
+produce byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 from .directory import Directory, NodeDescriptor
 from .errors import StepBudgetExceeded
@@ -25,7 +26,7 @@ from .protocol import (
     Phase,
     ProtocolConfig,
     SendCell,
-    TearDown,
+    TamperFn,
 )
 
 
@@ -61,40 +62,11 @@ class Transcript:
         return [decode_cell(e.data).command.name for e in self.entries]
 
 
-class SimNode:
-    """Relay host: owns one NodeState and records exit deliveries."""
-
-    def __init__(self, name: str, params: SystemParams, keypair,
-                 config: ProtocolConfig = DEFAULT_CONFIG, echo_data: bool = False):
-        self.name = name
-        self.state = protocol.NodeState(name=name, params=params, keypair=keypair,
-                                        config=config)
-        self.echo_data = echo_data
-        self.delivered: list[tuple[int, bytes]] = []
-        self.teardowns: list[TearDown] = []
-
-    def handle(self, from_name: str, cell: Cell) -> list[tuple[str, Cell]]:
-        self.state, actions = protocol.node_handle_cell(self.state, from_name, cell)
-        out: list[tuple[str, Cell]] = []
-        for action in actions:
-            if isinstance(action, SendCell):
-                out.append((action.link, action.cell))
-            elif isinstance(action, DeliverLocal):
-                self.delivered.append((action.stream_id, action.data))
-                if self.echo_data:
-                    reply = protocol.node_reply_data(self.state, cell.circ_id, from_name,
-                                                     action.stream_id, action.data)
-                    out.append((reply.link, reply.cell))
-            elif isinstance(action, TearDown):
-                self.teardowns.append(action)
-        return out
-
-    def session_keys(self) -> list[int]:
-        return [entry.session.raw for entry in self.state.entries]
+SimNode = protocol.Relay
 
 
 class SimClient:
-    """Client host: drives the build plan and queues application sends."""
+    """Client host: drives the build through client_step, then drains the outbox."""
 
     def __init__(self, name: str, params: SystemParams, directory: Directory,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
@@ -104,48 +76,28 @@ class SimClient:
         self.rng = rng
         self.config = config
         self.state: CircuitState | None = None
-        self.plan: list[str] = []
+        self.path: list[NodeDescriptor] = []
         self.outbox: list[tuple[int, bytes]] = []
         self.received: list[tuple[int, bytes]] = []
 
-    def start_build(self, circ_id: int, path: list[str]) -> list[tuple[str, Cell]]:
-        self.plan = list(path)
-        entry = self.directory.lookup(path[0])
+    def start_build(self, circ_id: int, path: list[str]) -> SendCell:
+        self.path = [self.directory.lookup(name) for name in path]
+        entry = self.path[0]
         self.state, send = protocol.client_create(self.params, circ_id, entry.name,
                                                   entry.public, self.rng, self.config)
-        return [(send.link, send.cell)]
+        return send
 
     def queue_send(self, stream_id: int, data: bytes) -> None:
         self.outbox.append((stream_id, data))
 
-    def handle(self, from_name: str, cell: Cell) -> list[tuple[str, Cell]]:
-        self.state, actions = protocol.client_handle_cell(self.state, cell)
-        out: list[tuple[str, Cell]] = []
-        for action in actions:
-            if isinstance(action, DeliverLocal):
-                self.received.append((action.stream_id, action.data))
-            elif isinstance(action, SendCell):
-                out.append((action.link, action.cell))
-        out.extend(self._advance())
+    def handle(self, from_name: str, cell: Cell) -> list[SendCell]:
+        self.state, actions = protocol.client_step(self.state, cell, self.path, self.rng)
+        self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
+        out = [a for a in actions if isinstance(a, SendCell)]
+        if self.state.phase == Phase.READY:
+            while self.outbox:
+                out.append(protocol.client_send_data(self.state, *self.outbox.pop(0)))
         return out
-
-    def _advance(self) -> list[tuple[str, Cell]]:
-        if self.state is None or self.state.phase != Phase.READY:
-            return []
-        if len(self.state.hops) < len(self.plan):
-            desc = self.directory.lookup(self.plan[len(self.state.hops)])
-            self.state, send = protocol.client_extend(self.state, desc.name,
-                                                      desc.public, self.rng)
-            return [(send.link, send.cell)]
-        out = []
-        while self.outbox:
-            stream_id, data = self.outbox.pop(0)
-            send = protocol.client_send_data(self.state, stream_id, data)
-            out.append((send.link, send.cell))
-        return out
-
-
-TamperFn = Callable[[str, str, Cell], Cell | None]
 
 
 class SimNet:
@@ -179,9 +131,8 @@ class SimNet:
             self.transcript.append(TranscriptEntry(
                 step=self.step, link="-".join(sorted((src, dst))),
                 direction=f"{src}->{dst}", data=encode_cell(cell)))
-            host = self.hosts[dst]
-            for link, out_cell in host.handle(src, cell):
-                self.post(dst, link, out_cell)
+            for send in self.hosts[dst].handle(src, cell):
+                self.post(dst, send.link, send.cell)
 
 
 def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
@@ -207,8 +158,8 @@ def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
 
 
 def run_build(sim: SimNet, client: SimClient, path: list[str], circ_id: int = 1) -> CircuitState:
-    for link, cell in client.start_build(circ_id, path):
-        sim.post(client.name, link, cell)
+    send = client.start_build(circ_id, path)
+    sim.post(client.name, send.link, send.cell)
     sim.run()
     return client.state
 

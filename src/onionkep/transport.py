@@ -5,6 +5,10 @@ Frame layout: 4-byte big-endian length || payload, capped at FRAME_MAX.
 Per-connection ordering is the socket's; each relay processes cells of one
 circuit in arrival order behind a single lock. The directory handles
 requests sequentially per connection and concurrently across connections.
+
+The relay server is ``protocol.Relay`` and the circuit client drives its
+build through ``protocol.client_step``, exactly as on the simulator; this
+module only moves their cells over sockets.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import random
 import socket
 import threading
-from dataclasses import replace
 
 from . import protocol, tlv
 from .directory import Directory, NodeDescriptor, decode_descriptors, encode_descriptor
@@ -25,7 +28,7 @@ from .errors import (
 )
 from .nikep import KeyPair, SystemParams
 from .onioncrypt import Cell, decode_cell, encode_cell
-from .protocol import DEFAULT_CONFIG, CircuitState, Phase, ProtocolConfig
+from .protocol import DEFAULT_CONFIG, CircuitState, Phase, ProtocolConfig, SendCell, TamperFn
 
 FRAME_MAX = 70_000
 
@@ -168,28 +171,27 @@ class DirectoryClient:
 
 # -- relay server ------------------------------------------------------------
 
-class NodeServer:
+class NodeServer(protocol.Relay):
     """One relay process: registers itself, then serves circuit traffic.
 
     Inbound connections become links named conn<N>; outbound links to other
-    relays are named by node name and resolved through the directory. A
-    lost connection tears down every circuit riding on that link.
+    relays are named by node name and resolved through the directory, one
+    connection per name. A lost connection tears down every circuit riding
+    on that link.
     """
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
                  dir_client: DirectoryClient, host: str = "127.0.0.1", port: int = 0,
                  config: ProtocolConfig = DEFAULT_CONFIG, echo_data: bool = True):
-        self.name = name
-        self.params = params
+        super().__init__(name, params, keypair, config, echo_data)
         self.dir_client = dir_client
-        self.echo_data = echo_data
-        self.state = protocol.NodeState(name=name, params=params, keypair=keypair,
-                                        config=config)
-        self.delivered: list[tuple[int, bytes]] = []
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]
         self._links: dict[str, socket.socket] = {}
         self._lock = threading.Lock()
+        # Held across lookup, connect and store, so that concurrent sends
+        # toward one relay open one connection and not one each.
+        self._connect_lock = threading.Lock()
         self._conn_seq = 0
         self._running = True
 
@@ -198,7 +200,7 @@ class NodeServer:
         self.dir_client.register(NodeDescriptor(
             name=self.name, address=self.address,
             public=self.state.keypair.public,
-            params_digest=params_digest(self.params)))
+            params_digest=params_digest(self.state.params)))
         threading.Thread(target=self._accept_loop, daemon=True).start()
         return self
 
@@ -238,27 +240,20 @@ class NodeServer:
 
     def _dispatch(self, link: str, cell: Cell) -> None:
         with self._lock:
-            self.state, actions = protocol.node_handle_cell(self.state, link, cell)
-            sends = [a for a in actions if isinstance(a, protocol.SendCell)]
-            for action in actions:
-                if isinstance(action, protocol.DeliverLocal):
-                    self.delivered.append((action.stream_id, action.data))
-                    if self.echo_data:
-                        sends.append(protocol.node_reply_data(
-                            self.state, cell.circ_id, link,
-                            action.stream_id, action.data))
+            sends = self.handle(link, cell)
         for send in sends:
             self._send(send.link, send.cell)
 
     def _send(self, link: str, cell: Cell) -> None:
-        with self._lock:
-            sock = self._links.get(link)
-        if sock is None:
-            desc = self.dir_client.lookup(link)
-            sock = socket.create_connection(parse_address(desc.address), timeout=10)
+        with self._connect_lock:
             with self._lock:
-                self._links[link] = sock
-            threading.Thread(target=self._reader, args=(link, sock), daemon=True).start()
+                sock = self._links.get(link)
+            if sock is None:
+                desc = self.dir_client.lookup(link)
+                sock = socket.create_connection(parse_address(desc.address), timeout=10)
+                with self._lock:
+                    self._links[link] = sock
+                threading.Thread(target=self._reader, args=(link, sock), daemon=True).start()
         try:
             send_frame(sock, encode_cell(cell))
         except OSError:
@@ -267,9 +262,7 @@ class NodeServer:
     def _drop_link(self, link: str) -> None:
         with self._lock:
             sock = self._links.pop(link, None)
-            survivors = tuple(e for e in self.state.entries
-                              if e.prev_link != link and e.next_link != link)
-            self.state = replace(self.state, entries=survivors)
+            self.drop_link(link)
         if sock is not None:
             try:
                 sock.close()
@@ -282,6 +275,8 @@ class NodeServer:
 class StreamCircuitClient:
     """Builds a circuit and sends data through the entry node's socket."""
 
+    name = "A"  # this host's name in tamper calls, as on the simulator
+
     def __init__(self, params: SystemParams, dir_client: DirectoryClient,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
         self.params = params
@@ -292,7 +287,9 @@ class StreamCircuitClient:
         self._sock: socket.socket | None = None
 
     def build(self, path: list[str], circ_id: int = 1, timeout: float = 30.0,
-              corrupt_created: bool = False) -> CircuitState:
+              tamper: TamperFn | None = None) -> CircuitState:
+        """Build along ``path``; ``tamper(src, dst, cell)``, as on SimNet,
+        may rewrite or (returning None) drop each received cell."""
         descriptors = [self.dir_client.lookup(name) for name in path]
         entry = descriptors[0]
         self._sock = socket.create_connection(parse_address(entry.address),
@@ -300,23 +297,20 @@ class StreamCircuitClient:
         self.state, send = protocol.client_create(self.params, circ_id, entry.name,
                                                   entry.public, self.rng, self.config)
         send_frame(self._sock, encode_cell(send.cell))
-        first_response = True
-        while self.state.phase != Phase.FAILED and (
-                self.state.phase != Phase.READY or len(self.state.hops) < len(path)):
+        while self.state.phase not in (Phase.READY, Phase.FAILED):
             frame = recv_frame(self._sock)
             if frame is None:
                 raise ConnectionError("entry node closed the connection")
             cell = decode_cell(frame)
-            if corrupt_created and first_response and cell.payload:
-                payload = bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:]
-                cell = Cell(cell.circ_id, cell.command, payload)
-            first_response = False
-            self.state, _ = protocol.client_handle_cell(self.state, cell)
-            if self.state.phase == Phase.READY and len(self.state.hops) < len(path):
-                desc = descriptors[len(self.state.hops)]
-                self.state, send = protocol.client_extend(self.state, desc.name,
-                                                          desc.public, self.rng)
-                send_frame(self._sock, encode_cell(send.cell))
+            if tamper is not None:
+                cell = tamper(entry.name, self.name, cell)
+                if cell is None:
+                    continue
+            self.state, actions = protocol.client_step(self.state, cell, descriptors,
+                                                       self.rng)
+            for action in actions:
+                if isinstance(action, SendCell):
+                    send_frame(self._sock, encode_cell(action.cell))
         return self.state
 
     def send_data(self, stream_id: int, data: bytes) -> bytes:

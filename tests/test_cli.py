@@ -1,10 +1,14 @@
 """Command line: outputs, exit codes and seeded determinism."""
 
+import random
+
 import pytest
 
-from onionkep import decode_cell
+from onionkep import decode_cell, gen_keypair, gen_params, params_digest
 from onionkep.cli import main
-from onionkep.nikep import decode_private_file, decode_public_file
+from onionkep.directory import Directory
+from onionkep.nikep import decode_private_file, decode_public_file, encode_public_file
+from onionkep.transport import DirectoryClient, DirectoryServer, NodeServer
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +109,29 @@ class TestClientSim:
         outs = [run_cli(capsys, "client", "send", "msg", "--sim",
                         "--hops", "B,C,D", "--seed", "12")[1] for _ in range(2)]
         assert outs[0] == outs[1]
+
+
+class TestClientTcp:
+    def test_corrupt_created_exits_3(self, tmp_path, capsys):
+        rng = random.Random(41)
+        params = gen_params(16, rng)
+        params_file = tmp_path / "params.pub"
+        params_file.write_bytes(encode_public_file(params, gen_keypair(params, rng).public))
+        dir_server = DirectoryServer(Directory(params_digest(params))).start()
+        dir_client = DirectoryClient(dir_server.address)
+        nodes = [NodeServer(name, params, gen_keypair(params, rng), dir_client).start()
+                 for name in ("B", "C", "D")]
+        try:
+            code, out, _ = run_cli(capsys, "client", "build", "--hops", "B,C,D",
+                                   "--dir", dir_server.address,
+                                   "--params", str(params_file),
+                                   "--seed", "5", "--corrupt-created")
+        finally:
+            for node in nodes:
+                node.stop()
+            dir_server.stop()
+        assert code == 3
+        assert "failed reason=CircuitIntegrityFailure" in out
 
 
 class TestSim:

@@ -1,6 +1,7 @@
 """Client/relay state machines: toy traces, failure paths, purity."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,12 +26,15 @@ from onionkep.protocol import (
     NodeState,
     Phase,
     ProtocolConfig,
+    Relay,
     SendCell,
     TearDown,
     client_create,
     client_extend,
     client_handle_cell,
     client_send_data,
+    client_step,
+    node_drop_link,
     node_handle_cell,
     node_reply_data,
 )
@@ -197,6 +201,69 @@ class TestNodeRelay:
         reply = node_reply_data(state, 9, "A", 5, b"pong")
         client, actions = client_handle_cell(client, reply.cell)
         assert actions == [DeliverLocal(5, b"pong")]
+
+
+class TestClientStep:
+    def _created(self, toy_params, toy_bob):
+        state, _ = client_create(toy_params, 9, "B", toy_bob.public,
+                                 ScriptedRng([3, 13]))
+        digest = key_digest(reduce_key(toy_params, 36))
+        return state, Cell(9, CellCommand.CREATED, build_created_payload(28, digest, 1))
+
+    def test_extends_toward_next_descriptor(self, toy_params, toy_bob):
+        state, created = self._created(toy_params, toy_bob)
+        charlie = keypair_from_secrets(toy_params, 7, 17)
+        path = [SimpleNamespace(name="B", public=toy_bob.public),
+                SimpleNamespace(name="C", public=charlie.public)]
+        state, actions = client_step(state, created, path, ScriptedRng([4, 19]))
+        assert state.phase == Phase.EXTENDING
+        assert [hop.node_name for hop in state.hops] == ["B", "C"]
+        [send] = actions
+        assert send.link == "B" and send.cell.command == CellCommand.RELAY
+
+    def test_stops_when_path_is_built(self, toy_params, toy_bob):
+        state, created = self._created(toy_params, toy_bob)
+        path = [SimpleNamespace(name="B", public=toy_bob.public)]
+        state, actions = client_step(state, created, path, ScriptedRng([]))
+        assert state.phase == Phase.READY and actions == []
+
+
+class TestDropLink:
+    def _extended(self, toy_params, toy_bob, bob_node):
+        state, actions = node_handle_cell(
+            bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        client, _ = client_create(toy_params, 9, "B", toy_bob.public,
+                                  ScriptedRng([3, 13]))
+        client, _ = client_handle_cell(client, actions[0].cell)
+        charlie = keypair_from_secrets(toy_params, 7, 17)
+        _, relay = client_extend(client, "C", charlie.public, ScriptedRng([4, 19]))
+        state, _ = node_handle_cell(state, "A", relay.cell)
+        return state
+
+    @pytest.mark.parametrize("link", ["A", "C"])
+    def test_forgets_circuits_on_either_side(self, toy_params, toy_bob, bob_node, link):
+        state = self._extended(toy_params, toy_bob, bob_node)
+        assert node_drop_link(state, link).entries == ()
+
+    def test_keeps_circuits_on_other_links(self, toy_params, toy_bob, bob_node):
+        state = self._extended(toy_params, toy_bob, bob_node)
+        assert node_drop_link(state, "D") == state
+
+
+class TestRelayHost:
+    def test_delivers_echoes_and_drops(self, toy_params, toy_bob):
+        relay = Relay("B", toy_params, toy_bob, echo_data=True)
+        [created] = relay.handle(
+            "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        client, _ = client_create(toy_params, 9, "B", toy_bob.public,
+                                  ScriptedRng([3, 13]))
+        client, _ = client_handle_cell(client, created.cell)
+        [reply] = relay.handle("A", client_send_data(client, 5, b"hi").cell)
+        assert relay.delivered == [(5, b"hi")]
+        assert client_handle_cell(client, reply.cell)[1] == [DeliverLocal(5, b"hi")]
+        assert relay.session_keys() == [36]
+        relay.drop_link("A")
+        assert relay.session_keys() == []
 
 
 class TestPurity:

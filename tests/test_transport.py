@@ -2,11 +2,19 @@
 
 import random
 import socket
+import sys
 import threading
 
 import pytest
 
-from onionkep import gen_keypair, gen_params, keypair_from_secrets, params_digest
+from onionkep import (
+    Cell,
+    CellCommand,
+    gen_keypair,
+    gen_params,
+    keypair_from_secrets,
+    params_digest,
+)
 from onionkep.directory import Directory, NodeDescriptor
 from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, ParamsMismatch
 from onionkep.protocol import Phase
@@ -182,10 +190,59 @@ class TestLiveCircuit:
 
     def test_corrupted_created_fails_closed(self, live_network):
         params, dir_client, _, rng = live_network
+        seen = []
+
+        def tamper(src, dst, cell):
+            # Flip one bit of the first response, the entry hop's CREATED.
+            seen.append((src, dst, cell.command))
+            if len(seen) > 1:
+                return cell
+            return Cell(cell.circ_id, cell.command,
+                        bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:])
+
         client = StreamCircuitClient(params, dir_client, rng)
         try:
-            state = client.build(["B", "C", "D"], corrupt_created=True)
+            state = client.build(["B", "C", "D"], tamper=tamper)
             assert state.phase == Phase.FAILED
             assert "CircuitIntegrityFailure" in (state.failure or "")
+            assert seen == [("B", "A", CellCommand.CREATED)]
         finally:
             client.close()
+
+
+class TestRelayLinks:
+    def test_concurrent_sends_open_one_connection(self, live_network, monkeypatch):
+        # Eight cells for C leave B at once. Each connect toward C waits up
+        # to a second for a second connect to arrive; B must open one link
+        # to C, not one per cell (a later one would replace the first, and C
+        # would see the circuit's later cells on a link it does not know).
+        _, _, nodes, _ = live_network
+        b, c = nodes[0], nodes[1]
+        real_connect = socket.create_connection
+        opened = []
+        both = threading.Barrier(2)
+
+        def slow_connect(address, *args, **kwargs):
+            if "%s:%d" % address == c.address:
+                opened.append(address)
+                try:
+                    both.wait(timeout=1.0)
+                except threading.BrokenBarrierError:
+                    pass
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", slow_connect)
+        cell = Cell(9, CellCommand.DESTROY)
+        senders = [threading.Thread(target=b._send, args=("C", cell)) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in senders)
+        assert len(opened) == 1
+        assert list(b._links) == ["C"]
