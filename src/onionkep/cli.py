@@ -35,6 +35,7 @@ from .transport import (
     DirectoryServer,
     NodeServer,
     StreamCircuitClient,
+    parse_address,
 )
 
 DEFAULT_DIR_ENV = "ONIONKEP_DIR"
@@ -76,24 +77,21 @@ def cmd_keygen(args) -> int:
 def cmd_directory(args) -> int:
     params = _load_params(args.params)
     directory = Directory(params_digest(params), snapshot_path=args.snapshot)
-    host, port = args.listen.rsplit(":", 1)
-    server = DirectoryServer(directory, host, int(port)).start()
+    server = DirectoryServer(directory, *parse_address(args.listen)).start()
     print(f"directory_listening={server.address}", flush=True)
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        server.stop()
-    return 0
+    return _serve_until_interrupted(server)
 
 
 def cmd_node(args) -> int:
     with open(args.keys + ".priv", "rb") as fh:
         params, pair = nikep.decode_private_file(fh.read())
-    host, port = args.listen.rsplit(":", 1)
     server = NodeServer(args.name, params, pair, DirectoryClient(_dir_address(args)),
-                        host, int(port)).start()
+                        *parse_address(args.listen)).start()
     print(f"node={args.name} listening={server.address}", flush=True)
+    return _serve_until_interrupted(server)
+
+
+def _serve_until_interrupted(server) -> int:
     try:
         while True:
             time.sleep(1)

@@ -9,6 +9,12 @@ Every protocol rule lives here once. ``client_step`` is the one build
 driver and ``Relay`` the one relay host: both runtimes (``simnet`` and
 ``transport``) use them and only move the resulting cells.
 
+A relay finds a circuit from the (link, circ_id) a cell arrives with, in
+two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
+(prev_link, circ_id), and ``nexts`` by the next hop's side,
+(next_link, next_circ_id), pointing back at the ``entries`` key. Both maps
+are copied on write, so a transition never changes the state it was given.
+
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
 already-built prefix, is turned into a CREATE by the current terminal hop,
@@ -29,7 +35,7 @@ Two relay-layering modes exist (ProtocolConfig.peel_per_hop):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Union
 
@@ -158,7 +164,7 @@ def client_extend(state: CircuitState, node_name: str, node_pub: PublicConstruct
     data = build_extend_data(node_name, v, eph.public.P, eph.public.Q,
                              params.residue_width)
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
-    payload = onion_wrap(frame, _forward_keys(state), params)
+    payload = onion_wrap(frame, _layer_keys(state)[::-1], params)
     new_state = replace(state,
                         hops=state.hops + (HopKeys(node_name=node_name, ephemeral=eph),),
                         phase=Phase.EXTENDING)
@@ -171,7 +177,7 @@ def client_send_data(state: CircuitState, stream_id: int, data: bytes) -> SendCe
     if state.phase != Phase.READY:
         raise NotReady(f"cannot send on a circuit in phase {state.phase.value}")
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
-    payload = onion_wrap(frame, _forward_keys(state), state.params)
+    payload = onion_wrap(frame, _layer_keys(state)[::-1], state.params)
     return SendCell(state.hops[0].node_name,
                     Cell(state.circ_id, CellCommand.RELAY, payload))
 
@@ -208,11 +214,9 @@ def client_step(state: CircuitState, cell: Cell, path,
 
 
 def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState, list[Action]]:
-    confirmed = [hop.session for hop in state.hops if hop.confirmed]
-    peel_keys = confirmed if state.config.peel_per_hop else confirmed[-1:]
     payload = cell.payload
     try:
-        for key in peel_keys:
+        for key in _layer_keys(state):
             payload = chunk_decrypt(payload, key, state.params)
         frame = decode_relay_frame(payload)
     except (MalformedPayload, TruncatedFrame, UnknownSubcommand):
@@ -250,12 +254,12 @@ def _fail(state: CircuitState, reason: str) -> tuple[CircuitState, list[Action]]
     return failed, [TearDown(state.circ_id, tagged)]
 
 
-def _forward_keys(state: CircuitState) -> list[SessionKey]:
-    """Wrap order for forward relays: innermost key first."""
+def _layer_keys(state: CircuitState) -> list[SessionKey]:
+    """The keys that layer a relay cell, entry first: every confirmed hop,
+    or without ``peel_per_hop`` only the last one. Wrapping applies them
+    in reverse, innermost first."""
     keys = [hop.session for hop in state.hops if hop.confirmed]
-    if not state.config.peel_per_hop:
-        keys = keys[-1:]
-    return list(reversed(keys))
+    return keys if state.config.peel_per_hop else keys[-1:]
 
 
 # -- relay (node) side -------------------------------------------------------
@@ -271,6 +275,10 @@ class CircuitEntry:
     next_circ_id: int | None = None
     next_pending: bool = False
 
+    @property
+    def key(self) -> tuple[str, int]:
+        return self.prev_link, self.circ_id
+
 
 @dataclass(frozen=True)
 class NodeState:
@@ -278,7 +286,8 @@ class NodeState:
     params: SystemParams
     keypair: KeyPair
     config: ProtocolConfig = DEFAULT_CONFIG
-    entries: tuple[CircuitEntry, ...] = ()
+    entries: dict[tuple[str, int], CircuitEntry] = field(default_factory=dict)
+    nexts: dict[tuple[str, int], tuple[str, int]] = field(default_factory=dict)
     circ_seq: int = 1
 
 
@@ -287,32 +296,32 @@ def node_handle_cell(state: NodeState, from_link: str,
     """Feed one inbound cell to the relay machine."""
     if cell.command == CellCommand.CREATE:
         return _node_handle_create(state, from_link, cell)
-    entry = _find_forward(state, from_link, cell.circ_id)
+    entry = state.entries.get((from_link, cell.circ_id))
     if entry is not None:
         if cell.command == CellCommand.RELAY:
             return _node_forward_relay(state, entry, cell)
         if cell.command == CellCommand.DESTROY:
-            return _node_destroy(state, entry, toward_next=True)
+            return _teardown(state, entry, "destroyed by peer", back=False)
         return state, []
-    entry = _find_backward(state, from_link, cell.circ_id)
-    if entry is not None:
+    key = state.nexts.get((from_link, cell.circ_id))
+    if key is not None:
+        entry = state.entries[key]
         if cell.command == CellCommand.CREATED:
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
             return _node_backward_relay(state, entry, cell)
         if cell.command == CellCommand.DESTROY:
-            return _node_destroy(state, entry, toward_next=False)
+            return _teardown(state, entry, "destroyed by peer", onward=False)
         return state, []
     if cell.command == CellCommand.DESTROY:
         return state, []
-    return state, [TearDown(cell.circ_id, "unknown circuit"),
-                   SendCell(from_link, Cell(cell.circ_id, CellCommand.DESTROY))]
+    return _refuse(state, from_link, cell.circ_id, "unknown circuit")
 
 
 def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
                     stream_id: int, data: bytes) -> SendCell:
     """Exit-side response: one backward DATA frame under this node's key."""
-    entry = _find_forward(state, prev_link, circ_id)
+    entry = state.entries.get((prev_link, circ_id))
     if entry is None:
         raise NotReady(f"no circuit {circ_id} from {prev_link}")
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
@@ -321,27 +330,29 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
 
 
 def node_drop_link(state: NodeState, link: str) -> NodeState:
-    """Forget every circuit riding on a lost link, in either direction."""
-    return replace(state, entries=tuple(e for e in state.entries
-                                        if e.prev_link != link and e.next_link != link))
+    """Forget every circuit riding on a lost link, in either direction, in
+    one pass over the maps. No DESTROY goes to the other neighbour, so
+    relays further along keep those circuits."""
+    entries = {key: e for key, e in state.entries.items()
+               if link not in (e.prev_link, e.next_link)}
+    nexts = {key: prev for key, prev in state.nexts.items() if prev in entries}
+    return replace(state, entries=entries, nexts=nexts)
 
 
 def _node_handle_create(state: NodeState, from_link: str,
                         cell: Cell) -> tuple[NodeState, list[Action]]:
-    if _find_forward(state, from_link, cell.circ_id) is not None:
-        return state, [TearDown(cell.circ_id, "duplicate CREATE"),
-                       SendCell(from_link, Cell(cell.circ_id, CellCommand.DESTROY))]
+    if (from_link, cell.circ_id) in state.entries:
+        return _refuse(state, from_link, cell.circ_id, "duplicate CREATE")
     width = state.params.residue_width
     try:
         v, eph_p, eph_q = parse_create_payload(cell.payload, width)
         session = derive_session_key(state.params, v, state.keypair.private.k)
     except (TruncatedCell, MalformedSessionKey, NonInvertible):
-        return state, [TearDown(cell.circ_id, "malformed CREATE handshake"),
-                       SendCell(from_link, Cell(cell.circ_id, CellCommand.DESTROY))]
+        return _refuse(state, from_link, cell.circ_id, "malformed CREATE handshake")
     reply = mix(state.params, PublicConstructor(P=eph_p, Q=eph_q), state.keypair.private)
     payload = build_created_payload(reply, key_digest(session), width)
     entry = CircuitEntry(circ_id=cell.circ_id, prev_link=from_link, session=session)
-    new_state = replace(state, entries=state.entries + (entry,))
+    new_state = replace(state, entries={**state.entries, entry.key: entry})
     return new_state, [SendCell(from_link, Cell(cell.circ_id, CellCommand.CREATED, payload))]
 
 
@@ -353,31 +364,32 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
         try:
             payload = chunk_decrypt(payload, entry.session, state.params)
         except MalformedPayload:
-            return _node_destroy_both(state, entry, "malformed relay payload")
+            return _teardown(state, entry, "malformed relay payload")
     if relaying:
         return state, [SendCell(entry.next_link,
                                 Cell(entry.next_circ_id, CellCommand.RELAY, payload))]
     if entry.next_pending:
-        return _node_destroy_both(state, entry, "relay before extension completed")
+        return _teardown(state, entry, "relay before extension completed")
     try:
         frame = decode_relay_frame(payload)
     except (TruncatedFrame, UnknownSubcommand):
-        return _node_destroy_both(state, entry, "unparseable relay frame")
+        return _teardown(state, entry, "unparseable relay frame")
     if frame.subcommand == RelaySubcommand.EXTEND:
         try:
             name, v, eph_p, eph_q = parse_extend_data(frame.data, state.params.residue_width)
         except (TruncatedFrame, TruncatedCell):
-            return _node_destroy_both(state, entry, "malformed EXTEND data")
+            return _teardown(state, entry, "malformed EXTEND data")
         next_circ = state.circ_seq
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
         new_state = replace(state, circ_seq=state.circ_seq + 1,
-                            entries=_swap(state.entries, entry, updated))
+                            entries={**state.entries, entry.key: updated},
+                            nexts={**state.nexts, (name, next_circ): entry.key})
         payload = build_create_payload(v, eph_p, eph_q, state.params.residue_width)
         return new_state, [SendCell(name, Cell(next_circ, CellCommand.CREATE, payload))]
     if frame.subcommand == RelaySubcommand.DATA:
         return state, [DeliverLocal(frame.stream_id, frame.data)]
     if frame.subcommand == RelaySubcommand.END:
-        return _node_destroy_both(state, entry, "stream ended")
+        return _teardown(state, entry, "stream ended")
     return state, []
 
 
@@ -389,12 +401,12 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
     try:
         v, digest = parse_created_payload(cell.payload, width)
     except TruncatedCell:
-        return _node_destroy_both(state, entry, "malformed CREATED from next hop")
+        return _teardown(state, entry, "malformed CREATED from next hop")
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0,
                                           build_created_payload(v, digest, width)))
     payload = chunk_encrypt(frame, entry.session, state.params)
     updated = replace(entry, next_pending=False)
-    new_state = replace(state, entries=_swap(state.entries, entry, updated))
+    new_state = replace(state, entries={**state.entries, entry.key: updated})
     return new_state, [SendCell(entry.prev_link,
                                 Cell(entry.circ_id, CellCommand.RELAY, payload))]
 
@@ -408,50 +420,30 @@ def _node_backward_relay(state: NodeState, entry: CircuitEntry,
                             Cell(entry.circ_id, CellCommand.RELAY, payload))]
 
 
-def _node_destroy(state: NodeState, entry: CircuitEntry,
-                  toward_next: bool) -> tuple[NodeState, list[Action]]:
-    actions: list[Action] = [TearDown(entry.circ_id, "destroyed by peer")]
-    if toward_next and entry.next_link is not None:
-        actions.append(SendCell(entry.next_link,
-                                Cell(entry.next_circ_id, CellCommand.DESTROY)))
-    if not toward_next:
-        actions.append(SendCell(entry.prev_link,
-                                Cell(entry.circ_id, CellCommand.DESTROY)))
-    return replace(state, entries=_remove(state.entries, entry)), actions
-
-
-def _node_destroy_both(state: NodeState, entry: CircuitEntry,
-                       reason: str) -> tuple[NodeState, list[Action]]:
-    actions: list[Action] = [TearDown(entry.circ_id, reason),
-                             SendCell(entry.prev_link,
-                                      Cell(entry.circ_id, CellCommand.DESTROY))]
+def _teardown(state: NodeState, entry: CircuitEntry, reason: str, back: bool = True,
+              onward: bool = True) -> tuple[NodeState, list[Action]]:
+    """Forget ``entry`` and send DESTROY back toward the client and/or
+    onward to the next hop. The sides are chosen by direction, never by
+    link name: ``prev_link`` may equal ``next_link``."""
+    actions: list[Action] = [TearDown(entry.circ_id, reason)]
+    if back:
+        actions.append(SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.DESTROY)))
+    entries = dict(state.entries)
+    del entries[entry.key]
+    nexts = state.nexts
     if entry.next_link is not None:
-        actions.append(SendCell(entry.next_link,
-                                Cell(entry.next_circ_id, CellCommand.DESTROY)))
-    return replace(state, entries=_remove(state.entries, entry)), actions
+        if onward:
+            actions.append(SendCell(entry.next_link,
+                                    Cell(entry.next_circ_id, CellCommand.DESTROY)))
+        nexts = dict(nexts)
+        del nexts[entry.next_link, entry.next_circ_id]
+    return replace(state, entries=entries, nexts=nexts), actions
 
 
-def _find_forward(state: NodeState, link: str, circ_id: int) -> CircuitEntry | None:
-    for entry in state.entries:
-        if entry.prev_link == link and entry.circ_id == circ_id:
-            return entry
-    return None
-
-
-def _find_backward(state: NodeState, link: str, circ_id: int) -> CircuitEntry | None:
-    for entry in state.entries:
-        if entry.next_link == link and entry.next_circ_id == circ_id:
-            return entry
-    return None
-
-
-def _swap(entries: tuple[CircuitEntry, ...], old: CircuitEntry,
-          new: CircuitEntry) -> tuple[CircuitEntry, ...]:
-    return tuple(new if e is old else e for e in entries)
-
-
-def _remove(entries: tuple[CircuitEntry, ...], victim: CircuitEntry) -> tuple[CircuitEntry, ...]:
-    return tuple(e for e in entries if e is not victim)
+def _refuse(state: NodeState, link: str, circ_id: int,
+            reason: str) -> tuple[NodeState, list[Action]]:
+    """Answer a cell that no circuit takes with DESTROY on its own link."""
+    return state, [TearDown(circ_id, reason), SendCell(link, Cell(circ_id, CellCommand.DESTROY))]
 
 
 # -- relay host --------------------------------------------------------------
@@ -482,4 +474,4 @@ class Relay:
         self.state = node_drop_link(self.state, link)
 
     def session_keys(self) -> list[int]:
-        return [entry.session.raw for entry in self.state.entries]
+        return [entry.session.raw for entry in self.state.entries.values()]

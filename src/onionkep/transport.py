@@ -23,6 +23,7 @@ from .errors import (
     DuplicateName,
     FrameTooLarge,
     NotFound,
+    NotReady,
     OnionKepError,
     ParamsMismatch,
 )
@@ -176,8 +177,9 @@ class NodeServer(protocol.Relay):
 
     Inbound connections become links named conn<N>; outbound links to other
     relays are named by node name and resolved through the directory, one
-    connection per name. A lost connection tears down every circuit riding
-    on that link.
+    connection per name. A lost connection forgets every circuit riding on
+    that link here only: no DESTROY goes to the circuit's other neighbour,
+    so relays further along keep it.
     """
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
@@ -314,7 +316,8 @@ class StreamCircuitClient:
         return self.state
 
     def send_data(self, stream_id: int, data: bytes) -> bytes:
-        """Send one DATA frame and wait for the echoed backward response."""
+        """Send one DATA frame and wait for the echoed backward response;
+        raises NotReady with the failure as soon as the circuit fails."""
         send = protocol.client_send_data(self.state, stream_id, data)
         send_frame(self._sock, encode_cell(send.cell))
         while True:
@@ -323,6 +326,8 @@ class StreamCircuitClient:
                 raise ConnectionError("entry node closed the connection")
             self.state, actions = protocol.client_handle_cell(
                 self.state, decode_cell(frame))
+            if self.state.phase == Phase.FAILED:
+                raise NotReady(self.state.failure)
             for action in actions:
                 if isinstance(action, protocol.DeliverLocal):
                     return action.data

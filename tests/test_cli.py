@@ -1,6 +1,7 @@
 """Command line: outputs, exit codes and seeded determinism."""
 
 import random
+import re
 
 import pytest
 
@@ -80,6 +81,31 @@ class TestKeygen:
                                "--seed", "0", "--out", str(tmp_path / "x"))
         assert code == 2
         assert err.startswith("error=")
+
+
+class TestServers:
+    def test_directory_and_node_listen_until_interrupted(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("onionkep.cli.time.sleep", interrupt)
+        stem = str(tmp_path / "relay")
+        run_cli(capsys, "keygen", "--r-bits", "16", "--seed", "2", "--out", stem)
+        code, out, _ = run_cli(capsys, "directory", "--params", stem + ".pub",
+                               "--listen", "127.0.0.1:0")
+        assert code == 0
+        assert re.fullmatch(r"directory_listening=127\.0\.0\.1:\d+\n", out)
+        with open(stem + ".pub", "rb") as fh:
+            params, _ = decode_public_file(fh.read())
+        dir_server = DirectoryServer(Directory(params_digest(params))).start()
+        try:
+            code, out, _ = run_cli(capsys, "node", "--name", "B", "--keys", stem,
+                                   "--listen", "127.0.0.1:0", "--dir", dir_server.address)
+        finally:
+            dir_server.stop()
+        assert code == 0
+        assert re.fullmatch(r"node=B listening=127\.0\.0\.1:\d+\n", out)
 
 
 class TestClientSim:

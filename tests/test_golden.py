@@ -12,9 +12,11 @@ import io
 
 import pytest
 
+from onionkep import protocol
 from onionkep.cli import main
-from onionkep.protocol import ProtocolConfig
-from onionkep.simnet import build_simulation, run_build, run_send
+from onionkep.onioncrypt import Cell, CellCommand
+from onionkep.protocol import Phase, ProtocolConfig
+from onionkep.simnet import SimClient, build_simulation, run_build, run_send
 
 
 def sha256(data: bytes) -> str:
@@ -46,3 +48,52 @@ def test_simulator_transcript(peel_per_hop, digest):
     run_build(sim, client, ["B", "C", "D"])
     run_send(sim, client, 1, b"golden probe")
     assert sha256(sim.transcript.serialize()) == digest
+
+
+# Every path crosses each relay link in the B->C->D direction only, so the
+# circuit-id collision between the two ends of one link cannot occur.
+MULTI_PATHS = [["B", "C", "D"], ["B", "C"], ["C", "D"], ["B", "D"], ["B"], ["D"]]
+
+
+def test_multi_circuit_relay_transcript():
+    # Sixteen clients share the relays; the script reaches every relay
+    # teardown: DESTROY from a peer, a malformed relay payload, a duplicate
+    # CREATE and, after C loses its link to B, unknown circuits.
+    sim, first, nodes = build_simulation(32, 7, echo_data=True)
+    clients = []
+    for i in range(16):
+        client = SimClient(f"U{i}", first.params, first.directory, first.rng)
+        sim.add_host(client.name, client)
+        send = client.start_build(1 + i % 3, MULTI_PATHS[i % len(MULTI_PATHS)])
+        sim.post(client.name, send.link, send.cell)
+        sim.run()
+        assert client.state.phase == Phase.READY
+        clients.append(client)
+
+    def send_each(group, data):
+        for client in group:
+            send = protocol.client_send_data(client.state, 1, data + client.name.encode())
+            sim.post(client.name, send.link, send.cell)
+        sim.run()
+
+    send_each(clients, b"echo ")
+    for client in clients[::3]:
+        sim.post(client.name, client.path[0].name,
+                 Cell(client.state.circ_id, CellCommand.DESTROY))
+    sim.run()
+    live = [c for i, c in enumerate(clients) if i % 3]
+    sim.tamper = lambda src, dst, cell: (
+        Cell(cell.circ_id, cell.command, bytes([cell.payload[0] ^ 0xFF]) + cell.payload[1:])
+        if dst == "D" and cell.command == CellCommand.RELAY else cell)
+    send_each([next(c for c in live if c.path[-1].name == "D")], b"corrupt ")
+    sim.tamper = None
+    dup = next(c for c in live if c.state.phase == Phase.READY)
+    _, send = protocol.client_create(dup.params, dup.state.circ_id, dup.path[0].name,
+                                     dup.path[0].public, dup.rng)
+    sim.post(dup.name, send.link, send.cell)
+    sim.run()
+    nodes["C"].drop_link("B")
+    send_each([c for c in live if c.state.phase == Phase.READY], b"after ")
+    assert len(sim.transcript.entries) == 205
+    assert sha256(sim.transcript.serialize()) == \
+        "e1d2e7418f5f21625e812188367f814d31af12fa1dfd381fab3a54028245c1d8"

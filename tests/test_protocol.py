@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onionkep import (
     Cell,
@@ -38,6 +40,7 @@ from onionkep.protocol import (
     node_handle_cell,
     node_reply_data,
 )
+from onionkep.simnet import SimClient, build_simulation
 from conftest import ScriptedRng
 
 
@@ -73,13 +76,13 @@ class TestNodeHandleCreate:
         v, digest = send.cell.payload[0], send.cell.payload[1:]
         assert v == 28
         assert digest == key_digest(reduce_key(toy_params, 36))
-        assert [e.session.raw for e in state.entries] == [36]
+        assert [e.session.raw for e in state.entries.values()] == [36]
 
     def test_malformed_handshake_destroys(self, bob_node):
         # V=35 strips to a value not divisible by 4.
         cell = Cell(9, CellCommand.CREATE, build_create_payload(35, 40, 28, 1))
         state, actions = node_handle_cell(bob_node, "A", cell)
-        assert state.entries == ()
+        assert state.entries == {}
         assert any(isinstance(a, TearDown) for a in actions)
         assert any(isinstance(a, SendCell)
                    and a.cell.command == CellCommand.DESTROY for a in actions)
@@ -172,7 +175,7 @@ class TestNodeRelay:
         [send] = actions
         assert send.link == "C"
         assert send.cell.command == CellCommand.CREATE
-        entry = state.entries[0]
+        entry = list(state.entries.values())[0]
         assert entry.next_link == "C" and entry.next_pending
 
     def test_data_at_exit_delivers_local(self, toy_params, toy_bob, bob_node):
@@ -243,7 +246,7 @@ class TestDropLink:
     @pytest.mark.parametrize("link", ["A", "C"])
     def test_forgets_circuits_on_either_side(self, toy_params, toy_bob, bob_node, link):
         state = self._extended(toy_params, toy_bob, bob_node)
-        assert node_drop_link(state, link).entries == ()
+        assert node_drop_link(state, link).entries == {}
 
     def test_keeps_circuits_on_other_links(self, toy_params, toy_bob, bob_node):
         state = self._extended(toy_params, toy_bob, bob_node)
@@ -266,6 +269,68 @@ class TestRelayHost:
         assert relay.session_keys() == []
 
 
+RELAY_NAMES = ("B", "C", "D")
+relay_paths = st.lists(st.sampled_from(RELAY_NAMES), min_size=1, max_size=3).filter(
+    lambda path: all(a != b for a, b in zip(path, path[1:])))
+relay_builds = st.lists(st.tuples(st.just("build"), relay_paths, st.integers(1, 3)),
+                        min_size=1, max_size=6)
+relay_events = st.lists(st.one_of(
+    st.tuples(st.just("build"), relay_paths, st.integers(1, 3)),
+    st.tuples(st.just("destroy"), st.integers(0, 15)),
+    st.tuples(st.just("corrupt"), st.integers(0, 15), st.integers(0, 255)),
+    st.tuples(st.just("drop"), st.sampled_from(RELAY_NAMES), st.integers(0, 15)),
+), max_size=10)
+
+
+class TestRelayMaps:
+    @given(relay_builds, relay_events)
+    @settings(max_examples=30, deadline=None)
+    def test_maps_agree_and_forget_dropped_links(self, builds, events):
+        sim, first, nodes = build_simulation(16, 5)
+        clients, dead = [], set()
+        # A dropped link is gone for good: nothing crosses it any more.
+        sim.tamper = lambda src, dst, cell: None if frozenset((src, dst)) in dead else cell
+        for step in builds + events:
+            if step[0] == "build":
+                _, path, circ_id = step
+                if any(frozenset(hop) in dead for hop in zip(path, path[1:])):
+                    continue
+                client = SimClient(f"U{len(clients)}", first.params, first.directory,
+                                   first.rng)
+                sim.add_host(client.name, client)
+                send = client.start_build(circ_id, path)
+                sim.post(client.name, send.link, send.cell)
+                clients.append(client)
+            elif step[0] == "drop":
+                _, relay, index = step
+                state = nodes[relay].state
+                links = sorted({link for link, _ in [*state.entries, *state.nexts]})
+                if not links:
+                    continue
+                peer = links[index % len(links)]
+                dead.add(frozenset((relay, peer)))
+                nodes[relay].drop_link(peer)
+                if peer in nodes:
+                    nodes[peer].drop_link(relay)
+            elif clients:
+                client = clients[step[1] % len(clients)]
+                cell = Cell(client.state.circ_id, CellCommand.DESTROY)
+                if step[0] == "corrupt":
+                    payload = (client_send_data(client.state, 1, b"probe").cell.payload
+                               if client.state.phase == Phase.READY else b"junk")
+                    flip = step[2] % len(payload)
+                    payload = payload[:flip] + bytes([payload[flip] ^ 0xFF]) + payload[flip + 1:]
+                    cell = Cell(cell.circ_id, CellCommand.RELAY, payload)
+                sim.post(client.name, client.path[0].name, cell)
+            sim.run()
+            for name, node in nodes.items():
+                entries, nexts = node.state.entries, node.state.nexts
+                assert nexts == {(e.next_link, e.next_circ_id): key
+                                 for key, e in entries.items() if e.next_link is not None}
+                lost = {peer for pair in dead if name in pair for peer in pair - {name}}
+                assert not {link for link, _ in [*entries, *nexts]} & lost
+
+
 class TestPurity:
     def test_client_transition_replays_identically(self, toy_params, toy_bob):
         state, _ = client_create(toy_params, 9, "B", toy_bob.public,
@@ -283,7 +348,7 @@ class TestPurity:
     def test_inputs_not_mutated(self, bob_node):
         cell = Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1))
         node_handle_cell(bob_node, "A", cell)
-        assert bob_node.entries == ()
+        assert bob_node.entries == {}
 
 
 class TestLiteralLayeringMode:

@@ -10,13 +10,14 @@ import pytest
 from onionkep import (
     Cell,
     CellCommand,
+    encode_cell,
     gen_keypair,
     gen_params,
     keypair_from_secrets,
     params_digest,
 )
 from onionkep.directory import Directory, NodeDescriptor
-from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, ParamsMismatch
+from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, NotReady, ParamsMismatch
 from onionkep.protocol import Phase
 from onionkep.transport import (
     DirectoryClient,
@@ -206,6 +207,22 @@ class TestLiveCircuit:
             assert state.phase == Phase.FAILED
             assert "CircuitIntegrityFailure" in (state.failure or "")
             assert seen == [("B", "A", CellCommand.CREATED)]
+        finally:
+            client.close()
+
+    def test_send_after_destroy_fails_at_once(self, live_network):
+        # A junk RELAY cell makes B destroy the circuit; the DESTROY waits
+        # unread on the client socket. send_data must fail on reading it,
+        # not wait out the socket timeout.
+        params, dir_client, _, rng = live_network
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            state = client.build(["B", "C", "D"], timeout=2.0)
+            assert state.phase == Phase.READY
+            send_frame(client._sock, encode_cell(Cell(state.circ_id, CellCommand.RELAY,
+                                                       b"junk")))
+            with pytest.raises(NotReady, match="destroyed by relay"):
+                client.send_data(1, b"after destroy")
         finally:
             client.close()
 
