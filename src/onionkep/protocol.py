@@ -5,9 +5,10 @@ Every transition is a pure function from (state, input cell) to
 and nothing here performs I/O, so identical inputs always replay to
 identical outputs.
 
-Every protocol rule lives here once. ``client_step`` is the one build
-driver and ``Relay`` the one relay host: both runtimes (``simnet`` and
-``transport``) use them and only move the resulting cells.
+Every protocol rule lives here once. ``Client`` is the one client host,
+which drives its build through ``client_step``, and ``Relay`` the one
+relay host: both runtimes (``simnet`` and ``transport``) use them and only
+move the resulting cells.
 
 A relay finds a circuit from the (link, circ_id) a cell arrives with, in
 two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
@@ -475,3 +476,42 @@ class Relay:
 
     def session_keys(self) -> list[int]:
         return [entry.session.raw for entry in self.state.entries.values()]
+
+
+# -- client host -------------------------------------------------------------
+
+class Client:
+    """The client host of both runtimes: resolves the path through
+    ``directory`` (anything with ``lookup(name)``), drives the build through
+    client_step, sends queued data once READY and records deliveries."""
+
+    def __init__(self, name: str, params: SystemParams, directory,
+                 rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
+        self.name = name
+        self.params = params
+        self.directory = directory
+        self.rng = rng
+        self.config = config
+        self.state: CircuitState | None = None
+        self.path: list = []
+        self.outbox: list[tuple[int, bytes]] = []
+        self.received: list[tuple[int, bytes]] = []
+
+    def start_build(self, circ_id: int, path: list[str]) -> SendCell:
+        self.path = [self.directory.lookup(name) for name in path]
+        entry = self.path[0]
+        self.state, send = client_create(self.params, circ_id, entry.name,
+                                         entry.public, self.rng, self.config)
+        return send
+
+    def queue_send(self, stream_id: int, data: bytes) -> None:
+        self.outbox.append((stream_id, data))
+
+    def handle(self, from_name: str, cell: Cell) -> list[SendCell]:
+        self.state, actions = client_step(self.state, cell, self.path, self.rng)
+        self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
+        out = [a for a in actions if isinstance(a, SendCell)]
+        if self.state.phase == Phase.READY:
+            while self.outbox:
+                out.append(client_send_data(self.state, *self.outbox.pop(0)))
+        return out

@@ -3,9 +3,9 @@
 Single-threaded event loop: one (src, dst, cell) event is popped at a time
 in FIFO order, handed to the destination host, and the SendCell actions it
 returns are enqueued. The hosts are ``protocol.Relay`` (as ``SimNode``) and
-a client that drives its build through ``protocol.client_step``, so this
-module only moves cells. Time is a step counter; equal seeds and scripts
-produce byte-identical transcripts.
+``protocol.Client`` (as ``SimClient``), the hosts of the TCP runtime too,
+so this module only moves cells. Time is a step counter; equal seeds and
+scripts produce byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -17,17 +17,9 @@ from dataclasses import dataclass
 from .directory import Directory, NodeDescriptor
 from .errors import StepBudgetExceeded
 from . import protocol
-from .nikep import SystemParams, gen_keypair, gen_params, params_digest
+from .nikep import gen_keypair, gen_params, params_digest
 from .onioncrypt import Cell, encode_cell
-from .protocol import (
-    DEFAULT_CONFIG,
-    CircuitState,
-    DeliverLocal,
-    Phase,
-    ProtocolConfig,
-    SendCell,
-    TamperFn,
-)
+from .protocol import DEFAULT_CONFIG, CircuitState, ProtocolConfig, TamperFn
 
 
 @dataclass(frozen=True)
@@ -63,41 +55,7 @@ class Transcript:
 
 
 SimNode = protocol.Relay
-
-
-class SimClient:
-    """Client host: drives the build through client_step, then drains the outbox."""
-
-    def __init__(self, name: str, params: SystemParams, directory: Directory,
-                 rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
-        self.name = name
-        self.params = params
-        self.directory = directory
-        self.rng = rng
-        self.config = config
-        self.state: CircuitState | None = None
-        self.path: list[NodeDescriptor] = []
-        self.outbox: list[tuple[int, bytes]] = []
-        self.received: list[tuple[int, bytes]] = []
-
-    def start_build(self, circ_id: int, path: list[str]) -> SendCell:
-        self.path = [self.directory.lookup(name) for name in path]
-        entry = self.path[0]
-        self.state, send = protocol.client_create(self.params, circ_id, entry.name,
-                                                  entry.public, self.rng, self.config)
-        return send
-
-    def queue_send(self, stream_id: int, data: bytes) -> None:
-        self.outbox.append((stream_id, data))
-
-    def handle(self, from_name: str, cell: Cell) -> list[SendCell]:
-        self.state, actions = protocol.client_step(self.state, cell, self.path, self.rng)
-        self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
-        out = [a for a in actions if isinstance(a, SendCell)]
-        if self.state.phase == Phase.READY:
-            while self.outbox:
-                out.append(protocol.client_send_data(self.state, *self.outbox.pop(0)))
-        return out
+SimClient = protocol.Client
 
 
 class SimNet:

@@ -6,9 +6,9 @@ Per-connection ordering is the socket's; each relay processes cells of one
 circuit in arrival order behind a single lock. The directory handles
 requests sequentially per connection and concurrently across connections.
 
-The relay server is ``protocol.Relay`` and the circuit client drives its
-build through ``protocol.client_step``, exactly as on the simulator; this
-module only moves their cells over sockets.
+The relay server is ``protocol.Relay`` and the circuit client is
+``protocol.Client``, the hosts of the simulator too; this module only
+moves their cells over sockets.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .nikep import KeyPair, SystemParams
 from .onioncrypt import Cell, decode_cell, encode_cell
-from .protocol import DEFAULT_CONFIG, CircuitState, Phase, ProtocolConfig, SendCell, TamperFn
+from .protocol import DEFAULT_CONFIG, CircuitState, Phase, ProtocolConfig, TamperFn
 
 FRAME_MAX = 70_000
 
@@ -274,63 +274,51 @@ class NodeServer(protocol.Relay):
 
 # -- circuit client over TCP -------------------------------------------------
 
-class StreamCircuitClient:
-    """Builds a circuit and sends data through the entry node's socket."""
-
-    name = "A"  # this host's name in tamper calls, as on the simulator
+class StreamCircuitClient(protocol.Client):
+    """The client host, with its cells carried over the entry node's socket."""
 
     def __init__(self, params: SystemParams, dir_client: DirectoryClient,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
-        self.params = params
-        self.dir_client = dir_client
-        self.rng = rng
-        self.config = config
-        self.state: CircuitState | None = None
+        # "A" is this host's name in tamper calls, as on the simulator.
+        super().__init__("A", params, dir_client, rng, config)
         self._sock: socket.socket | None = None
 
     def build(self, path: list[str], circ_id: int = 1, timeout: float = 30.0,
               tamper: TamperFn | None = None) -> CircuitState:
         """Build along ``path``; ``tamper(src, dst, cell)``, as on SimNet,
         may rewrite or (returning None) drop each received cell."""
-        descriptors = [self.dir_client.lookup(name) for name in path]
-        entry = descriptors[0]
-        self._sock = socket.create_connection(parse_address(entry.address),
+        sends = [self.start_build(circ_id, path)]
+        entry = self.path[0].name
+        self._sock = socket.create_connection(parse_address(self.path[0].address),
                                               timeout=timeout)
-        self.state, send = protocol.client_create(self.params, circ_id, entry.name,
-                                                  entry.public, self.rng, self.config)
-        send_frame(self._sock, encode_cell(send.cell))
-        while self.state.phase not in (Phase.READY, Phase.FAILED):
-            frame = recv_frame(self._sock)
-            if frame is None:
-                raise ConnectionError("entry node closed the connection")
-            cell = decode_cell(frame)
+        while True:
+            self._send(sends)
+            if self.state.phase in (Phase.READY, Phase.FAILED):
+                return self.state
+            cell = self._recv()
             if tamper is not None:
-                cell = tamper(entry.name, self.name, cell)
-                if cell is None:
-                    continue
-            self.state, actions = protocol.client_step(self.state, cell, descriptors,
-                                                       self.rng)
-            for action in actions:
-                if isinstance(action, SendCell):
-                    send_frame(self._sock, encode_cell(action.cell))
-        return self.state
+                cell = tamper(entry, self.name, cell)
+            sends = [] if cell is None else self.handle(entry, cell)
 
     def send_data(self, stream_id: int, data: bytes) -> bytes:
         """Send one DATA frame and wait for the echoed backward response;
         raises NotReady with the failure as soon as the circuit fails."""
-        send = protocol.client_send_data(self.state, stream_id, data)
-        send_frame(self._sock, encode_cell(send.cell))
-        while True:
-            frame = recv_frame(self._sock)
-            if frame is None:
-                raise ConnectionError("entry node closed the connection")
-            self.state, actions = protocol.client_handle_cell(
-                self.state, decode_cell(frame))
+        self._send([protocol.client_send_data(self.state, stream_id, data)])
+        while not self.received:
+            self._send(self.handle(self.path[0].name, self._recv()))
             if self.state.phase == Phase.FAILED:
                 raise NotReady(self.state.failure)
-            for action in actions:
-                if isinstance(action, protocol.DeliverLocal):
-                    return action.data
+        return self.received.pop(0)[1]
+
+    def _send(self, sends: list[protocol.SendCell]) -> None:
+        for send in sends:
+            send_frame(self._sock, encode_cell(send.cell))
+
+    def _recv(self) -> Cell:
+        frame = recv_frame(self._sock)
+        if frame is None:
+            raise ConnectionError("entry node closed the connection")
+        return decode_cell(frame)
 
     def close(self) -> None:
         if self._sock is not None:
