@@ -37,7 +37,6 @@ from .onioncrypt import (
     encode_cell,
     encode_relay_frame,
     key_digest,
-    onion_peel,
     onion_wrap,
 )
 
@@ -49,7 +48,7 @@ __all__ = [
     "encrypt_block", "decrypt_block", "prefix_recover", "key_sizes", "params_digest",
     "Cell", "CellCommand", "RelayFrame", "RelaySubcommand",
     "encode_cell", "decode_cell", "encode_relay_frame", "decode_relay_frame",
-    "chunk_encrypt", "chunk_decrypt", "onion_wrap", "onion_peel", "key_digest",
+    "chunk_encrypt", "chunk_decrypt", "onion_wrap", "key_digest",
 ]
 
 __version__ = "0.1.0"

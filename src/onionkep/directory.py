@@ -56,8 +56,8 @@ def _descriptor_from_fields(fields: dict[int, bytes]) -> NodeDescriptor:
     return NodeDescriptor(
         name=fields[tlv.TAG_NAME].decode(),
         address=fields[tlv.TAG_ADDRESS].decode(),
-        public=PublicConstructor(P=tlv.int_from_bytes(fields[tlv.TAG_PUB_P]),
-                                 Q=tlv.int_from_bytes(fields[tlv.TAG_PUB_Q])),
+        public=PublicConstructor(P=int.from_bytes(fields[tlv.TAG_PUB_P], "big"),
+                                 Q=int.from_bytes(fields[tlv.TAG_PUB_Q], "big")),
         params_digest=fields[tlv.TAG_PARAMS_DIGEST],
     )
 

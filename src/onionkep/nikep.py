@@ -245,7 +245,7 @@ def decode_private_file(data: bytes) -> tuple[SystemParams, KeyPair]:
 
 
 def _read_fields(data: bytes, required: set[int]) -> dict[int, int]:
-    fields = {tag: tlv.int_from_bytes(value) for tag, value in tlv.iter_records(data)}
+    fields = {tag: int.from_bytes(value, "big") for tag, value in tlv.iter_records(data)}
     missing = required - fields.keys()
     if missing:
         raise MalformedKeyFile(f"missing records: {sorted(hex(t) for t in missing)}")

@@ -72,10 +72,6 @@ def int_encode(v: int, width: int) -> bytes:
     return v.to_bytes(width, "big")
 
 
-def int_decode(data: bytes) -> int:
-    return int.from_bytes(data, "big")
-
-
 # -- chunked stream cipher ---------------------------------------------------
 
 def _block_bits(params: SystemParams) -> int:
@@ -132,11 +128,6 @@ def onion_wrap(plain: bytes, keys: list[SessionKey], params: SystemParams) -> by
     for key in keys:
         data = chunk_encrypt(data, key, params)
     return data
-
-
-def onion_peel(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes:
-    """Remove exactly one cipher layer."""
-    return chunk_decrypt(cipher, key, params)
 
 
 def key_digest(key: SessionKey) -> bytes:
@@ -202,9 +193,9 @@ def build_create_payload(v: int, P: int, Q: int, width: int) -> bytes:
 def parse_create_payload(data: bytes, width: int) -> tuple[int, int, int]:
     if len(data) != 3 * width:
         raise TruncatedCell(f"CREATE payload must be {3 * width} bytes, got {len(data)}")
-    return (int_decode(data[:width]),
-            int_decode(data[width : 2 * width]),
-            int_decode(data[2 * width :]))
+    return (int.from_bytes(data[:width], "big"),
+            int.from_bytes(data[width : 2 * width], "big"),
+            int.from_bytes(data[2 * width :], "big"))
 
 
 def build_created_payload(v: int, digest: bytes, width: int) -> bytes:
@@ -216,7 +207,7 @@ def build_created_payload(v: int, digest: bytes, width: int) -> bytes:
 def parse_created_payload(data: bytes, width: int) -> tuple[int, bytes]:
     if len(data) != width + 32:
         raise TruncatedCell(f"CREATED payload must be {width + 32} bytes, got {len(data)}")
-    return int_decode(data[:width]), data[width:]
+    return int.from_bytes(data[:width], "big"), data[width:]
 
 
 def build_extend_data(name: str, v: int, P: int, Q: int, width: int) -> bytes:

@@ -342,8 +342,9 @@ def node_drop_link(state: NodeState, link: str) -> NodeState:
 
 def _node_handle_create(state: NodeState, from_link: str,
                         cell: Cell) -> tuple[NodeState, list[Action]]:
-    if (from_link, cell.circ_id) in state.entries:
-        return _refuse(state, from_link, cell.circ_id, "duplicate CREATE")
+    existing = state.entries.get((from_link, cell.circ_id))
+    if existing is not None:
+        return _teardown(state, existing, "duplicate CREATE")
     width = state.params.residue_width
     try:
         v, eph_p, eph_q = parse_create_payload(cell.payload, width)

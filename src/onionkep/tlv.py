@@ -37,10 +37,6 @@ def int_to_minimal_bytes(v: int) -> bytes:
     return v.to_bytes((v.bit_length() + 7) // 8, "big")
 
 
-def int_from_bytes(b: bytes) -> int:
-    return int.from_bytes(b, "big")
-
-
 def encode_record(tag: int, value: bytes) -> bytes:
     if not 0 <= tag <= 0xFF:
         raise ValueError(f"tag out of range: {tag}")

@@ -127,14 +127,10 @@ class DirectoryServer:
                     payload = b"".join(encode_descriptor(d) for d in self.directory.list())
                 else:
                     raise NotFound(f"unknown request tag {tag:#04x}")
-        except NotFound:
-            return tlv.encode_record(tlv.TAG_STATUS, bytes([1]))
-        except DuplicateName:
-            return tlv.encode_record(tlv.TAG_STATUS, bytes([2]))
-        except ParamsMismatch:
-            return tlv.encode_record(tlv.TAG_STATUS, bytes([3]))
-        except (OnionKepError, StopIteration, UnicodeDecodeError):
-            return tlv.encode_record(tlv.TAG_STATUS, bytes([255]))
+        except (OnionKepError, StopIteration, UnicodeDecodeError) as exc:
+            status = next((code for code, error in _STATUS_ERRORS.items()
+                           if isinstance(exc, error)), 255)
+            return tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
         return tlv.encode_record(tlv.TAG_STATUS, bytes([_STATUS_OK])) + payload
 
 

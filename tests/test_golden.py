@@ -58,7 +58,8 @@ MULTI_PATHS = [["B", "C", "D"], ["B", "C"], ["C", "D"], ["B", "D"], ["B"], ["D"]
 def test_multi_circuit_relay_transcript():
     # Sixteen clients share the relays; the script reaches every relay
     # teardown: DESTROY from a peer, a malformed relay payload, a duplicate
-    # CREATE and, after C loses its link to B, unknown circuits.
+    # CREATE (which destroys the circuit back to the client and onward
+    # along its path) and, after C loses its link to B, unknown circuits.
     sim, first, nodes = build_simulation(32, 7, echo_data=True)
     clients = []
     for i in range(16):
@@ -94,6 +95,6 @@ def test_multi_circuit_relay_transcript():
     sim.run()
     nodes["C"].drop_link("B")
     send_each([c for c in live if c.state.phase == Phase.READY], b"after ")
-    assert len(sim.transcript.entries) == 205
+    assert len(sim.transcript.entries) == 206
     assert sha256(sim.transcript.serialize()) == \
-        "e1d2e7418f5f21625e812188367f814d31af12fa1dfd381fab3a54028245c1d8"
+        "53c6ec1e85c123d3b400ba6029803add2464955e29f72a5d51c16927d4b3e488"

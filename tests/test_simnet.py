@@ -6,7 +6,7 @@ import pytest
 
 from onionkep import decode_cell
 from onionkep.errors import StepBudgetExceeded
-from onionkep.protocol import Phase
+from onionkep.protocol import Phase, client_create
 from onionkep.simnet import build_simulation, run_build, run_send
 
 EXPECTED_BUILD_COMMANDS = [
@@ -125,6 +125,21 @@ class TestTampering:
         sim.tamper = lambda src, dst, cell: None if dst == "A" else cell
         state = run_build(sim, client, ["B", "C", "D"])
         assert state.phase == Phase.CREATING
+
+
+class TestTeardown:
+    def test_duplicate_create_frees_the_whole_path(self):
+        # A second CREATE on a live circuit id destroys that circuit; no
+        # relay on its path may keep an entry for it.
+        sim, client, nodes = build_simulation(32, 7)
+        run_build(sim, client, ["B", "C", "D"])
+        _, send = client_create(client.params, client.state.circ_id, "B",
+                                client.path[0].public, client.rng)
+        sim.post(client.name, send.link, send.cell)
+        sim.run()
+        assert client.state.failure == "destroyed by relay"
+        assert {name: len(node.state.entries) for name, node in nodes.items()} == \
+            {"B": 0, "C": 0, "D": 0}
 
 
 class TestStepBudget:

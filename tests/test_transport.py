@@ -19,6 +19,7 @@ from onionkep import (
 from onionkep.directory import Directory, NodeDescriptor
 from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, NotReady, ParamsMismatch
 from onionkep.protocol import Phase
+from onionkep.simnet import build_simulation, run_build, run_send
 from onionkep.transport import (
     DirectoryClient,
     DirectoryServer,
@@ -225,6 +226,35 @@ class TestLiveCircuit:
                 client.send_data(1, b"after destroy")
         finally:
             client.close()
+
+
+class TestRuntimesAgree:
+    def test_simulator_and_tcp_build_agree(self):
+        # One seeded client, relays with the same keypairs: the two
+        # runtimes must drive the same build, byte for byte.
+        sim, sim_client, sim_nodes = build_simulation(32, 11, echo_data=True)
+        rng_state = sim_client.rng.getstate()
+        sim_state = run_build(sim, sim_client, ["B", "C", "D"])
+        run_send(sim, sim_client, 1, b"same bytes")
+        assert sim_state.phase == Phase.READY
+        params = sim_client.params
+        dir_server = DirectoryServer(Directory(params_digest(params))).start()
+        dir_client = DirectoryClient(dir_server.address)
+        nodes = {name: NodeServer(name, params, sim_nodes[name].state.keypair,
+                                  dir_client).start() for name in ("B", "C", "D")}
+        rng = random.Random()
+        rng.setstate(rng_state)
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert client.build(["B", "C", "D"], timeout=10.0) == sim_state
+            assert client.send_data(1, b"same bytes") == sim_client.received[-1][1]
+            for name, node in nodes.items():
+                assert node.session_keys() == sim_nodes[name].session_keys()
+        finally:
+            client.close()
+            for node in nodes.values():
+                node.stop()
+            dir_server.stop()
 
 
 class TestRelayLinks:
