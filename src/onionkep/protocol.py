@@ -484,7 +484,7 @@ class Relay:
 class Client:
     """The client host of both runtimes: resolves the path through
     ``directory`` (anything with ``lookup(name)``), drives the build through
-    client_step, sends queued data once READY and records deliveries."""
+    ``client_step``, sends queued data once READY and records deliveries."""
 
     def __init__(self, name: str, params: SystemParams, directory,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
