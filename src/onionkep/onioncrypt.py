@@ -12,8 +12,10 @@ The chunked stream lifts the single-residue cipher to byte strings: an
 8-byte big-endian bit-length header, then the plaintext bitstream split
 into (bitlen(r) - 1)-bit blocks (so every block is < r without rejection),
 each block encrypted multiplicatively and emitted at ceil(bitlen(r)/8)
-bytes. Onion layering is repeated application of the chunked cipher,
-innermost key first.
+bytes. Both directions take the stream in `bits`-byte groups of exactly 8
+blocks (bits = bitlen(r) - 1), so each runs in time linear in its length.
+Onion layering is repeated application of the chunked cipher, innermost
+key first.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (
     UnknownCommand,
     UnknownSubcommand,
 )
-from .nikep import SessionKey, SystemParams, decrypt_block, encrypt_block
+from .nikep import SessionKey, SystemParams
 
 MAX_PAYLOAD = 65535
 
@@ -85,14 +87,17 @@ def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
     """Encrypt a byte string block-by-block under the reduced session key."""
     bits = _block_bits(params)
     width = (params.r.bit_length() + 7) // 8
-    nbits = 8 * len(plain)
-    nblocks = -(-nbits // bits)
-    value = int.from_bytes(plain, "big") << (nblocks * bits - nbits)
+    r, k = params.r, key.reduced
     mask = (1 << bits) - 1
-    out = [nbits.to_bytes(8, "big")]
-    for i in range(nblocks):
-        m = (value >> ((nblocks - 1 - i) * bits)) & mask
-        out.append(encrypt_block(m, key, params).to_bytes(width, "big"))
+    out = [(8 * len(plain)).to_bytes(8, "big")]
+    # Each `bits`-byte group is exactly 8 blocks; only the last may be short.
+    for start in range(0, len(plain), bits):
+        group = plain[start : start + bits]
+        nbits = 8 * len(group)
+        nblocks = -(-nbits // bits)
+        value = int.from_bytes(group, "big") << (nblocks * bits - nbits)
+        for shift in range((nblocks - 1) * bits, -1, -bits):
+            out.append((((value >> shift) & mask) * k % r).to_bytes(width, "big"))
     return b"".join(out)
 
 
@@ -109,15 +114,21 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
     nblocks = len(body) // width
     if -(-nbits // bits) != nblocks:
         raise MalformedPayload("block count does not match declared length")
+    r, k_inv = params.r, key.reduced_inv
+    groups = []
     value = 0
     for i in range(nblocks):
         c = int.from_bytes(body[i * width : (i + 1) * width], "big")
-        if c >= params.r:
+        if c >= r:
             raise MalformedPayload(f"block {i} >= r")
-        m = decrypt_block(c, key, params)
+        m = c * k_inv % r
         if m >> bits:
             raise MalformedPayload(f"block {i} decrypts out of range")
         value = (value << bits) | m
+        if i % 8 == 7:  # 8 blocks make one `bits`-byte group
+            groups.append(value.to_bytes(bits, "big"))
+            value = 0
+    value |= int.from_bytes(b"".join(groups), "big") << (nblocks % 8 * bits)
     value >>= nblocks * bits - nbits
     return value.to_bytes((nbits + 7) // 8, "big")
 

@@ -285,6 +285,7 @@ class StreamCircuitClient(protocol.Client):
         may rewrite or (returning None) drop each received cell."""
         sends = [self.start_build(circ_id, path)]
         entry = self.path[0].name
+        self.close()
         self._sock = socket.create_connection(parse_address(self.path[0].address),
                                               timeout=timeout)
         while True:

@@ -12,6 +12,7 @@ from onionkep import (
     CellCommand,
     RelayFrame,
     RelaySubcommand,
+    SessionKey,
     chunk_decrypt,
     chunk_encrypt,
     decode_cell,
@@ -20,6 +21,7 @@ from onionkep import (
     encode_relay_frame,
     gen_keypair,
     key_digest,
+    make_params,
     mix,
     derive_session_key,
     onion_wrap,
@@ -41,11 +43,26 @@ from onionkep.onioncrypt import (
     parse_extend_data,
 )
 
+from chunk_oracle import chunk_decrypt as oracle_decrypt
+from chunk_oracle import chunk_encrypt as oracle_encrypt
+
 
 def random_session_key(params, rng):
     a = gen_keypair(params, rng)
     b = gen_keypair(params, rng)
     return derive_session_key(params, mix(params, b.public, a.private), b.private.k)
+
+
+def key_with_reduced(params, reduced):
+    return SessionKey(raw=0, reduced=reduced, reduced_inv=pow(reduced, -1, params.r))
+
+
+def outcome(fn, *args):
+    """The return value of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 class TestIntCodec:
@@ -127,6 +144,80 @@ class TestChunkCipher:
         key = reduce_key(toy_params, 36)
         assert chunk_decrypt(chunk_encrypt(plain, key, toy_params),
                              key, toy_params) == plain
+
+
+class TestChunkCipherAgainstOracle:
+    """The linear-time cipher against the former quadratic one
+    (``tests/chunk_oracle.py``): same bytes, same errors."""
+
+    TOY_PRIMES = (3, 5, 11, 13, 59, 227, 1019)
+
+    def draw_params_and_key(self, data, params_64):
+        r = data.draw(st.sampled_from(self.TOY_PRIMES + (params_64.r,)))
+        params = params_64 if r == params_64.r else make_params(2, 2, r)
+        return params, key_with_reduced(params, data.draw(st.integers(1, r - 1)))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_encrypt_matches_oracle(self, params_64, data):
+        params, key = self.draw_params_and_key(data, params_64)
+        bits = params.r.bit_length() - 1
+        plain = data.draw(st.binary(max_size=3 * bits + 1))
+        cipher = chunk_encrypt(plain, key, params)
+        assert cipher == oracle_encrypt(plain, key, params)
+        assert chunk_decrypt(cipher, key, params) == plain
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_crafted_ciphertext_matches_oracle(self, params_64, data):
+        params, key = self.draw_params_and_key(data, params_64)
+        r = params.r
+        bits = r.bit_length() - 1
+        width = (r.bit_length() + 7) // 8
+        nblocks = data.draw(st.integers(0, 3 * 8 + 1))
+        if nblocks and data.draw(st.integers(0, 4)):
+            # A header that matches the block count, any bit length in range.
+            nbits = data.draw(st.integers((nblocks - 1) * bits + 1, nblocks * bits))
+        else:
+            nbits = data.draw(st.integers(0, 2**64 - 1) | st.integers(0, 4 * 8 * bits))
+        blocks = data.draw(st.lists(st.integers(0, r - 1),
+                                    min_size=nblocks, max_size=nblocks))
+        if nblocks and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, nblocks - 1))
+            blocks[at] = data.draw(st.integers(r, 256**width - 1))
+        cipher = nbits.to_bytes(8, "big") + b"".join(b.to_bytes(width, "big") for b in blocks)
+        assert outcome(chunk_decrypt, cipher, key, params) \
+            == outcome(oracle_decrypt, cipher, key, params)
+
+
+class TestChunkGroupBoundaries:
+    """Every ``bits`` plaintext bytes are one group of 8 blocks."""
+
+    @pytest.mark.parametrize("params_name", ["toy_params", "params_64"])
+    @pytest.mark.parametrize("groups, extra", [
+        (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (8, 3)])
+    def test_round_trip_and_length(self, request, params_name, groups, extra):
+        params = request.getfixturevalue(params_name)
+        bits = params.r.bit_length() - 1
+        width = (params.r.bit_length() + 7) // 8
+        length = groups * bits + extra
+        rng = random.Random(length)
+        key = key_with_reduced(params, rng.randrange(1, params.r))
+        plain = rng.randbytes(length)
+        cipher = chunk_encrypt(plain, key, params)
+        assert len(cipher) == 8 + -(-8 * length // bits) * width
+        assert chunk_decrypt(cipher, key, params) == plain
+
+    @pytest.mark.parametrize("params_name", ["toy_params", "params_64"])
+    def test_block_error_in_second_group(self, request, params_name):
+        params = request.getfixturevalue(params_name)
+        bits = params.r.bit_length() - 1
+        width = (params.r.bit_length() + 7) // 8
+        key = key_with_reduced(params, 2)
+        cipher = bytearray(chunk_encrypt(bytes(range(2 * bits)), key, params))
+        cipher[8 + 9 * width : 8 + 10 * width] = params.r.to_bytes(width, "big")
+        with pytest.raises(MalformedPayload, match=r"^block 9 >= r$"):
+            chunk_decrypt(bytes(cipher), key, params)
 
 
 class TestOnionLayering:

@@ -228,6 +228,19 @@ class TestLiveCircuit:
             client.close()
 
 
+    def test_second_build_closes_the_first_link(self, live_network):
+        params, dir_client, _, rng = live_network
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert client.build(["B", "C", "D"], timeout=2.0).phase == Phase.READY
+            first = client._sock
+            state = client.build(["B", "C", "D"], circ_id=2, timeout=2.0)
+            assert first.fileno() == -1
+            assert state.phase == Phase.READY
+        finally:
+            client.close()
+
+
 class TestRuntimesAgree:
     def test_simulator_and_tcp_build_agree(self):
         # One seeded client, relays with the same keypairs: the two
