@@ -54,7 +54,11 @@ def mod_inv(a: int, modulus: int) -> int:
 
 def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
                       rng: random.Random | None = None) -> bool:
-    """Miller-Rabin primality test with trial division pre-screening."""
+    """Miller-Rabin primality test with trial division pre-screening.
+
+    Without an rng the witnesses come from a Random seeded with n, so the
+    answer is reproducible and the module-level random stream is untouched.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -63,7 +67,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
         if n % p == 0:
             return False
     if rng is None:
-        rng = random
+        rng = random.Random(n)
     d = n - 1
     s = 0
     while d % 2 == 0:

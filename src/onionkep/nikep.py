@@ -10,6 +10,16 @@ factors with n and is therefore non-invertible. Dividing by p*q and
 reducing mod r produces the invertible working key k_r used by the
 multiplicative cipher c = m * k_r mod r.
 
+Keypairs and mix are computed by the Chinese remainder theorem (CRT) on
+n = p*q * r, and return the same integers as the direct formulas. Since
+r - 1 divides phi and x + y == 1 (mod r - 1), P**x * Q**y == Q * (P/Q)**x
+(mod r), and with p = q a constructor is (t**2 * k, p * k / t) mod r for
+t = p**x: one exponentiation mod r each. The residue mod p*q takes two
+small pows, and the CRT joins the two residues into the value mod n. The
+direct two-pow formula is used for inputs the identity does not cover: r
+equal to p or q, p != q for keypairs, Q == 0 (mod r), or a hand-made
+PrivateKey whose x + y - 1 is not a multiple of r - 1.
+
 The cipher is deterministic and malleable by construction; it offers no
 semantic security and is implemented here exactly as the exchange defines
 it.
@@ -21,6 +31,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import tlv
 from .errors import (
@@ -37,7 +48,11 @@ from .modmath import gen_prime_with_two_primitive, mod_inv, totient
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Public modulus structure shared by every party."""
+    """Public modulus structure shared by every party.
+
+    The handshake assumes what make_params and gen_params ensure: p, q and
+    r are prime and n = p*q*r.
+    """
 
     p: int
     q: int
@@ -49,6 +64,15 @@ class SystemParams:
     def residue_width(self) -> int:
         """Bytes needed for one residue mod n; the wire width W."""
         return (self.n.bit_length() + 7) // 8
+
+    @cached_property
+    def _crt(self) -> tuple[int, int, int] | None:
+        """(p*q, phi(p*q), (p*q)**-1 mod r), or None when r is p or q."""
+        p, q, r = self.p, self.q, self.r
+        if r in (p, q):
+            return None
+        pq = p * q
+        return pq, (p * (p - 1) if p == q else (p - 1) * (q - 1)), pow(pq, -1, r)
 
 
 @dataclass(frozen=True)
@@ -97,8 +121,14 @@ def keypair_from_secrets(params: SystemParams, x: int, k: int) -> KeyPair:
     if math.gcd(k, params.n) != 1:
         raise NonInvertible(f"k = {k} shares a factor with n")
     y = params.phi - x + 1
-    P = pow(params.p, 2 * x, params.n) * k % params.n
-    Q = pow(params.q, y, params.n) * k % params.n
+    p = params.p
+    if p != params.q or not _crt_applies(params, x, y):
+        P = pow(p, 2 * x, params.n) * k % params.n
+        Q = pow(params.q, y, params.n) * k % params.n
+    else:
+        t = pow(p, x, params.r)
+        P = _by_crt(params, _pow_pq(params, p, 2 * x) * k, t * t * k)
+        Q = _by_crt(params, _pow_pq(params, p, y) * k, p * pow(t, -1, params.r) * k)
     return KeyPair(public=PublicConstructor(P=P, Q=Q), private=PrivateKey(x=x, y=y, k=k))
 
 
@@ -125,8 +155,40 @@ def mix(params: SystemParams, peer_pub: PublicConstructor, own_priv: PrivateKey)
     Returns P**x * Q**y mod n = p**(2 x_a x_b) * q**(y_a y_b) * k_peer; the
     peer's k survives because k**(phi+1) == k mod n by Euler's theorem.
     """
-    return (pow(peer_pub.P, own_priv.x, params.n)
-            * pow(peer_pub.Q, own_priv.y, params.n)) % params.n
+    P, Q = peer_pub.P, peer_pub.Q
+    x, y = own_priv.x, own_priv.y
+    r = params.r
+    if Q % r == 0 or not _crt_applies(params, x, y):
+        return (pow(P, x, params.n) * pow(Q, y, params.n)) % params.n
+    # x is not reduced mod r - 1: P == 0 (mod r) must give 0**x, not 0**0.
+    return _by_crt(params, _pow_pq(params, P, x) * _pow_pq(params, Q, y),
+                   Q * pow(P * pow(Q, -1, r), x, r))
+
+
+def _crt_applies(params: SystemParams, x: int, y: int) -> bool:
+    """True when r is not p or q and x + y == 1 (mod r - 1).
+
+    A negative exponent needs no case of its own: pow raises the same
+    ValueError mod p*q or mod r as it does mod n.
+    """
+    return params._crt is not None and (x + y - 1) % (params.r - 1) == 0
+
+
+def _pow_pq(params: SystemParams, a: int, e: int) -> int:
+    """a**e mod p*q, a positive exponent cut to below 2 + phi(p*q).
+
+    No prime divides p*q more than twice, so a**e == a**(2 + (e-2) %
+    phi(p*q)) mod p*q for every a once e >= 2.
+    """
+    pq, phi_pq, _ = params._crt
+    return pow(a, e if e < 2 else 2 + (e - 2) % phi_pq, pq)
+
+
+def _by_crt(params: SystemParams, a: int, b: int) -> int:
+    """The residue mod n that is a mod p*q and b mod r."""
+    pq, _, pq_inv = params._crt
+    a %= pq
+    return a + pq * ((b - a) * pq_inv % params.r)
 
 
 def strip(params: SystemParams, v: int, own_k: int) -> int:

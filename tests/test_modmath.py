@@ -206,3 +206,9 @@ class TestProbablePrime:
     def test_carmichael(self):
         assert is_probable_prime(561) is False
         assert is_probable_prime(41041) is False
+
+    def test_default_witnesses_leave_global_random_alone(self):
+        state = random.getstate()
+        assert is_probable_prime(2**61 - 1) is True
+        assert is_probable_prime((2**31 - 1) * (2**61 - 1)) is False
+        assert random.getstate() == state

@@ -8,6 +8,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onionkep import (
     decrypt_block,
@@ -35,6 +37,8 @@ from onionkep.errors import (
 )
 from onionkep.modmath import mod_inv
 from onionkep.nikep import (
+    PrivateKey,
+    PublicConstructor,
     SystemParams,
     decode_private_file,
     decode_public_file,
@@ -62,6 +66,14 @@ class TestGenParams:
     def test_exhaustion_propagates(self):
         with pytest.raises(GenerationFailed):
             gen_params(3, random.Random(0), max_attempts=50)
+
+    def test_global_random_untouched(self, params_64):
+        # A 64-bit r reaches Miller-Rabin, whose default witnesses once
+        # came from the module-level random stream.
+        state = random.getstate()
+        make_params(params_64.p, params_64.q, params_64.r)
+        gen_params(64, random.Random(0xBEEF))
+        assert random.getstate() == state
 
 
 class TestGenKeypair:
@@ -247,6 +259,116 @@ class TestKeySizes:
 
     def test_toy_width(self, toy_params):
         assert key_sizes(toy_params)["public_bytes"] == 2
+
+def direct_keypair(params, x, k):
+    """The two-pow keypair formula: (p**(2x) * k, q**y * k) mod n."""
+    y = params.phi - x + 1
+    return (pow(params.p, 2 * x, params.n) * k % params.n,
+            pow(params.q, y, params.n) * k % params.n)
+
+
+def direct_mix(params, P, Q, x, y):
+    """The two-pow handshake value: P**x * Q**y mod n."""
+    return pow(P, x, params.n) * pow(Q, y, params.n) % params.n
+
+
+def outcome(fn, *args):
+    """The return value of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def crt_keypair(params, x, k):
+    pub = keypair_from_secrets(params, x, k).public
+    return pub.P, pub.Q
+
+
+def crt_mix(params, P, Q, x, y):
+    return mix(params, PublicConstructor(P=P, Q=Q), PrivateKey(x=x, y=y, k=1))
+
+
+class TestCrtHandshake:
+    """mix and keypair_from_secrets, evaluated mod r and mod p*q and joined
+    by the CRT, against the two-pow formulas mod n."""
+
+    SHAPES = [(2, 2, 11), (3, 5, 11), (2, 3, 5), (2, 2, 23), (2, 2, 2)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_exhaustive_keypairs(self, shape):
+        params = make_params(*shape)
+        units = [k for k in range(params.n) if math.gcd(k, params.n) == 1]
+        for x in range(params.phi + 2):
+            for k in units:
+                assert crt_keypair(params, x, k) == direct_keypair(params, x, k)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_exhaustive_mix(self, shape):
+        params = make_params(*shape)
+        n, r, phi = params.n, params.r, params.phi
+        rng = random.Random(n)
+        for x in range(phi + 2):
+            y = phi - x + 1
+            # On the identity (y and y + r - 1), and one step off it.
+            privs = [(x, y), (x, y + r - 1), (x, y + 1)]
+            for Q in (0, 1, r, 2 * r % n, rng.randrange(n)):
+                for P in range(n):
+                    for x_, y_ in privs:
+                        assert crt_mix(params, P, Q, x_, y_) \
+                            == direct_mix(params, P, Q, x_, y_)
+
+    @staticmethod
+    def residues(params):
+        """Any residue mod n, a multiple of r, or a small value."""
+        n, r = params.n, params.r
+        return (st.integers(0, n - 1)
+                | st.integers(0, params.p * params.q - 1).map(lambda m: m * r)
+                | st.integers(0, 4))
+
+    @staticmethod
+    def exponents(params):
+        phi = params.phi
+        return (st.integers(2, phi - 2) | st.sampled_from([0, 1, phi, phi + 1])
+                | st.integers(phi + 2, 2 * phi) | st.integers(-3, -1))
+
+    @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_keypairs(self, request, params_name, data):
+        params = request.getfixturevalue(params_name)
+        x = data.draw(self.exponents(params))
+        k = data.draw(st.integers(1, params.n - 1).filter(
+            lambda k: math.gcd(k, params.n) == 1))
+        assert outcome(crt_keypair, params, x, k) == outcome(direct_keypair, params, x, k)
+
+    @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_mix(self, request, params_name, data):
+        params = request.getfixturevalue(params_name)
+        P = data.draw(self.residues(params))
+        Q = data.draw(self.residues(params))
+        x = data.draw(self.exponents(params))
+        r = params.r
+        # A keypair's y, the same shifted by multiples of r - 1, or a
+        # hand-made y with x + y - 1 off the multiples of r - 1.
+        y = params.phi - x + 1 + data.draw(
+            st.integers(-2, 2).map(lambda j: j * (r - 1))
+            | st.integers(1, r - 2)
+            | st.integers(-params.n, params.n))
+        assert outcome(crt_mix, params, P, Q, x, y) == outcome(direct_mix, params, P, Q, x, y)
+
+    def test_keypair_handshake_agrees(self, params_256):
+        rng = random.Random(7)
+        for _ in range(20):
+            a = gen_keypair(params_256, rng)
+            b = gen_keypair(params_256, rng)
+            assert (a.public.P, a.public.Q) \
+                == direct_keypair(params_256, a.private.x, a.private.k)
+            for own, peer in ((a, b), (b, a)):
+                assert mix(params_256, peer.public, own.private) == direct_mix(
+                    params_256, peer.public.P, peer.public.Q, own.private.x, own.private.y)
 
 
 class TestKeyFiles:
