@@ -18,8 +18,6 @@ from .errors import (
     GenerationFailed,
     InvalidModulus,
     NonInvertible,
-    NotPrime,
-    UnsupportedShape,
 )
 
 # Small primes for cheap trial-division screening before Miller-Rabin.
@@ -88,34 +86,17 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
 
 
 def totient(p: int, q: int, r: int) -> int:
-    """Euler totient of n = p*q*r, correct for repeated prime factors.
+    """Euler totient of n = p*q*r for primes p, q and r (not checked here),
+    correct for repeated prime factors.
 
     For pairwise distinct primes this is (p-1)(q-1)(r-1); for the default
     p = q = 2 profile it is phi(4r) = 2(r-1). Computed from the factor
     multiset so Euler's theorem holds in every case.
     """
-    for v in (p, q, r):
-        if not is_probable_prime(v):
-            raise NotPrime(f"{v} is not prime")
     phi = 1
     for prime, exp in Counter((p, q, r)).items():
         phi *= prime ** (exp - 1) * (prime - 1)
     return phi
-
-
-def is_primitive_root_two(r: int) -> bool:
-    """True iff 2 has full multiplicative order r-1 modulo the safe prime r.
-
-    Only safe primes r = 2s+1 (s prime) are supported: their order lattice
-    is {1, 2, s, 2s}, so 2 is a primitive root exactly when 2**s == r-1.
-    Any other shape raises UnsupportedShape rather than guessing.
-    """
-    if r < 5 or r % 2 == 0 or not is_probable_prime(r):
-        raise UnsupportedShape(f"{r} is not an odd prime >= 5")
-    s = (r - 1) // 2
-    if not is_probable_prime(s):
-        raise UnsupportedShape(f"{r} is not of safe-prime form 2s+1 with s prime")
-    return pow(2, s, r) == r - 1
 
 
 def gen_prime_with_two_primitive(bits: int, rng: random.Random,

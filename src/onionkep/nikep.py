@@ -41,9 +41,10 @@ from .errors import (
     MalformedKeyFile,
     MalformedSessionKey,
     NonInvertible,
+    NotPrime,
     UnsupportedShape,
 )
-from .modmath import gen_prime_with_two_primitive, mod_inv, totient
+from .modmath import gen_prime_with_two_primitive, is_probable_prime, mod_inv, totient
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,11 @@ def gen_params(r_bits: int, rng: random.Random, max_attempts: int = 500_000) -> 
 
 
 def make_params(p: int, q: int, r: int) -> SystemParams:
-    """Build params from explicit primes (toy instances, loaded key files)."""
+    """Build params from explicit primes (toy instances, loaded key files);
+    raises NotPrime unless all three are prime."""
+    for v in (p, q, r):
+        if not is_probable_prime(v):
+            raise NotPrime(f"{v} is not prime")
     return SystemParams(p=p, q=q, r=r, n=p * q * r, phi=totient(p, q, r))
 
 

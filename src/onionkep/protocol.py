@@ -379,7 +379,7 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
     if frame.subcommand == RelaySubcommand.EXTEND:
         try:
             name, v, eph_p, eph_q = parse_extend_data(frame.data, state.params.residue_width)
-        except (TruncatedFrame, TruncatedCell):
+        except (TruncatedFrame, TruncatedCell, UnicodeDecodeError):
             return _teardown(state, entry, "malformed EXTEND data")
         next_circ = state.circ_seq
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
@@ -484,7 +484,7 @@ class Relay:
 class Client:
     """The client host of both runtimes: resolves the path through
     ``directory`` (anything with ``lookup(name)``), drives the build through
-    ``client_step``, sends queued data once READY and records deliveries."""
+    ``client_step`` and records deliveries."""
 
     def __init__(self, name: str, params: SystemParams, directory,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
@@ -495,7 +495,6 @@ class Client:
         self.config = config
         self.state: CircuitState | None = None
         self.path: list = []
-        self.outbox: list[tuple[int, bytes]] = []
         self.received: list[tuple[int, bytes]] = []
 
     def start_build(self, circ_id: int, path: list[str]) -> SendCell:
@@ -505,14 +504,7 @@ class Client:
                                          entry.public, self.rng, self.config)
         return send
 
-    def queue_send(self, stream_id: int, data: bytes) -> None:
-        self.outbox.append((stream_id, data))
-
     def handle(self, from_name: str, cell: Cell) -> list[SendCell]:
         self.state, actions = client_step(self.state, cell, self.path, self.rng)
         self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
-        out = [a for a in actions if isinstance(a, SendCell)]
-        if self.state.phase == Phase.READY:
-            while self.outbox:
-                out.append(client_send_data(self.state, *self.outbox.pop(0)))
-        return out
+        return [a for a in actions if isinstance(a, SendCell)]

@@ -4,8 +4,10 @@ Single-threaded event loop: one (src, dst, cell) event is popped at a time
 in FIFO order, handed to the destination host, and the SendCell actions it
 returns are enqueued. The hosts are ``protocol.Relay`` (as ``SimNode``) and
 ``protocol.Client`` (as ``SimClient``), the hosts of the TCP runtime too,
-so this module only moves cells. Time is a step counter; equal seeds and
-scripts produce byte-identical transcripts.
+so this module only moves cells. A cell for a host the net does not have
+is not delivered and its sender loses that link, as a relay whose connect
+fails over TCP does. Time is a step counter; equal seeds and scripts
+produce byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ class SimNet:
             self.step += 1
             if self.step > self.step_budget:
                 raise StepBudgetExceeded(f"exceeded {self.step_budget} steps")
+            if dst not in self.hosts:
+                self.hosts[src].drop_link(dst)
+                continue
             if self.tamper is not None:
                 tampered = self.tamper(src, dst, cell)
                 if tampered is None:

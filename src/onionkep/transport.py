@@ -2,9 +2,16 @@
 directory service and relay servers.
 
 Frame layout: 4-byte big-endian length || payload, capped at FRAME_MAX.
-Per-connection ordering is the socket's; each relay processes cells of one
-circuit in arrival order behind a single lock. The directory handles
-requests sequentially per connection and concurrently across connections.
+Both servers share one accept loop, which serves each connection on its
+own daemon thread; a serving thread ends quietly on any socket error. The
+directory handles requests sequentially per connection and concurrently
+across connections.
+
+A relay feeds cells to its state machine behind one lock, which also
+guards its link table and is held to open a link. Cells are written
+outside it, under the link's own write lock: frames on one link never
+interleave, and a write that blocks on a full socket never holds the relay
+lock, so two relays writing to each other cannot deadlock on it.
 
 The relay server is ``protocol.Relay`` and the circuit client is
 ``protocol.Client``, the hosts of the simulator too; this module only
@@ -13,9 +20,12 @@ moves their cells over sockets.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
 import socket
 import threading
+from typing import Callable
 
 from . import protocol, tlv
 from .directory import Directory, NodeDescriptor, decode_descriptors, encode_descriptor
@@ -27,9 +37,9 @@ from .errors import (
     OnionKepError,
     ParamsMismatch,
 )
-from .nikep import KeyPair, SystemParams
+from .nikep import KeyPair, SystemParams, params_digest
 from .onioncrypt import Cell, decode_cell, encode_cell
-from .protocol import DEFAULT_CONFIG, CircuitState, Phase, ProtocolConfig, TamperFn
+from .protocol import CircuitState, Phase, TamperFn
 
 FRAME_MAX = 70_000
 
@@ -74,6 +84,31 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
+# -- serving ----------------------------------------------------------------
+
+def _spawn(target: Callable, *args) -> None:
+    threading.Thread(target=target, args=args, daemon=True).start()
+
+
+def _accept_loop(listener: socket.socket,
+                 serve: Callable[[str, socket.socket], None]) -> None:
+    """Serve each accepted connection on its own daemon thread as link
+    conn<N>, until ``listener`` is closed."""
+    for seq in itertools.count(1):
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        _spawn(serve, f"conn{seq}", conn)
+
+
+def _close(sock: socket.socket) -> None:
+    """Close ``sock`` and wake a thread blocked on it, as close() alone does not."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
+
+
 # -- directory over TCP ------------------------------------------------------
 
 class DirectoryServer:
@@ -84,34 +119,17 @@ class DirectoryServer:
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]
         self._lock = threading.Lock()
-        self._running = True
-        self._thread = threading.Thread(target=self._accept_loop, daemon=True)
 
     def start(self) -> "DirectoryServer":
-        self._thread.start()
+        _spawn(_accept_loop, self._listener, self._serve)
         return self
 
     def stop(self) -> None:
-        self._running = False
-        self._listener.close()
+        _close(self._listener)
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        with conn:
-            while True:
-                try:
-                    request = recv_frame(conn)
-                except (ConnectionError, FrameTooLarge, OSError):
-                    return
-                if request is None:
-                    return
+    def _serve(self, link: str, conn: socket.socket) -> None:
+        with conn, contextlib.suppress(OSError, OnionKepError):
+            while (request := recv_frame(conn)) is not None:
                 send_frame(conn, self._respond(request))
 
     def _respond(self, request: bytes) -> bytes:
@@ -173,99 +191,80 @@ class NodeServer(protocol.Relay):
 
     Inbound connections become links named conn<N>; outbound links to other
     relays are named by node name and resolved through the directory, one
-    connection per name. A lost connection forgets every circuit riding on
-    that link here only: no DESTROY goes to the circuit's other neighbour,
-    so relays further along keep it.
+    connection per name. Each link has a reader thread that feeds its cells
+    to the relay and sends the answers. ``_lock`` guards the relay state and
+    the link table, and is held to open a link (lookup, connect, store,
+    start its reader), so concurrent sends toward one relay open one
+    connection. Cells are written outside it, under the link's write lock.
+    A link dies only for its own socket (EOF, a read, decode or write
+    error, a failed open) and forgets every circuit riding on it here only:
+    no DESTROY goes to the circuit's other neighbour, so relays further
+    along keep it.
     """
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
-                 dir_client: DirectoryClient, host: str = "127.0.0.1", port: int = 0,
-                 config: ProtocolConfig = DEFAULT_CONFIG, echo_data: bool = True):
-        super().__init__(name, params, keypair, config, echo_data)
+                 dir_client: DirectoryClient, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(name, params, keypair, echo_data=True)
         self.dir_client = dir_client
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]
-        self._links: dict[str, socket.socket] = {}
+        self._links: dict[str, tuple[socket.socket, threading.Lock]] = {}
         self._lock = threading.Lock()
-        # Held across lookup, connect and store, so that concurrent sends
-        # toward one relay open one connection and not one each.
-        self._connect_lock = threading.Lock()
-        self._conn_seq = 0
-        self._running = True
 
     def start(self) -> "NodeServer":
-        from .nikep import params_digest
         self.dir_client.register(NodeDescriptor(
             name=self.name, address=self.address,
             public=self.state.keypair.public,
             params_digest=params_digest(self.state.params)))
-        threading.Thread(target=self._accept_loop, daemon=True).start()
+        _spawn(_accept_loop, self._listener, self._serve)
         return self
 
     def stop(self) -> None:
-        self._running = False
-        self._listener.close()
+        _close(self._listener)
         with self._lock:
-            for sock in self._links.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            for sock, _ in self._links.values():
+                _close(sock)
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                self._conn_seq += 1
-                link = f"conn{self._conn_seq}"
-                self._links[link] = conn
-            threading.Thread(target=self._reader, args=(link, conn), daemon=True).start()
+    def _serve(self, link: str, sock: socket.socket) -> None:
+        with self._lock:
+            self._links[link] = (sock, threading.Lock())
+        self._reader(link, sock)
 
     def _reader(self, link: str, sock: socket.socket) -> None:
-        try:
-            while True:
-                frame = recv_frame(sock)
-                if frame is None:
-                    break
-                self._dispatch(link, decode_cell(frame))
-        except (ConnectionError, FrameTooLarge, OSError, OnionKepError):
-            pass
-        finally:
-            self._drop_link(link)
-
-    def _dispatch(self, link: str, cell: Cell) -> None:
-        with self._lock:
-            sends = self.handle(link, cell)
-        for send in sends:
-            self._send(send.link, send.cell)
+        with contextlib.suppress(OSError, OnionKepError):
+            while (frame := recv_frame(sock)) is not None:
+                cell = decode_cell(frame)
+                with self._lock:
+                    sends = self.handle(link, cell)
+                for send in sends:
+                    self._send(send.link, send.cell)
+        self._drop_link(link, sock)
 
     def _send(self, link: str, cell: Cell) -> None:
-        with self._connect_lock:
-            with self._lock:
-                sock = self._links.get(link)
-            if sock is None:
-                desc = self.dir_client.lookup(link)
-                sock = socket.create_connection(parse_address(desc.address), timeout=10)
-                with self._lock:
-                    self._links[link] = sock
-                threading.Thread(target=self._reader, args=(link, sock), daemon=True).start()
-        try:
-            send_frame(sock, encode_cell(cell))
-        except OSError:
-            self._drop_link(link)
-
-    def _drop_link(self, link: str) -> None:
         with self._lock:
-            sock = self._links.pop(link, None)
-            self.drop_link(link)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            if link not in self._links:
+                try:
+                    desc = self.dir_client.lookup(link)
+                    sock = socket.create_connection(parse_address(desc.address), timeout=10)
+                except (OSError, OnionKepError):
+                    self.drop_link(link)
+                    return
+                self._links[link] = (sock, threading.Lock())
+                _spawn(self._reader, link, sock)
+            sock, write_lock = self._links[link]
+        try:
+            with write_lock:
+                send_frame(sock, encode_cell(cell))
+        except (OSError, OnionKepError):
+            self._drop_link(link, sock)
+
+    def _drop_link(self, link: str, sock: socket.socket) -> None:
+        """Close ``sock``; forget ``link`` and its circuits if ``sock`` is still its socket."""
+        with self._lock:
+            if link in self._links and self._links[link][0] is sock:
+                del self._links[link]
+                self.drop_link(link)
+        _close(sock)
 
 
 # -- circuit client over TCP -------------------------------------------------
@@ -274,9 +273,9 @@ class StreamCircuitClient(protocol.Client):
     """The client host, with its cells carried over the entry node's socket."""
 
     def __init__(self, params: SystemParams, dir_client: DirectoryClient,
-                 rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
+                 rng: random.Random):
         # "A" is this host's name in tamper calls, as on the simulator.
-        super().__init__("A", params, dir_client, rng, config)
+        super().__init__("A", params, dir_client, rng)
         self._sock: socket.socket | None = None
 
     def build(self, path: list[str], circ_id: int = 1, timeout: float = 30.0,

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from onionkep import gen_params, keypair_from_secrets, make_params
+from onionkep import Cell, CellCommand, gen_params, keypair_from_secrets, make_params
+from onionkep.onioncrypt import (
+    RelayFrame,
+    RelaySubcommand,
+    build_create_payload,
+    encode_relay_frame,
+    onion_wrap,
+)
 
 
 class ScriptedRng:
@@ -17,6 +24,17 @@ class ScriptedRng:
             start, stop = 0, start
         assert start <= value < stop, f"scripted draw {value} outside [{start}, {stop})"
         return value
+
+
+def raw_extend_cell(state, name: bytes) -> Cell:
+    """A RELAY cell for ``state``'s circuit carrying an EXTEND whose name is
+    the raw bytes ``name`` in a correctly sized layout, layered under every
+    confirmed hop's key as ``client_extend`` layers it."""
+    data = bytes([len(name)]) + name + build_create_payload(
+        1, 1, 1, state.params.residue_width)
+    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
+    keys = [hop.session for hop in state.hops if hop.confirmed]
+    return Cell(state.circ_id, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
 
 
 @pytest.fixture

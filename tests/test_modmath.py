@@ -11,12 +11,9 @@ from onionkep.errors import (
     GenerationFailed,
     InvalidModulus,
     NonInvertible,
-    NotPrime,
-    UnsupportedShape,
 )
 from onionkep.modmath import (
     gen_prime_with_two_primitive,
-    is_primitive_root_two,
     is_probable_prime,
     mod_inv,
     totient,
@@ -124,10 +121,6 @@ class TestTotient:
     def test_all_equal(self):
         assert totient(2, 2, 2) == 4 == brute_totient(8)
 
-    def test_rejects_composite(self):
-        with pytest.raises(NotPrime):
-            totient(2, 2, 15)
-
     @pytest.mark.parametrize("p,q,r", [(2, 2, 11), (3, 5, 7), (2, 3, 13), (5, 5, 11)])
     def test_matches_brute_count(self, p, q, r):
         assert totient(p, q, r) == brute_totient(p * q * r)
@@ -142,29 +135,6 @@ class TestTotient:
                 if math.gcd(a, n) != 1:
                     continue
                 assert pow(a, phi, n) == 1
-
-
-class TestPrimitiveRootTwo:
-    def test_eleven(self):
-        assert is_primitive_root_two(11) is True
-        assert brute_order(2, 11) == 10
-
-    def test_seven_safe_shape_but_short_order(self):
-        assert is_primitive_root_two(7) is False
-        assert brute_order(2, 7) == 3
-
-    def test_five(self):
-        assert is_primitive_root_two(5) is True
-        assert brute_order(2, 5) == 4
-
-    def test_rejects_non_safe_prime(self):
-        # 13 = 2*6+1 and 6 is composite.
-        with pytest.raises(UnsupportedShape):
-            is_primitive_root_two(13)
-
-    def test_rejects_composite(self):
-        with pytest.raises(UnsupportedShape):
-            is_primitive_root_two(15)
 
 
 class TestGenPrime:
@@ -185,8 +155,9 @@ class TestGenPrime:
         rng = random.Random(bits)
         r = gen_prime_with_two_primitive(bits, rng)
         assert r.bit_length() == bits
-        assert is_probable_prime(r, rng=rng)
-        assert is_primitive_root_two(r) is True
+        s = (r - 1) // 2
+        assert is_probable_prime(r, rng=rng) and is_probable_prime(s, rng=rng)
+        assert pow(2, s, r) == r - 1  # for a safe prime: 2 is a primitive root
 
     def test_small_primes_full_order(self):
         # Every generated prime small enough to brute force has order r-1.

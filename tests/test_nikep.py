@@ -34,6 +34,7 @@ from onionkep.errors import (
     MalformedKeyFile,
     MalformedSessionKey,
     NonInvertible,
+    NotPrime,
 )
 from onionkep.modmath import mod_inv
 from onionkep.nikep import (
@@ -62,6 +63,10 @@ class TestGenParams:
     def test_structure(self, params_64):
         assert params_64.n == params_64.p * params_64.q * params_64.r
         assert params_64.phi == 2 * (params_64.r - 1)
+
+    def test_rejects_composite(self):
+        with pytest.raises(NotPrime):
+            make_params(2, 2, 15)
 
     def test_exhaustion_propagates(self):
         with pytest.raises(GenerationFailed):

@@ -14,6 +14,7 @@ from onionkep import (
     chunk_decrypt,
     key_digest,
     keypair_from_secrets,
+    make_params,
     reduce_key,
 )
 from onionkep.errors import NotReady
@@ -41,7 +42,7 @@ from onionkep.protocol import (
     node_reply_data,
 )
 from onionkep.simnet import SimClient, build_simulation
-from conftest import ScriptedRng
+from conftest import ScriptedRng, raw_extend_cell
 
 
 @pytest.fixture
@@ -194,6 +195,27 @@ class TestNodeRelay:
         assert any(isinstance(a, TearDown) for a in actions)
         assert any(isinstance(a, SendCell)
                    and a.cell.command == CellCommand.DESTROY for a in actions)
+
+    @given(st.binary(max_size=255))
+    @settings(max_examples=200)
+    def test_any_extend_name_never_raises(self, name):
+        # A name that is not UTF-8 is malformed EXTEND data, answered with
+        # DESTROY; any other is extended toward.
+        params = make_params(2, 2, 11)
+        bob = keypair_from_secrets(params, 5, 15)
+        state, [created] = node_handle_cell(
+            NodeState(name="B", params=params, keypair=bob), "A",
+            Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        client, _ = client_create(params, 9, "B", bob.public, ScriptedRng([3, 13]))
+        client, _ = client_handle_cell(client, created.cell)
+        _, actions = node_handle_cell(state, "A", raw_extend_cell(client, name))
+        try:
+            name.decode()
+        except UnicodeDecodeError:
+            assert actions == [TearDown(9, "malformed EXTEND data"),
+                               SendCell("A", Cell(9, CellCommand.DESTROY))]
+        else:
+            assert [a.cell.command for a in actions] == [CellCommand.CREATE]
 
     def test_reply_data_round_trip(self, toy_params, toy_bob, bob_node):
         state, actions = node_handle_cell(

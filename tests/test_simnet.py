@@ -6,8 +6,9 @@ import pytest
 
 from onionkep import decode_cell
 from onionkep.errors import StepBudgetExceeded
-from onionkep.protocol import Phase, client_create
-from onionkep.simnet import build_simulation, run_build, run_send
+from onionkep.protocol import Phase, client_create, client_extend
+from onionkep.simnet import SimClient, build_simulation, run_build, run_send
+from conftest import raw_extend_cell
 
 EXPECTED_BUILD_COMMANDS = [
     "CREATE", "CREATED", "RELAY",            # hop 1 up, then extend to hop 2
@@ -67,12 +68,6 @@ class TestData:
         assert nodes["D"].delivered == [(1, secret)]
         for entry in sim.transcript.entries:
             assert secret not in entry.data
-
-    def test_queued_sends_flush_after_build(self):
-        sim, client, nodes = build_simulation(16, 9, echo_data=True)
-        client.queue_send(1, b"early")
-        run_build(sim, client, ["B", "C", "D"])
-        assert nodes["D"].delivered == [(1, b"early")]
 
 
 class TestDeterminism:
@@ -140,6 +135,36 @@ class TestTeardown:
         assert client.state.failure == "destroyed by relay"
         assert {name: len(node.state.entries) for name, node in nodes.items()} == \
             {"B": 0, "C": 0, "D": 0}
+
+
+    def test_non_utf8_extend_name_is_destroyed(self):
+        sim, client, nodes = build_simulation(16, 7)
+        run_build(sim, client, ["B", "C"])
+        sim.post(client.name, "B", raw_extend_cell(client.state, b"\xff"))
+        sim.run()
+        assert client.state.failure == "destroyed by relay"
+        assert {name: len(node.state.entries) for name, node in nodes.items()} == \
+            {"B": 0, "C": 0, "D": 0}
+
+
+class TestUnknownHost:
+    def test_relay_loses_only_the_link_it_could_not_open(self):
+        # A client extends toward "Z", which the net does not have: B loses
+        # its link to Z and forgets that circuit, as a failed connect does
+        # over TCP; a bystander circuit through B still echoes.
+        sim, client, nodes = build_simulation(16, 7, echo_data=True)
+        bystander = SimClient("U", client.params, client.directory, client.rng)
+        sim.add_host(bystander.name, bystander)
+        assert run_build(sim, bystander, ["B", "C", "D"]).phase == Phase.READY
+        assert run_build(sim, client, ["B"]).phase == Phase.READY
+        client.state, send = client_extend(client.state, "Z",
+                                           nodes["C"].state.keypair.public, client.rng)
+        sim.post(client.name, send.link, send.cell)
+        sim.run()
+        assert not [e for e in sim.transcript.entries if "Z" in e.link]
+        assert [e.prev_link for e in nodes["B"].state.entries.values()] == ["U"]
+        run_send(sim, bystander, 1, b"still here")
+        assert bystander.received == [(1, b"still here")]
 
 
 class TestStepBudget:

@@ -4,12 +4,14 @@ import random
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
 from onionkep import (
     Cell,
     CellCommand,
+    decode_cell,
     encode_cell,
     gen_keypair,
     gen_params,
@@ -29,6 +31,7 @@ from onionkep.transport import (
     recv_frame,
     send_frame,
 )
+from conftest import raw_extend_cell
 
 
 def socket_pair():
@@ -157,6 +160,18 @@ class TestDirectoryOverTcp:
             t.join()
         assert errors == []
         assert len(DirectoryClient(dir_server.address).list()) == 8
+
+    def test_stopped_servers_refuse_connections(self, toy_world):
+        # stop() must end the accept loop: a thread left blocked in accept()
+        # would keep the old listener open and accept on its port.
+        params, digest = toy_world
+        dir_server = DirectoryServer(Directory(digest)).start()
+        node = NodeServer("B", params, keypair_from_secrets(params, 3, 13),
+                          DirectoryClient(dir_server.address)).start()
+        for server in (node, dir_server):
+            server.stop()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(parse_address(server.address), timeout=2).close()
 
 
 @pytest.fixture
@@ -306,3 +321,77 @@ class TestRelayLinks:
         assert not any(t.is_alive() for t in senders)
         assert len(opened) == 1
         assert list(b._links) == ["C"]
+
+    def test_concurrent_large_sends_arrive_whole(self, live_network, monkeypatch):
+        # Eight threads send 60 KB cells on one link through a 4 KB send
+        # buffer, so each frame takes many partial writes; every frame must
+        # still arrive whole, none cut into by another.
+        params, dir_client, nodes, _ = live_network
+        b = nodes[0]
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        dir_client.register(NodeDescriptor(
+            name="X", address="%s:%d" % listener.getsockname()[:2],
+            public=gen_keypair(params, random.Random(5)).public,
+            params_digest=params_digest(params)))
+        real_connect = socket.create_connection
+
+        def small_buffer_connect(*args, **kwargs):
+            sock = real_connect(*args, **kwargs)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", small_buffer_connect)
+        cells = [Cell(i, CellCommand.RELAY, bytes([i]) * 60_000) for i in range(8)]
+        senders = [threading.Thread(target=b._send, args=("X", cell)) for cell in cells]
+        for t in senders:
+            t.start()
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                got = [decode_cell(recv_frame(conn)) for _ in cells]
+        finally:
+            listener.close()
+            for t in senders:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in senders)
+        assert sorted(got, key=lambda cell: cell.circ_id) == cells
+
+
+class TestLinkFailures:
+    def _extend_from_c(self, live_network, name: bytes):
+        """A bystander circuit B->C->D that echoes, and a second client's
+        circuit B->C that C is asked to extend toward ``name``."""
+        params, dir_client, _, rng = live_network
+        bystander = StreamCircuitClient(params, dir_client, rng)
+        client = StreamCircuitClient(params, dir_client, rng)
+        assert bystander.build(["B", "C", "D"], timeout=2.0).phase == Phase.READY
+        assert client.build(["B", "C"], circ_id=2, timeout=2.0).phase == Phase.READY
+        send_frame(client._sock, encode_cell(raw_extend_cell(client.state, name)))
+        return bystander, client
+
+    def test_extend_to_unregistered_name_drops_only_that_link(self, live_network):
+        # C cannot open "Z": it must forget the one circuit that wanted Z,
+        # not its link from B with every other circuit on it.
+        c = live_network[2][1]
+        bystander, client = self._extend_from_c(live_network, b"Z")
+        try:
+            deadline = time.monotonic() + 5.0
+            while len(c.state.entries) == 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(c.state.entries) == 1
+            assert bystander.send_data(1, b"still here") == b"still here"
+        finally:
+            bystander.close()
+            client.close()
+
+    def test_non_utf8_extend_name_is_destroyed(self, live_network):
+        bystander, client = self._extend_from_c(live_network, b"\xff")
+        try:
+            client.handle("B", client._recv())
+            assert client.state.failure == "destroyed by relay"
+            assert bystander.send_data(1, b"still here") == b"still here"
+        finally:
+            bystander.close()
+            client.close()
