@@ -11,6 +11,7 @@ side-channel observation.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -20,7 +21,7 @@ from .errors import (
     NonInvertible,
 )
 
-# Small primes for cheap trial-division screening before Miller-Rabin.
+
 def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
@@ -30,7 +31,18 @@ def _sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-_SMALL_PRIMES = _sieve(2000)
+# Trial division by the primes below 2000, as two gcds: most composites
+# have a factor below 100 and leave after the first, cheaper one.
+_SMALL_PRIMES = frozenset(_sieve(2000))
+_PRODUCT_BELOW_100 = math.prod(p for p in _SMALL_PRIMES if p < 100)
+_PRODUCT_100_TO_2000 = math.prod(p for p in _SMALL_PRIMES if p > 100)
+
+
+def _passes_trial_division(n: int) -> bool:
+    """False when a prime below 2000 divides n and is not n itself."""
+    return (math.gcd(n, _PRODUCT_BELOW_100) == 1
+            and math.gcd(n, _PRODUCT_100_TO_2000) == 1) or n in _SMALL_PRIMES
+
 
 # Error probability <= 4**-64 per call; documented as acceptable.
 MILLER_RABIN_ROUNDS = 64
@@ -57,13 +69,10 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
     Without an rng the witnesses come from a Random seeded with n, so the
     answer is reproducible and the module-level random stream is untouched.
     """
-    if n < 2:
+    if n < 2 or not _passes_trial_division(n):
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < 2000:
+        return True
     if rng is None:
         rng = random.Random(n)
     d = n - 1
@@ -103,33 +112,37 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
                                  max_attempts: int = 500_000) -> int:
     """Generate a prime r of the given bit length with 2 a primitive root.
 
-    Strategy: draw safe-prime candidates r = 2s+1 with s prime and accept
-    when 2**s == r-1 (mod r), which for safe primes is exactly the
-    primitive-root condition. Raises GenerationFailed when the attempt
+    Each attempt draws one candidate r = 2s+1, s odd with its top bit set
+    so that r has exactly ``bits`` bits. It is accepted when s and r pass
+    trial division by the primes below 2000, 2**s == -1 (mod r), a base-2
+    Fermat test on s, and then Miller-Rabin on s and on r with witnesses
+    from ``rng``. For a safe prime, 2**s == -1 is exactly the condition
+    that 2 is a primitive root. Raises GenerationFailed when the attempt
     budget is exhausted.
+
+    Only Miller-Rabin draws from ``rng``, so the cheaper tests run first,
+    and two are left out as implied: a seed yields the same r, and leaves
+    ``rng`` in the same state, with them or without them.
+
+    - s == 3 (mod 4) is rejected before any test. Then r == 7 (mod 8), so
+      the Jacobi symbol (2|r) is 1. 2**s == -1 with s = (r-1)/2 odd makes
+      r a strong probable prime to base 2, and a strong base-2
+      pseudoprime is an Euler-Jacobi pseudoprime to base 2 (Pomerance,
+      Selfridge and Wagstaff, 1980), as a prime is by Euler's criterion.
+      Either way 2**s == (2|r) == 1, never -1.
+    - No Fermat test on r: 2**s == -1 squares to 2**(r-1) == 1.
     """
     if bits < 3:
         raise ValueError("bits must be >= 3")
     for _ in range(max_attempts):
-        # Odd s with the top bit set so r = 2s+1 lands on the right length.
         s = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
+        if s & 3 == 3:
+            continue
         r = 2 * s + 1
-        if r.bit_length() != bits:
+        if not (_passes_trial_division(s) and _passes_trial_division(r)):
             continue
-        if not _screen(s) or not _screen(r):
-            continue
-        if pow(2, s, r) != r - 1:
+        if pow(2, s, r) != r - 1 or pow(2, s - 1, s) != 1:
             continue
         if is_probable_prime(s, rng=rng) and is_probable_prime(r, rng=rng):
             return r
     raise GenerationFailed(f"no suitable {bits}-bit prime in {max_attempts} attempts")
-
-
-def _screen(n: int) -> bool:
-    """Cheap compositeness screen: trial division plus one Fermat base."""
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    return pow(2, n - 1, n) == 1

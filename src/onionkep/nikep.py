@@ -14,11 +14,14 @@ Keypairs and mix are computed by the Chinese remainder theorem (CRT) on
 n = p*q * r, and return the same integers as the direct formulas. Since
 r - 1 divides phi and x + y == 1 (mod r - 1), P**x * Q**y == Q * (P/Q)**x
 (mod r), and with p = q a constructor is (t**2 * k, p * k / t) mod r for
-t = p**x: one exponentiation mod r each. The residue mod p*q takes two
-small pows, and the CRT joins the two residues into the value mod n. The
-direct two-pow formula is used for inputs the identity does not cover: r
-equal to p or q, p != q for keypairs, Q == 0 (mod r), or a hand-made
-PrivateKey whose x + y - 1 is not a multiple of r - 1.
+t = p**x. So mix makes one exponentiation mod r, and a keypair none: it
+reads t from a table of powers of the fixed base p, one multiply per 6
+bits of x mod (r - 1) (Brickell, Gordon, McCurley and Wilson, 1992). The
+residue mod p*q takes two small pows, and the CRT joins the two residues
+into the value mod n. The direct two-pow formula is used for inputs the
+identity does not cover: r equal to p or q, p != q for keypairs, Q == 0
+(mod r), or a hand-made PrivateKey whose x + y - 1 is not a multiple of
+r - 1.
 
 The cipher is deterministic and malleable by construction; it offers no
 semantic security and is implemented here exactly as the exchange defines
@@ -74,6 +77,27 @@ class SystemParams:
             return None
         pq = p * q
         return pq, (p * (p - 1) if p == q else (p - 1) * (q - 1)), pow(pq, -1, r)
+
+    @cached_property
+    def _p_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row i holds p**(d * 64**i) mod r for d < 64, one row per 6 bits
+        of r - 1. Only for r not p or q: p**x is read at x mod (r - 1)."""
+        rows, base = [], self.p % self.r
+        for _ in range(0, (self.r - 2).bit_length(), 6):
+            row = [1]
+            for _ in range(63):
+                row.append(row[-1] * base % self.r)
+            rows.append(tuple(row))
+            base = row[-1] * base % self.r
+        return tuple(rows)
+
+    def _pow_p(self, x: int) -> int:
+        """p**x mod r from ``_p_table``: one multiply per 6 bits of x mod (r - 1)."""
+        r, e, t = self.r, x % (self.r - 1), 1
+        for row in self._p_table:
+            t = t * row[e & 63] % r
+            e >>= 6
+        return t
 
 
 @dataclass(frozen=True)
@@ -131,7 +155,7 @@ def keypair_from_secrets(params: SystemParams, x: int, k: int) -> KeyPair:
         P = pow(p, 2 * x, params.n) * k % params.n
         Q = pow(params.q, y, params.n) * k % params.n
     else:
-        t = pow(p, x, params.r)
+        t = params._pow_p(x)
         P = _by_crt(params, _pow_pq(params, p, 2 * x) * k, t * t * k)
         Q = _by_crt(params, _pow_pq(params, p, y) * k, p * pow(t, -1, params.r) * k)
     return KeyPair(public=PublicConstructor(P=P, Q=Q), private=PrivateKey(x=x, y=y, k=k))

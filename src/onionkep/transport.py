@@ -91,15 +91,15 @@ def _spawn(target: Callable, *args) -> None:
 
 
 def _accept_loop(listener: socket.socket,
-                 serve: Callable[[str, socket.socket], None]) -> None:
-    """Serve each accepted connection on its own daemon thread as link
-    conn<N>, until ``listener`` is closed."""
+                 serve: Callable[[int, socket.socket], None]) -> None:
+    """Serve each accepted connection on its own daemon thread with its
+    accept number N = 1, 2, ..., until ``listener`` is closed."""
     for seq in itertools.count(1):
         try:
             conn, _ = listener.accept()
         except OSError:
             return
-        _spawn(serve, f"conn{seq}", conn)
+        _spawn(serve, seq, conn)
 
 
 def _close(sock: socket.socket) -> None:
@@ -127,7 +127,7 @@ class DirectoryServer:
     def stop(self) -> None:
         _close(self._listener)
 
-    def _serve(self, link: str, conn: socket.socket) -> None:
+    def _serve(self, seq: int, conn: socket.socket) -> None:
         with conn, contextlib.suppress(OSError, OnionKepError):
             while (request := recv_frame(conn)) is not None:
                 send_frame(conn, self._respond(request))
@@ -189,10 +189,13 @@ class DirectoryClient:
 class NodeServer(protocol.Relay):
     """One relay process: registers itself, then serves circuit traffic.
 
-    Inbound connections become links named conn<N>; outbound links to other
-    relays are named by node name and resolved through the directory, one
-    connection per name. Each link has a reader thread that feeds its cells
-    to the relay and sends the answers. ``_lock`` guards the relay state and
+    Inbound connections become links keyed by their accept number, an int,
+    so that no EXTEND name, a str, can reach one and a lost one is never
+    reopened; outbound links to other relays are named by node name and
+    resolved through the directory, one connection per name, and are
+    blocking sockets once connected, like the inbound ones. Each link has
+    a reader thread that feeds its cells to the relay and sends the
+    answers. ``_lock`` guards the relay state and
     the link table, and is held to open a link (lookup, connect, store,
     start its reader), so concurrent sends toward one relay open one
     connection. Cells are written outside it, under the link's write lock.
@@ -208,7 +211,7 @@ class NodeServer(protocol.Relay):
         self.dir_client = dir_client
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]
-        self._links: dict[str, tuple[socket.socket, threading.Lock]] = {}
+        self._links: dict[int | str, tuple[socket.socket, threading.Lock]] = {}
         self._lock = threading.Lock()
 
     def start(self) -> "NodeServer":
@@ -225,12 +228,12 @@ class NodeServer(protocol.Relay):
             for sock, _ in self._links.values():
                 _close(sock)
 
-    def _serve(self, link: str, sock: socket.socket) -> None:
+    def _serve(self, link: int, sock: socket.socket) -> None:
         with self._lock:
             self._links[link] = (sock, threading.Lock())
         self._reader(link, sock)
 
-    def _reader(self, link: str, sock: socket.socket) -> None:
+    def _reader(self, link: int | str, sock: socket.socket) -> None:
         with contextlib.suppress(OSError, OnionKepError):
             while (frame := recv_frame(sock)) is not None:
                 cell = decode_cell(frame)
@@ -240,12 +243,15 @@ class NodeServer(protocol.Relay):
                     self._send(send.link, send.cell)
         self._drop_link(link, sock)
 
-    def _send(self, link: str, cell: Cell) -> None:
+    def _send(self, link: int | str, cell: Cell) -> None:
         with self._lock:
             if link not in self._links:
+                if isinstance(link, int):  # a lost inbound link
+                    return
                 try:
                     desc = self.dir_client.lookup(link)
                     sock = socket.create_connection(parse_address(desc.address), timeout=10)
+                    sock.setblocking(True)
                 except (OSError, OnionKepError):
                     self.drop_link(link)
                     return
@@ -258,7 +264,7 @@ class NodeServer(protocol.Relay):
         except (OSError, OnionKepError):
             self._drop_link(link, sock)
 
-    def _drop_link(self, link: str, sock: socket.socket) -> None:
+    def _drop_link(self, link: int | str, sock: socket.socket) -> None:
         """Close ``sock``; forget ``link`` and its circuits if ``sock`` is still its socket."""
         with self._lock:
             if link in self._links and self._links[link][0] is sock:

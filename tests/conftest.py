@@ -37,6 +37,14 @@ def raw_extend_cell(state, name: bytes) -> Cell:
     return Cell(state.circ_id, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
 
 
+def outcome(fn, *args, **kwargs):
+    """The return value of ``fn``, or the type and message it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 @pytest.fixture
 def toy_params():
     # p = q = 2, r = 11: n = 44, phi = 20. All worked examples live here.

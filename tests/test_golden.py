@@ -9,10 +9,11 @@ generation, say) updates the digests and says so in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
-from onionkep import protocol
+from onionkep import gen_params, protocol
 from onionkep.cli import main
 from onionkep.onioncrypt import Cell, CellCommand
 from onionkep.protocol import Phase, ProtocolConfig
@@ -36,6 +37,22 @@ def test_cli_stdout(argv, code, digest):
     with contextlib.redirect_stdout(buf):
         assert main(argv) == code
     assert sha256(buf.getvalue().encode()) == digest
+
+
+@pytest.mark.parametrize("bits,seed,r,state_digest", [
+    (64, 4, 12202940967589715219,
+     "16705e63efd652eff8d4b70e716fc033a87a2a0320fa5001d21aac70b00b5bdc"),
+    (128, 1, 229067972870640956458409099131312782059,
+     "4001d9d72e44334e933d42616fa896817e0916da3de97a0531c638fb02111648"),
+    (256, 4, 107128558915183414504377713930624297715974816180318003287687794719899289677283,
+     "9786de452e8fd0a3a1663a4b8491d92897f5acf577048a82f2821c95183be9ff"),
+])
+def test_generated_params(bits, seed, r, state_digest):
+    # The parameters and the rng state after them; the other goldens only
+    # reach 16- and 32-bit searches.
+    rng = random.Random(seed)
+    assert gen_params(bits, rng).r == r
+    assert sha256(repr(rng.getstate()).encode()) == state_digest
 
 
 @pytest.mark.parametrize("peel_per_hop,digest", [

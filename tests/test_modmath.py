@@ -18,6 +18,8 @@ from onionkep.modmath import (
     mod_inv,
     totient,
 )
+import prime_oracle
+from conftest import outcome
 
 
 def naive_pow(base, exp, modulus):
@@ -164,6 +166,44 @@ class TestGenPrime:
         for seed in range(5):
             r = gen_prime_with_two_primitive(8, random.Random(seed))
             assert brute_order(2, r) == r - 1
+
+
+class TestAgainstOracle:
+    """The search draws the same candidates and accepts the same r as the
+    former code in ``prime_oracle``, and leaves the rng in the same state."""
+
+    @given(st.integers(3, 96), st.integers(0, 2**32),
+           st.integers(1, 50) | st.integers(10_000, 20_000))
+    @settings(max_examples=200, deadline=None)
+    def test_same_prime_and_rng_state(self, bits, seed, max_attempts):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert outcome(gen_prime_with_two_primitive, bits, rng, max_attempts=max_attempts) \
+            == outcome(prime_oracle.gen_prime_with_two_primitive, bits, oracle_rng,
+                       max_attempts=max_attempts)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    @given(st.integers(-5, 10**6) | st.integers(0, 2**80), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_probable_prime_same_answer_and_rng_state(self, n, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert is_probable_prime(n, rng=rng) is prime_oracle.is_probable_prime(n, rng=oracle_rng)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_trial_division_draws_no_witness(self):
+        # Every prime below 2000 is itself accepted, and rejected as a factor
+        # of a larger n, before a witness is drawn; 2003 is prime.
+        rng = random.Random(0)
+        state = rng.getstate()
+        for p in prime_oracle._SMALL_PRIMES:
+            assert is_probable_prime(p, rng=rng)
+            assert not is_probable_prime(p * p, rng=rng)
+            assert not is_probable_prime(p * 2003, rng=rng)
+        assert rng.getstate() == state
+
+    def test_three_mod_four_never_passes(self):
+        # Why the search skips s == 3 (mod 4) before any test: then
+        # r = 2s + 1 == 7 (mod 8) and 2**s == -1 (mod r) never holds.
+        assert all(pow(2, s, 2 * s + 1) != 2 * s for s in range(3, 2_000_000, 4))
 
 
 class TestProbablePrime:

@@ -46,7 +46,7 @@ from onionkep.nikep import (
     encode_private_file,
     encode_public_file,
 )
-from conftest import ScriptedRng
+from conftest import ScriptedRng, outcome
 
 
 def oracle_shared_key(params, a, b):
@@ -277,14 +277,6 @@ def direct_mix(params, P, Q, x, y):
     return pow(P, x, params.n) * pow(Q, y, params.n) % params.n
 
 
-def outcome(fn, *args):
-    """The return value of ``fn(*args)``, or the type and message it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
 def crt_keypair(params, x, k):
     pub = keypair_from_secrets(params, x, k).public
     return pub.P, pub.Q
@@ -415,3 +407,23 @@ class TestKeyFiles:
         other = make_params(2, 2, 23)
         assert params_digest(toy_params) != params_digest(other)
         assert len(params_digest(toy_params)) == 32
+
+
+class TestFixedBaseTable:
+    """SystemParams._pow_p, read from the table of powers of p, against pow."""
+
+    @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
+    def test_edge_exponents(self, request, params_name):
+        params = request.getfixturevalue(params_name)
+        r, phi = params.r, params.phi
+        for x in (0, 1, r - 2, r - 1, r, phi, phi + 1, -1, -phi, 2**600):
+            assert params._pow_p(x) == pow(params.p, x, r)
+
+    # The table is only read when r is neither p nor q, as p**x mod r then
+    # depends on x mod r - 1 alone.
+    @pytest.mark.parametrize("shape", [s for s in TestCrtHandshake.SHAPES if s[2] not in s[:2]],
+                             ids=str)
+    def test_every_exponent_on_toy_shapes(self, shape):
+        params = make_params(*shape)
+        for x in range(-2 * params.phi - 2, 2 * params.phi + 3):
+            assert params._pow_p(x) == pow(params.p, x, params.r)

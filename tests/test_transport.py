@@ -1,6 +1,7 @@
 """TCP transport: framing, directory service, live three-hop circuits."""
 
 import random
+import select
 import socket
 import sys
 import threading
@@ -394,4 +395,51 @@ class TestLinkFailures:
             assert bystander.send_data(1, b"still here") == b"still here"
         finally:
             bystander.close()
+            client.close()
+
+    def test_extend_cannot_name_an_inbound_link(self, live_network):
+        # Two one-hop clients on B. The second asks B to extend to "conn1":
+        # an EXTEND name resolves only through the directory, never to one
+        # of B's inbound links, so B finds no such relay, forgets the second
+        # circuit and sends the first client nothing.
+        params, dir_client, nodes, rng = live_network
+        b = nodes[0]
+        first = StreamCircuitClient(params, dir_client, rng)
+        second = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert first.build(["B"], timeout=2.0).phase == Phase.READY
+            assert second.build(["B"], circ_id=2, timeout=2.0).phase == Phase.READY
+            send_frame(second._sock, encode_cell(raw_extend_cell(second.state, b"conn1")))
+            deadline = time.monotonic() + 5.0
+            while (len(b.state.entries) == 2 and time.monotonic() < deadline
+                   and not select.select([first._sock], [], [], 0.01)[0]):
+                pass
+            assert select.select([first._sock], [], [], 0.2)[0] == []
+            assert len(b.state.entries) == 1
+            assert first.send_data(1, b"still here") == b"still here"
+        finally:
+            first.close()
+            second.close()
+
+    def test_idle_relay_links_stay_open(self, live_network, monkeypatch):
+        # A relay opens its links to C and D with a connect timeout, here cut
+        # to 0.2 s. It must not stay on as a read timeout, or a circuit idle
+        # for longer would lose every relay link on its path.
+        params, dir_client, nodes, rng = live_network
+        relays = {parse_address(node.address) for node in nodes[1:]}
+        real_connect = socket.create_connection
+
+        def short_timeout_connect(address, *args, **kwargs):
+            if address in relays:
+                kwargs["timeout"] = 0.2
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", short_timeout_connect)
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert client.build(["B", "C", "D"], timeout=2.0).phase == Phase.READY
+            time.sleep(0.6)
+            assert client.send_data(1, b"after a pause") == b"after a pause"
+            assert [len(node.state.entries) for node in nodes] == [1, 1, 1]
+        finally:
             client.close()
