@@ -14,14 +14,18 @@ Keypairs and mix are computed by the Chinese remainder theorem (CRT) on
 n = p*q * r, and return the same integers as the direct formulas. Since
 r - 1 divides phi and x + y == 1 (mod r - 1), P**x * Q**y == Q * (P/Q)**x
 (mod r), and with p = q a constructor is (t**2 * k, p * k / t) mod r for
-t = p**x. So mix makes one exponentiation mod r, and a keypair none: it
-reads t from a table of powers of the fixed base p, one multiply per 6
-bits of x mod (r - 1) (Brickell, Gordon, McCurley and Wilson, 1992). The
-residue mod p*q takes two small pows, and the CRT joins the two residues
-into the value mod n. The direct two-pow formula is used for inputs the
-identity does not cover: r equal to p or q, p != q for keypairs, Q == 0
-(mod r), or a hand-made PrivateKey whose x + y - 1 is not a multiple of
-r - 1.
+t = p**x. A keypair makes no exponentiation mod r: it reads t from a
+table of powers of the fixed base p, one multiply per 6 bits of x mod
+(r - 1) (Brickell, Gordon, McCurley and Wilson, 1992). A client's mix
+reads such a table too, of the base P/Q mod r of a relay's published
+constructor: the client host builds one the second time it resolves that
+constructor from the directory, and keeps it on the SystemParams
+(``note_resolved``). A relay's mix, whose constructors arrive in cells,
+makes one exponentiation and one inverse mod r. The residue mod p*q takes
+two small pows, and the CRT joins the two residues into the value mod n.
+The direct two-pow formula is used for inputs the identity does not
+cover: r equal to p or q, p != q for keypairs, Q == 0 (mod r), or a
+hand-made PrivateKey whose x + y - 1 is not a multiple of r - 1.
 
 The cipher is deterministic and malleable by construction; it offers no
 semantic security and is implemented here exactly as the exchange defines
@@ -33,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import tlv
@@ -80,24 +84,52 @@ class SystemParams:
 
     @cached_property
     def _p_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row i holds p**(d * 64**i) mod r for d < 64, one row per 6 bits
-        of r - 1. Only for r not p or q: p**x is read at x mod (r - 1)."""
-        rows, base = [], self.p % self.r
-        for _ in range(0, (self.r - 2).bit_length(), 6):
-            row = [1]
-            for _ in range(63):
-                row.append(row[-1] * base % self.r)
-            rows.append(tuple(row))
-            base = row[-1] * base % self.r
-        return tuple(rows)
+        """The fixed-base table of p mod r. Only for r not p or q: p**x is
+        read at x mod (r - 1)."""
+        return _fixed_base_table(self.p % self.r, self.r)
 
-    def _pow_p(self, x: int) -> int:
-        """p**x mod r from ``_p_table``: one multiply per 6 bits of x mod (r - 1)."""
-        r, e, t = self.r, x % (self.r - 1), 1
-        for row in self._p_table:
-            t = t * row[e & 63] % r
-            e >>= 6
-        return t
+    # PublicConstructor -> the fixed-base table of its P * Q**-1 mod r, or
+    # None while it has been resolved only once; see note_resolved.
+    _mix_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def note_resolved(self, pub: PublicConstructor) -> None:
+        """Record that a client resolved the relay constructor ``pub`` from
+        the directory. The second time, ``pub`` gets a fixed-base table of
+        P * Q**-1 mod r, which ``mix`` then reads in place of an
+        exponentiation and an inverse mod r.
+
+        A relay never calls this: the constructors it mixes arrive in
+        cells, and a table costs about nine exponentiations to build. Two
+        threads may both build one table; they store equal values.
+        """
+        tables, r = self._mix_tables, self.r
+        if pub not in tables:
+            tables.setdefault(pub, None)
+        elif tables[pub] is None and self._crt is not None and pub.P % r and pub.Q % r:
+            tables[pub] = _fixed_base_table(pub.P * pow(pub.Q, -1, r) % r, r)
+
+
+def _fixed_base_table(base: int, r: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds base**(d * 64**i) mod r for d < 64, one row per 6 bits
+    of r - 2 (Brickell, Gordon, McCurley and Wilson, 1992)."""
+    rows = []
+    for _ in range(0, (r - 2).bit_length(), 6):
+        row = [1]
+        for _ in range(63):
+            row.append(row[-1] * base % r)
+        rows.append(tuple(row))
+        base = row[-1] * base % r
+    return tuple(rows)
+
+
+def _table_pow(rows: tuple[tuple[int, ...], ...], x: int, r: int) -> int:
+    """base**x mod r from ``_fixed_base_table(base, r)``, for r prime and
+    base not 0 mod r: one multiply per 6 bits of x mod (r - 1)."""
+    e, t = x % (r - 1), 1
+    for row in rows:
+        t = t * row[e & 63] % r
+        e >>= 6
+    return t
 
 
 @dataclass(frozen=True)
@@ -155,7 +187,7 @@ def keypair_from_secrets(params: SystemParams, x: int, k: int) -> KeyPair:
         P = pow(p, 2 * x, params.n) * k % params.n
         Q = pow(params.q, y, params.n) * k % params.n
     else:
-        t = params._pow_p(x)
+        t = _table_pow(params._p_table, x, params.r)
         P = _by_crt(params, _pow_pq(params, p, 2 * x) * k, t * t * k)
         Q = _by_crt(params, _pow_pq(params, p, y) * k, p * pow(t, -1, params.r) * k)
     return KeyPair(public=PublicConstructor(P=P, Q=Q), private=PrivateKey(x=x, y=y, k=k))
@@ -183,15 +215,23 @@ def mix(params: SystemParams, peer_pub: PublicConstructor, own_priv: PrivateKey)
 
     Returns P**x * Q**y mod n = p**(2 x_a x_b) * q**(y_a y_b) * k_peer; the
     peer's k survives because k**(phi+1) == k mod n by Euler's theorem.
+    Mod r that is Q * (P/Q)**x. For a constructor a client has tabulated
+    (``SystemParams.note_resolved``), (P/Q)**x is read from its table with
+    one multiply per 6 bits of x mod (r - 1). Otherwise, and always on a
+    relay, which never tabulates, it takes one exponentiation and one
+    inverse mod r.
     """
     P, Q = peer_pub.P, peer_pub.Q
     x, y = own_priv.x, own_priv.y
     r = params.r
     if Q % r == 0 or not _crt_applies(params, x, y):
         return (pow(P, x, params.n) * pow(Q, y, params.n)) % params.n
-    # x is not reduced mod r - 1: P == 0 (mod r) must give 0**x, not 0**0.
-    return _by_crt(params, _pow_pq(params, P, x) * _pow_pq(params, Q, y),
-                   Q * pow(P * pow(Q, -1, r), x, r))
+    pq_part = _pow_pq(params, P, x) * _pow_pq(params, Q, y)
+    table = params._mix_tables.get(peer_pub)
+    # A table exists only for P != 0 (mod r), as it reads x mod r - 1. The
+    # pow keeps x as it is: P == 0 (mod r) must give 0**x, not 0**0.
+    t = _table_pow(table, x, r) if table else pow(P * pow(Q, -1, r), x, r)
+    return _by_crt(params, pq_part, Q * t)
 
 
 def _crt_applies(params: SystemParams, x: int, y: int) -> bool:

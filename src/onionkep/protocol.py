@@ -484,7 +484,9 @@ class Relay:
 class Client:
     """The client host of both runtimes: resolves the path through
     ``directory`` (anything with ``lookup(name)``), drives the build through
-    ``client_step`` and records deliveries."""
+    ``client_step`` and records deliveries. Each resolved constructor is
+    noted on ``params``, which tabulates it for ``mix`` from the second
+    time on, so every client host sharing ``params`` reads the tables."""
 
     def __init__(self, name: str, params: SystemParams, directory,
                  rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
@@ -499,6 +501,8 @@ class Client:
 
     def start_build(self, circ_id: int, path: list[str]) -> SendCell:
         self.path = [self.directory.lookup(name) for name in path]
+        for desc in self.path:
+            self.params.note_resolved(desc.public)
         entry = self.path[0]
         self.state, send = client_create(self.params, circ_id, entry.name,
                                          entry.public, self.rng, self.config)

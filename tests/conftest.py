@@ -45,6 +45,18 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def tabulate(params, pub) -> None:
+    """Resolve ``pub`` twice under ``params``, as a client's second build
+    does, so that ``mix`` reads a fixed-base table for it."""
+    params.note_resolved(pub)
+    params.note_resolved(pub)
+
+
+def built_tables(params) -> dict:
+    """The fixed-base tables ``params`` holds for ``mix``, by constructor."""
+    return {pub: rows for pub, rows in params._mix_tables.items() if rows is not None}
+
+
 @pytest.fixture
 def toy_params():
     # p = q = 2, r = 11: n = 44, phi = 20. All worked examples live here.

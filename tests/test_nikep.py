@@ -6,6 +6,7 @@ brute-force oracles in this file before the implementation was wired in.
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +42,14 @@ from onionkep.nikep import (
     PrivateKey,
     PublicConstructor,
     SystemParams,
+    _fixed_base_table,
+    _table_pow,
     decode_private_file,
     decode_public_file,
     encode_private_file,
     encode_public_file,
 )
-from conftest import ScriptedRng, outcome
+from conftest import ScriptedRng, built_tables, outcome, tabulate
 
 
 def oracle_shared_key(params, a, b):
@@ -368,6 +371,61 @@ class TestCrtHandshake:
                     params_256, peer.public.P, peer.public.Q, own.private.x, own.private.y)
 
 
+class TestTabulatedMix:
+    """TestCrtHandshake's mix tests run again after the peer constructor has
+    been tabulated, so that mix reads its fixed-base table wherever one
+    exists: the same integer, or the same exception type and message, as
+    the two-pow formula."""
+
+    @pytest.mark.parametrize("shape", TestCrtHandshake.SHAPES, ids=str)
+    def test_exhaustive_mix(self, shape):
+        params = make_params(*shape)
+        n, r, phi = params.n, params.r, params.phi
+        rng = random.Random(n)
+        pubs = [PublicConstructor(P=P, Q=Q)
+                for Q in (0, 1, r, 2 * r % n, rng.randrange(n)) for P in range(n)]
+        for pub in pubs:
+            tabulate(params, pub)
+        # A table for each constructor with P, Q != 0 (mod r), unless r is p or q.
+        assert built_tables(params).keys() == (
+            set() if r in shape[:2] else {pub for pub in pubs if pub.P % r and pub.Q % r})
+        for x in range(-2, phi + 2):
+            y = phi - x + 1
+            for pub in pubs:
+                for x_, y_ in [(x, y), (x, y + r - 1), (x, y + 1)]:
+                    assert outcome(crt_mix, params, pub.P, pub.Q, x_, y_) \
+                        == outcome(direct_mix, params, pub.P, pub.Q, x_, y_)
+
+    @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_mix(self, request, params_name, data):
+        # A copy, so that the shared fixture keeps no tables.
+        params = replace(request.getfixturevalue(params_name))
+        P = data.draw(TestCrtHandshake.residues(params))
+        Q = data.draw(TestCrtHandshake.residues(params))
+        x = data.draw(TestCrtHandshake.exponents(params))
+        r = params.r
+        y = params.phi - x + 1 + data.draw(
+            st.integers(-2, 2).map(lambda j: j * (r - 1))
+            | st.integers(1, r - 2)
+            | st.integers(-params.n, params.n))
+        pub = PublicConstructor(P=P, Q=Q)
+        tabulate(params, pub)
+        assert (pub in built_tables(params)) == bool(P % r and Q % r)
+        assert outcome(crt_mix, params, P, Q, x, y) == outcome(direct_mix, params, P, Q, x, y)
+
+    def test_mix_reads_the_table(self, params_64):
+        params = replace(params_64)
+        rng = random.Random(3)
+        peer, own = gen_keypair(params, rng), gen_keypair(params, rng)
+        tabulate(params, peer.public)
+        assert mix(params, peer.public, own.private) == mix(params_64, peer.public, own.private)
+        # The table of base 1 turns the part mod r into Q alone.
+        params._mix_tables[peer.public] = _fixed_base_table(1, params.r)
+        assert mix(params, peer.public, own.private) % params.r == peer.public.Q % params.r
+
+
 class TestKeyFiles:
     def test_public_round_trip(self, toy_params, toy_alice):
         blob = encode_public_file(toy_params, toy_alice.public)
@@ -410,14 +468,15 @@ class TestKeyFiles:
 
 
 class TestFixedBaseTable:
-    """SystemParams._pow_p, read from the table of powers of p, against pow."""
+    """_table_pow, read from a _fixed_base_table, against pow: the table of
+    p that keypairs read, and the table of any base that mix reads."""
 
     @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
     def test_edge_exponents(self, request, params_name):
         params = request.getfixturevalue(params_name)
         r, phi = params.r, params.phi
         for x in (0, 1, r - 2, r - 1, r, phi, phi + 1, -1, -phi, 2**600):
-            assert params._pow_p(x) == pow(params.p, x, r)
+            assert _table_pow(params._p_table, x, r) == pow(params.p, x, r)
 
     # The table is only read when r is neither p nor q, as p**x mod r then
     # depends on x mod r - 1 alone.
@@ -426,4 +485,23 @@ class TestFixedBaseTable:
     def test_every_exponent_on_toy_shapes(self, shape):
         params = make_params(*shape)
         for x in range(-2 * params.phi - 2, 2 * params.phi + 3):
-            assert params._pow_p(x) == pow(params.p, x, params.r)
+            assert _table_pow(params._p_table, x, params.r) == pow(params.p, x, params.r)
+
+    @pytest.mark.parametrize("params_name", ["params_64", "params_256"])
+    def test_any_base_edge_exponents(self, request, params_name):
+        params = request.getfixturevalue(params_name)
+        r, phi = params.r, params.phi
+        pub = gen_keypair(params, random.Random(5)).public
+        rng = random.Random(r)
+        for base in (1, r - 1, 2, pub.P * pow(pub.Q, -1, r) % r, rng.randrange(1, r)):
+            rows = _fixed_base_table(base, r)
+            for x in (0, 1, r - 2, r - 1, r, phi, phi + 1, -1, -phi, 2**600,
+                      rng.randrange(-phi, phi)):
+                assert _table_pow(rows, x, r) == pow(base, x, r)
+
+    @pytest.mark.parametrize("r", [3, 5, 11, 23, 67])
+    def test_every_base_and_exponent_mod_small_primes(self, r):
+        for base in range(1, r):
+            rows = _fixed_base_table(base, r)
+            for x in range(-2 * r, 2 * r + 1):
+                assert _table_pow(rows, x, r) == pow(base, x, r)

@@ -1,6 +1,7 @@
 """Client/relay state machines: toy traces, failure paths, purity."""
 
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -12,9 +13,11 @@ from onionkep import (
     CellCommand,
     RelaySubcommand,
     chunk_decrypt,
+    gen_keypair,
     key_digest,
     keypair_from_secrets,
     make_params,
+    mix,
     reduce_key,
 )
 from onionkep.errors import NotReady
@@ -42,7 +45,7 @@ from onionkep.protocol import (
     node_reply_data,
 )
 from onionkep.simnet import SimClient, build_simulation
-from conftest import ScriptedRng, raw_extend_cell
+from conftest import ScriptedRng, raw_extend_cell, tabulate
 
 
 @pytest.fixture
@@ -371,6 +374,35 @@ class TestPurity:
         cell = Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1))
         node_handle_cell(bob_node, "A", cell)
         assert bob_node.entries == {}
+
+
+class TestRelayNeverTabulates:
+    def test_repeated_creates_add_no_table(self, params_64):
+        # Replayed CREATEs carrying one ephemeral constructor, then two
+        # carrying the relay's own published one, the constructor a client
+        # host sharing the params may have tabulated.
+        rng = random.Random(9)
+        relay, eph = gen_keypair(params_64, rng), gen_keypair(params_64, rng)
+        width = params_64.residue_width
+        cells = [Cell(circ_id, CellCommand.CREATE, build_create_payload(
+                      mix(params_64, relay.public, sender.private),
+                      sender.public.P, sender.public.Q, width))
+                 for circ_id, sender in enumerate([eph] * 4 + [relay] * 2, start=1)]
+        plain, shared = replace(params_64), replace(params_64)
+        tabulate(shared, relay.public)
+        before = dict(shared._mix_tables)
+        replies = {}
+        for params in (plain, shared):
+            state = NodeState(name="B", params=params, keypair=relay)
+            replies[params is shared] = []
+            for cell in cells:
+                state, [send] = node_handle_cell(state, "A", cell)
+                assert send.cell.command == CellCommand.CREATED
+                replies[params is shared].append(send.cell.payload)
+        assert plain._mix_tables == {}
+        assert shared._mix_tables == before
+        assert all(shared._mix_tables[pub] is rows for pub, rows in before.items())
+        assert replies[True] == replies[False]
 
 
 class TestLiteralLayeringMode:

@@ -8,7 +8,7 @@ from onionkep import decode_cell
 from onionkep.errors import StepBudgetExceeded
 from onionkep.protocol import Phase, client_create, client_extend
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
-from conftest import raw_extend_cell
+from conftest import built_tables, raw_extend_cell
 
 EXPECTED_BUILD_COMMANDS = [
     "CREATE", "CREATED", "RELAY",            # hop 1 up, then extend to hop 2
@@ -191,3 +191,36 @@ class TestTranscript:
             assert int(step) == entry.step
             assert direction == entry.direction
             assert decode_cell(bytes.fromhex(data)) == decode_cell(entry.data)
+
+
+class TestMixTables:
+    PATH = ["B", "C", "D"]
+
+    @staticmethod
+    def new_client(sim, first, name):
+        client = SimClient(name, first.params, first.directory, first.rng)
+        sim.add_host(name, client)
+        return client
+
+    def test_second_build_tabulates_each_relay(self):
+        sim, client, nodes = build_simulation(64, 7)
+        assert run_build(sim, client, self.PATH).phase == Phase.READY
+        assert built_tables(client.params) == {}
+        second = self.new_client(sim, client, "A2")
+        assert run_build(sim, second, self.PATH).phase == Phase.READY
+        assert built_tables(client.params).keys() \
+            == {node.state.keypair.public for node in nodes.values()}
+
+    def test_fifty_builds_leave_three_tables(self):
+        # The relays mix 150 ephemeral constructors in these builds; none
+        # may leave an entry behind.
+        sim, client, nodes = build_simulation(64, 8)
+        params = client.params
+        for i in range(50):
+            assert run_build(sim, self.new_client(sim, client, f"A{i}"),
+                             self.PATH).phase == Phase.READY
+            if i == 1:
+                tables = built_tables(params)
+        assert params._mix_tables.keys() == {node.state.keypair.public
+                                             for node in nodes.values()}
+        assert all(built_tables(params)[pub] is rows for pub, rows in tables.items())

@@ -19,6 +19,7 @@ from onionkep import (
     keypair_from_secrets,
     params_digest,
 )
+from onionkep import nikep
 from onionkep.directory import Directory, NodeDescriptor
 from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, NotReady, ParamsMismatch
 from onionkep.protocol import Phase
@@ -32,7 +33,7 @@ from onionkep.transport import (
     recv_frame,
     send_frame,
 )
-from conftest import raw_extend_cell
+from conftest import built_tables, raw_extend_cell
 
 
 def socket_pair():
@@ -284,6 +285,87 @@ class TestRuntimesAgree:
             for node in nodes.values():
                 node.stop()
             dir_server.stop()
+
+
+class TestMixTables:
+    PATH = ["B", "C", "D"]
+
+    def test_tcp_builds_reuse_the_tables(self, live_network, monkeypatch):
+        params, dir_client, nodes, rng = live_network
+        relay_keys = {node.state.keypair.public for node in nodes}
+        reads, paths = [], []
+        table_pow = nikep._table_pow
+
+        def recording_table_pow(rows, x, r):
+            if rows is not params._p_table:
+                reads.append(rows)
+            return table_pow(rows, x, r)
+
+        monkeypatch.setattr(nikep, "_table_pow", recording_table_pow)
+        for i in range(4):
+            client = StreamCircuitClient(params, dir_client, rng)
+            try:
+                assert client.build(self.PATH, timeout=10.0).phase == Phase.READY
+            finally:
+                client.close()
+            paths.append(client.path)
+            if i == 1:
+                tables = built_tables(params)
+        # The client's three mixes of every build from the second on read a
+        # table; the relays' mixes never do.
+        assert len(reads) == 9
+        assert all(any(rows is t for t in tables.values()) for rows in reads)
+        assert built_tables(params).keys() == relay_keys
+        assert all(built_tables(params)[pub] is rows for pub, rows in tables.items())
+        # The directory client decodes new descriptors on every lookup.
+        assert paths[2][0].public == paths[3][0].public
+        assert paths[2][0].public is not paths[3][0].public
+
+    def test_concurrent_clients_build_equal_tables(self, live_network, monkeypatch):
+        params, dir_client, nodes, _ = live_network
+        built = []
+        build_table = nikep._fixed_base_table
+
+        def recording_build(base, r):
+            rows = build_table(base, r)
+            built.append((base, rows))
+            return rows
+
+        monkeypatch.setattr(nikep, "_fixed_base_table", recording_build)
+        phases, errors = [], []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(3):
+                client = StreamCircuitClient(params, dir_client, rng)
+                try:
+                    phases.append(client.build(self.PATH, timeout=10.0).phase)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+                finally:
+                    client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert phases == [Phase.READY] * 12
+        tables = built_tables(params)
+        assert tables.keys() == {node.state.keypair.public for node in nodes}
+        # Duplicate builds may happen; every one of a base must be equal.
+        for base, rows in built:
+            assert [t for b, t in built if b == base][0] == rows
+        r = params.r
+        for pub, rows in tables.items():
+            assert rows == build_table(pub.P * pow(pub.Q, -1, r) % r, r)
 
 
 class TestRelayLinks:
