@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +53,13 @@ from .errors import (
     UnsupportedShape,
 )
 from .modmath import gen_prime_with_two_primitive, is_probable_prime, mod_inv, totient
+
+
+# Relay constructors a SystemParams keeps for mix, with or without a table;
+# the one resolved least recently is dropped first. A table holds 64
+# residues mod r per 6 bits of r, about 180 KB at 256 bits.
+MIX_TABLES_MAX = 1024
+_MIX_TABLES_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -100,13 +108,19 @@ class SystemParams:
 
         A relay never calls this: the constructors it mixes arrive in
         cells, and a table costs about nine exponentiations to build. Two
-        threads may both build one table; they store equal values.
+        threads may both build one table; they store equal values. At
+        most MIX_TABLES_MAX constructors are kept; the one resolved least
+        recently is dropped first, and is tabulated again from its second
+        resolution on.
         """
         tables, r = self._mix_tables, self.r
-        if pub not in tables:
-            tables.setdefault(pub, None)
-        elif tables[pub] is None and self._crt is not None and pub.P % r and pub.Q % r:
-            tables[pub] = _fixed_base_table(pub.P * pow(pub.Q, -1, r) % r, r)
+        table = tables.get(pub)
+        if table is None and pub in tables and self._crt is not None and pub.P % r and pub.Q % r:
+            table = _fixed_base_table(pub.P * pow(pub.Q, -1, r) % r, r)
+        with _MIX_TABLES_LOCK:
+            tables[pub] = tables.pop(pub, None) or table
+            while len(tables) > MIX_TABLES_MAX:
+                del tables[next(iter(tables))]
 
 
 def _fixed_base_table(base: int, r: int) -> tuple[tuple[int, ...], ...]:

@@ -10,12 +10,36 @@ Relay frames travel inside (possibly layered) cell payloads:
 
 The chunked stream lifts the single-residue cipher to byte strings: an
 8-byte big-endian bit-length header, then the plaintext bitstream split
-into (bitlen(r) - 1)-bit blocks (so every block is < r without rejection),
-each block encrypted multiplicatively and emitted at ceil(bitlen(r)/8)
-bytes. Both directions take the stream in `bits`-byte groups of exactly 8
-blocks (bits = bitlen(r) - 1), so each runs in time linear in its length.
-Onion layering is repeated application of the chunked cipher, innermost
-key first.
+into bits = bitlen(r) - 1 bit blocks (so every block is < r without
+rejection), each block m emitted as m * k mod r in width =
+ceil(bitlen(r)/8) bytes. Onion layering is repeated application of the
+chunked cipher, innermost key first.
+
+Both directions work on packed ints, GROUP_BLOCKS blocks at a time
+(Kronecker substitution; Harvey, J. Symbolic Comput. 2009):
+
+- Slot layout. Block i of a group of n sits in slot n - 1 - i, bits
+  [S*(n-1-i), S*(n-i)) of one int, with S = 16 * width: twice a block's
+  bytes, so a slot holds m * k < r**2. Encrypt spreads the dense bit
+  stream into slots in log2(n) mask-and-shift passes; decrypt packs them
+  back the same way. Width-byte blocks move in and out of slots as bytes.
+- Barrett bound. With L = bitlen(r) and mu = k * 2**L // r, the quotient
+  q = m * mu >> L is floor(m * k / r) or one less for m < 2**L (Barrett,
+  CRYPTO '86), so m * k - q * r < 2r, and adding 2**L - r to every slot
+  flags in its bit L the slots that take one more r. Each of these is one
+  multiply or add over the whole group; no slot carries into the next.
+- Error order. Decrypt flags c >= r by adding 2**(8 * width) - r to every
+  slot, and m >= 2**bits by bit ``bits`` of the decrypted slot. The
+  highest flagged slot is the first bad block in stream order, and in it
+  ">= r" is reported before "decrypts out of range", as a block-by-block
+  loop would.
+- Width and length dispatch. The masks of each power-of-two group size
+  up to GROUP_BLOCKS are built once per modulus, by doubling, for at most
+  PLAN_MODULI moduli. Moduli wider than PACKED_MAX_BITS (the packed path
+  is the slower there, as at 256 bits) and messages of fewer than
+  PACKED_MIN_BLOCKS blocks, such as EXTEND frames, take the block loop,
+  in bits-byte groups of exactly 8 blocks. Every path gives the same
+  bytes and errors.
 """
 
 from __future__ import annotations
@@ -24,6 +48,8 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     EncodingOverflow,
@@ -76,6 +102,19 @@ def int_encode(v: int, width: int) -> bytes:
 
 # -- chunked stream cipher ---------------------------------------------------
 
+# Moduli of at most this many bits take the packed path; wider ones keep
+# the per-block loop, which is the faster of the two there.
+PACKED_MAX_BITS = 192
+# Messages of fewer blocks keep the loop too, whose fixed cost is lower.
+PACKED_MIN_BLOCKS = 16
+# Blocks per packed group, and the largest plan: longer messages are
+# taken in groups of this many blocks. A multiple of 8, so that a full
+# group is whole bytes of the bit stream.
+GROUP_BLOCKS = 256
+# Moduli whose plans are kept; the least recently used one is dropped.
+PLAN_MODULI = 4
+
+
 def _block_bits(params: SystemParams) -> int:
     bits = params.r.bit_length() - 1
     if bits < 1:
@@ -83,11 +122,86 @@ def _block_bits(params: SystemParams) -> int:
     return bits
 
 
+class _Plan(NamedTuple):
+    """The constants of a packed group of up to 2**j blocks; slot i holds
+    bits i*S .. (i+1)*S - 1 of a packed int."""
+
+    passes: tuple[tuple[int, int], ...]  # (mask, shift) per spreading pass
+    ones: int  # 1 in every slot
+    low: int  # the low S - L bits of every slot
+    add_r: int  # 2**L - r in every slot
+    add_w: int  # 2**(8*width) - r in every slot
+
+
+class _Layout(NamedTuple):
+    width: int
+    fmt: str  # memoryview format of the largest unit dividing width
+    units: int  # such units per block
+    plans: tuple[_Plan, ...]  # plans[j] takes up to 2**j blocks
+
+
+@lru_cache(maxsize=PLAN_MODULI)
+def _layout(r: int) -> _Layout:
+    """The packed layout of modulus r, with one plan per power-of-two block
+    count up to GROUP_BLOCKS, each built from the one before by doubling."""
+    L = r.bit_length()
+    bits, width = L - 1, (L + 7) // 8
+    S = 16 * width
+    plan = _Plan((), 1, (1 << (S - L)) - 1, (1 << L) - r, (1 << 8 * width) - r)
+    plans = [plan]
+    for j in range(GROUP_BLOCKS.bit_length() - 1):
+        half, at = 1 << j, S << j
+        top = ((1 << half * bits) - 1, half * (S - bits))
+        plan = _Plan((top,) + tuple((m | m << at, s) for m, s in plan.passes),
+                     *(v | v << at for v in plan[1:]))
+        plans.append(plan)
+    unit = min(width & -width, 8)
+    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
+    return _Layout(width, fmt, width // unit, tuple(plans))
+
+
+def _mul_mod(x: int, k: int, r: int, plan: _Plan) -> int:
+    """Every slot v < 2**L of x taken to v*k mod r, with mu = k*2**L // r:
+    q = v*mu >> L is floor(v*k/r) or one less (Barrett, 1986), so v*k - q*r
+    is below 2r, and a flag in bit L of each slot + 2**L - r marks the ones
+    that take one more r. A slot v < 2**(8*width), as decrypt may pass,
+    gets a value of no use, but no slot carries into the next: q*r never
+    exceeds v*k, and v*k < 2**(8*width) * r <= 2**S."""
+    L = r.bit_length()
+    mu = (k << L) // r
+    x = x * k - ((x * mu >> L) & plan.low) * r
+    return x - ((x + plan.add_r >> L) & plan.ones) * r
+
+
+def _low_halves(x: int, n: int, lay: _Layout) -> bytes:
+    """The low ``width`` bytes of each of the n slots of x, top slot first."""
+    words = memoryview(x.to_bytes(n * 2 * lay.width, "big")).cast(lay.fmt)
+    out = bytearray(n * lay.width)
+    view = memoryview(out).cast(lay.fmt)
+    u = lay.units
+    for j in range(u):
+        view[j::u] = words[u + j :: 2 * u]
+    return bytes(out)
+
+
+def _to_slots(blocks: bytes, n: int, lay: _Layout) -> int:
+    """Inverse of _low_halves: n ``width``-byte blocks, one per slot."""
+    out = bytearray(n * 2 * lay.width)
+    view = memoryview(out).cast(lay.fmt)
+    words = memoryview(blocks).cast(lay.fmt)
+    u = lay.units
+    for j in range(u):
+        view[u + j :: 2 * u] = words[j::u]
+    return int.from_bytes(out, "big")
+
+
 def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
     """Encrypt a byte string block-by-block under the reduced session key."""
     bits = _block_bits(params)
-    width = (params.r.bit_length() + 7) // 8
     r, k = params.r, key.reduced
+    if r.bit_length() <= PACKED_MAX_BITS and 8 * len(plain) > (PACKED_MIN_BLOCKS - 1) * bits:
+        return _packed_encrypt(plain, k, r, bits)
+    width = (r.bit_length() + 7) // 8
     mask = (1 << bits) - 1
     out = [(8 * len(plain)).to_bytes(8, "big")]
     # Each `bits`-byte group is exactly 8 blocks; only the last may be short.
@@ -115,6 +229,8 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
     if -(-nbits // bits) != nblocks:
         raise MalformedPayload("block count does not match declared length")
     r, k_inv = params.r, key.reduced_inv
+    if r.bit_length() <= PACKED_MAX_BITS and nblocks >= PACKED_MIN_BLOCKS:
+        return _packed_decrypt(body, nbits, k_inv, r, bits)
     groups = []
     value = 0
     for i in range(nblocks):
@@ -131,6 +247,58 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
     value |= int.from_bytes(b"".join(groups), "big") << (nblocks % 8 * bits)
     value >>= nblocks * bits - nbits
     return value.to_bytes((nbits + 7) // 8, "big")
+
+
+def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
+    """chunk_encrypt GROUP_BLOCKS blocks at a time."""
+    lay = _layout(r)
+    out = [(8 * len(plain)).to_bytes(8, "big")]
+    step = GROUP_BLOCKS * bits // 8
+    for start in range(0, len(plain), step):
+        group = plain[start : start + step]
+        nbits = 8 * len(group)
+        n = -(-nbits // bits)
+        plan = lay.plans[(n - 1).bit_length()]
+        x = int.from_bytes(group, "big") << (n * bits - nbits)
+        for mask, shift in plan.passes:
+            low = x & mask
+            x = low | (x ^ low) << shift
+        out.append(_low_halves(_mul_mod(x, k, r, plan), n, lay))
+    return b"".join(out)
+
+
+def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> bytes:
+    """chunk_decrypt GROUP_BLOCKS blocks at a time, for a checked header
+    and body."""
+    lay = _layout(r)
+    width = lay.width
+    S = 16 * width
+    nblocks = len(body) // width
+    groups = []
+    for start in range(0, nblocks, GROUP_BLOCKS):
+        n = min(GROUP_BLOCKS, nblocks - start)
+        plan = lay.plans[(n - 1).bit_length()]
+        c = _to_slots(body[start * width : (start + n) * width], n, lay)
+        high = (c + plan.add_w >> 8 * width) & plan.ones  # c >= r
+        m = _mul_mod(c, k_inv, r, plan)
+        bad = high | (m >> bits & plan.ones)  # m >= 2**bits
+        if bad:
+            slot = (bad.bit_length() - 1) // S
+            i = start + n - 1 - slot
+            if high >> slot * S & 1:
+                raise MalformedPayload(f"block {i} >= r")
+            raise MalformedPayload(f"block {i} decrypts out of range")
+        for mask, shift in reversed(plan.passes):
+            low = m & mask
+            m = low | (m ^ low) >> shift
+        groups.append(m)
+    pad = nblocks * bits - nbits
+    last = groups.pop() >> pad
+    full = b"".join(g.to_bytes(GROUP_BLOCKS * bits // 8, "big") for g in groups)
+    if nbits % 8:  # only a crafted header declares a partial byte
+        value = int.from_bytes(full, "big") << n * bits - pad | last
+        return value.to_bytes((nbits + 7) // 8, "big")
+    return full + last.to_bytes((n * bits - pad) // 8, "big")
 
 
 def onion_wrap(plain: bytes, keys: list[SessionKey], params: SystemParams) -> bytes:

@@ -475,9 +475,6 @@ class Relay:
     def drop_link(self, link: str) -> None:
         self.state = node_drop_link(self.state, link)
 
-    def session_keys(self) -> list[int]:
-        return [entry.session.raw for entry in self.state.entries.values()]
-
 
 # -- client host -------------------------------------------------------------
 

@@ -41,16 +41,6 @@ class Transcript:
     def append(self, entry: TranscriptEntry) -> None:
         self.entries.append(entry)
 
-    def serialize(self) -> bytes:
-        out = []
-        for e in self.entries:
-            out.append(f"{e.step} {e.direction} ".encode() + e.data.hex().encode() + b"\n")
-        return b"".join(out)
-
-    def on_link(self, a: str, b: str) -> list[TranscriptEntry]:
-        link = "-".join(sorted((a, b)))
-        return [e for e in self.entries if e.link == link]
-
     def commands(self) -> list[str]:
         from .onioncrypt import decode_cell
         return [decode_cell(e.data).command.name for e in self.entries]

@@ -37,6 +37,23 @@ def raw_extend_cell(state, name: bytes) -> Cell:
     return Cell(state.circ_id, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
 
 
+def session_keys(relay) -> list[int]:
+    """The raw session keys of ``relay``'s circuits, in entry order."""
+    return [entry.session.raw for entry in relay.state.entries.values()]
+
+
+def serialize(transcript) -> bytes:
+    """A simulator transcript as one ``step direction hex`` line per cell."""
+    return b"".join(f"{e.step} {e.direction} {e.data.hex()}\n".encode()
+                    for e in transcript.entries)
+
+
+def on_link(transcript, a: str, b: str) -> list:
+    """The transcript entries that crossed the link between ``a`` and ``b``."""
+    link = "-".join(sorted((a, b)))
+    return [e for e in transcript.entries if e.link == link]
+
+
 def outcome(fn, *args, **kwargs):
     """The return value of ``fn``, or the type and message it raised."""
     try:

@@ -34,6 +34,7 @@ from onionkep.nikep import SystemParams
 from onionkep.onioncrypt import CellCommand, RelaySubcommand
 from onionkep.protocol import Phase
 from onionkep.simnet import build_simulation, run_build, run_send
+from conftest import on_link, serialize, session_keys
 
 
 def criterion(num, text):
@@ -173,7 +174,7 @@ def test_criterion_08_circuit_build():
     state = run_build(sim, client, ["B", "C", "D"])
     assert state.phase == Phase.READY
     client_keys = [h.session.raw for h in state.hops]
-    assert [nodes[n].session_keys() for n in ("B", "C", "D")] \
+    assert [session_keys(nodes[n]) for n in ("B", "C", "D")] \
         == [[client_keys[0]], [client_keys[1]], [client_keys[2]]]
     assert sim.transcript.commands() == [
         "CREATE", "CREATED", "RELAY",
@@ -189,16 +190,16 @@ def test_criterion_09_knowledge_confinement():
     sim, client, nodes = build_simulation(64, 109)
     state = run_build(sim, client, ["B", "C", "D"])
     k_bx, k_cy, k_dz = (h.session.raw for h in state.hops)
-    assert nodes["B"].session_keys() == [k_bx] and k_bx not in (k_cy, k_dz)
-    assert nodes["C"].session_keys() == [k_cy]
-    assert nodes["D"].session_keys() == [k_dz]
+    assert session_keys(nodes["B"]) == [k_bx] and k_bx not in (k_cy, k_dz)
+    assert session_keys(nodes["C"]) == [k_cy]
+    assert session_keys(nodes["D"]) == [k_dz]
     # The handshake D receives in the clear on the C-D link must never be
     # visible inside anything that crossed the A-B link.
     cd_creates = [decode_cell(e.data).payload
-                  for e in sim.transcript.on_link("C", "D")
+                  for e in on_link(sim.transcript, "C", "D")
                   if decode_cell(e.data).command == CellCommand.CREATE]
     assert cd_creates
-    ab_bytes = b"".join(e.data for e in sim.transcript.on_link("A", "B"))
+    ab_bytes = b"".join(e.data for e in on_link(sim.transcript, "A", "B"))
     for payload in cd_creates:
         assert payload not in ab_bytes
 
@@ -278,5 +279,5 @@ def test_criterion_12_determinism():
         sim, client, _ = build_simulation(16, 112)
         run_build(sim, client, ["B", "C", "D"])
         run_send(sim, client, 1, b"determinism probe")
-        transcripts.append(sim.transcript.serialize())
+        transcripts.append(serialize(sim.transcript))
     assert transcripts[0] == transcripts[1]

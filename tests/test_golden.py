@@ -18,6 +18,7 @@ from onionkep.cli import main
 from onionkep.onioncrypt import Cell, CellCommand
 from onionkep.protocol import Phase, ProtocolConfig
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
+from conftest import serialize
 
 
 def sha256(data: bytes) -> str:
@@ -64,7 +65,7 @@ def test_simulator_transcript(peel_per_hop, digest):
                                       echo_data=True)
     run_build(sim, client, ["B", "C", "D"])
     run_send(sim, client, 1, b"golden probe")
-    assert sha256(sim.transcript.serialize()) == digest
+    assert sha256(serialize(sim.transcript)) == digest
 
 
 # Every path crosses each relay link in the B->C->D direction only, so the
@@ -113,5 +114,5 @@ def test_multi_circuit_relay_transcript():
     nodes["C"].drop_link("B")
     send_each([c for c in live if c.state.phase == Phase.READY], b"after ")
     assert len(sim.transcript.entries) == 206
-    assert sha256(sim.transcript.serialize()) == \
+    assert sha256(serialize(sim.transcript)) == \
         "53c6ec1e85c123d3b400ba6029803add2464955e29f72a5d51c16927d4b3e488"

@@ -6,6 +6,8 @@ brute-force oracles in this file before the implementation was wired in.
 
 import math
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -37,6 +39,7 @@ from onionkep.errors import (
     NonInvertible,
     NotPrime,
 )
+from onionkep import nikep
 from onionkep.modmath import mod_inv
 from onionkep.nikep import (
     PrivateKey,
@@ -424,6 +427,78 @@ class TestTabulatedMix:
         # The table of base 1 turns the part mod r into Q alone.
         params._mix_tables[peer.public] = _fixed_base_table(1, params.r)
         assert mix(params, peer.public, own.private) % params.r == peer.public.Q % params.r
+
+
+class TestMixTableBound:
+    """SystemParams keeps at most MIX_TABLES_MAX resolved constructors and
+    drops the one resolved least recently; mix reads the same integers."""
+
+    def test_thousand_constructors(self, params_64, monkeypatch):
+        monkeypatch.setattr(nikep, "MIX_TABLES_MAX", 64)
+        params, plain = replace(params_64), replace(params_64)
+        rng = random.Random(21)
+        own = gen_keypair(params, rng).private
+        pubs = [PublicConstructor(P=rng.randrange(1, params.n), Q=rng.randrange(1, params.n))
+                for _ in range(1000)]
+        for pub in pubs:
+            tabulate(params, pub)
+            assert len(params._mix_tables) <= 64
+        assert list(params._mix_tables) == pubs[-64:]
+        assert built_tables(params).keys() == {p for p in pubs[-64:] if p.P % params.r
+                                               and p.Q % params.r}
+        for pub in pubs[::7] + pubs[-64:]:
+            assert mix(params, pub, own) == mix(plain, pub, own)
+
+    def test_resolving_again_keeps_an_entry(self, params_64, monkeypatch):
+        monkeypatch.setattr(nikep, "MIX_TABLES_MAX", 3)
+        params = replace(params_64)
+        rng = random.Random(22)
+        a, b, c, d = (gen_keypair(params, rng).public for _ in range(4))
+        for pub in (a, b, c):
+            tabulate(params, pub)
+        rows = params._mix_tables[a]
+        params.note_resolved(a)
+        params.note_resolved(d)
+        assert list(params._mix_tables) == [c, a, d]
+        assert params._mix_tables[a] is rows and params._mix_tables[d] is None
+
+    def test_threads_keep_the_bound(self, params_64, monkeypatch):
+        monkeypatch.setattr(nikep, "MIX_TABLES_MAX", 16)
+        params, plain = replace(params_64), replace(params_64)
+        rng = random.Random(23)
+        own = gen_keypair(params, rng).private
+        pubs = [PublicConstructor(P=rng.randrange(1, params.n), Q=rng.randrange(1, params.n))
+                for _ in range(400)]
+        expected = {pub: mix(plain, pub, own) for pub in pubs}
+        errors = []
+
+        def resolve(chunk):
+            try:
+                for pub in chunk:
+                    tabulate(params, pub)
+                    if mix(params, pub, own) != expected[pub]:
+                        errors.append(pub)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=resolve, args=(pubs[i::6],)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(params._mix_tables) == 16
+
+    def test_cap_holds_the_exhaustive_tests(self):
+        # TestTabulatedMix tabulates up to 5 * n constructors of one shape.
+        assert nikep.MIX_TABLES_MAX >= max(5 * make_params(*shape).n
+                                           for shape in TestCrtHandshake.SHAPES)
 
 
 class TestKeyFiles:

@@ -35,7 +35,13 @@ from onionkep.errors import (
     UnknownCommand,
     UnknownSubcommand,
 )
+from onionkep.modmath import is_probable_prime
 from onionkep.onioncrypt import (
+    GROUP_BLOCKS,
+    PACKED_MAX_BITS,
+    PACKED_MIN_BLOCKS,
+    PLAN_MODULI,
+    _layout,
     build_create_payload,
     build_extend_data,
     int_encode,
@@ -55,6 +61,28 @@ def random_session_key(params, rng):
 
 def key_with_reduced(params, reduced):
     return SessionKey(raw=0, reduced=reduced, reduced_inv=pow(reduced, -1, params.r))
+
+
+def prime_above(n):
+    n += 1 + n % 2
+    while not is_probable_prime(n):
+        n += 2
+    return n
+
+
+# Primes of 16, 64 and 128 bits and the packed path's widest modulus take
+# the packed path; one bit wider, and at 256 bits, the per-block loop.
+WIDE_PRIMES = tuple(prime_above(1 << b - 1) for b in (16, 64, 128, PACKED_MAX_BITS,
+                                                       PACKED_MAX_BITS + 1, 256))
+
+
+def widths(r):
+    """(bits, width) of the chunk cipher under modulus r."""
+    return r.bit_length() - 1, (r.bit_length() + 7) // 8
+
+
+def crafted(nbits, blocks, width):
+    return nbits.to_bytes(8, "big") + b"".join(b.to_bytes(width, "big") for b in blocks)
 
 
 def outcome(fn, *args):
@@ -147,13 +175,13 @@ class TestChunkCipher:
 
 
 class TestChunkCipherAgainstOracle:
-    """The linear-time cipher against the former quadratic one
+    """The packed and per-block cipher against the former quadratic one
     (``tests/chunk_oracle.py``): same bytes, same errors."""
 
     TOY_PRIMES = (3, 5, 11, 13, 59, 227, 1019)
 
     def draw_params_and_key(self, data, params_64):
-        r = data.draw(st.sampled_from(self.TOY_PRIMES + (params_64.r,)))
+        r = data.draw(st.sampled_from(self.TOY_PRIMES + WIDE_PRIMES + (params_64.r,)))
         params = params_64 if r == params_64.r else make_params(2, 2, r)
         return params, key_with_reduced(params, data.draw(st.integers(1, r - 1)))
 
@@ -172,8 +200,7 @@ class TestChunkCipherAgainstOracle:
     def test_crafted_ciphertext_matches_oracle(self, params_64, data):
         params, key = self.draw_params_and_key(data, params_64)
         r = params.r
-        bits = r.bit_length() - 1
-        width = (r.bit_length() + 7) // 8
+        bits, width = widths(r)
         nblocks = data.draw(st.integers(0, 3 * 8 + 1))
         if nblocks and data.draw(st.integers(0, 4)):
             # A header that matches the block count, any bit length in range.
@@ -185,9 +212,138 @@ class TestChunkCipherAgainstOracle:
         if nblocks and data.draw(st.booleans()):
             at = data.draw(st.integers(0, nblocks - 1))
             blocks[at] = data.draw(st.integers(r, 256**width - 1))
-        cipher = nbits.to_bytes(8, "big") + b"".join(b.to_bytes(width, "big") for b in blocks)
+        cipher = crafted(nbits, blocks, width)
         assert outcome(chunk_decrypt, cipher, key, params) \
             == outcome(oracle_decrypt, cipher, key, params)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_several_bad_blocks_match_oracle(self, params_64, data):
+        # Blocks that are >= r, that decrypt out of range, or both, in any
+        # order: the first in stream order is reported, >= r before range.
+        params, key = self.draw_params_and_key(data, params_64)
+        r = params.r
+        bits, width = widths(r)
+        nblocks = data.draw(st.integers(1, 2 * PACKED_MIN_BLOCKS + 1))
+        nbits = data.draw(st.integers((nblocks - 1) * bits + 1, nblocks * bits))
+        plain = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                   min_size=nblocks, max_size=nblocks))
+        blocks = [m * key.reduced % r for m in plain]
+        out_of_range = st.integers(1 << bits, r - 1).map(lambda m: m * key.reduced % r)
+        # Blocks >= r that would decrypt out of range once reduced mod r.
+        both = [c for c in (m * key.reduced % r + r for m in range(1 << bits, r)[:64])
+                if c < 256**width]
+        kinds = {">= r": st.integers(r, 256**width - 1),
+                 "decrypts out of range": out_of_range,
+                 "both": st.sampled_from(both) if both else st.integers(r, 256**width - 1)}
+        bad = data.draw(st.dictionaries(st.integers(0, nblocks - 1), st.sampled_from(list(kinds)),
+                                        min_size=1, max_size=4))
+        for at, kind in bad.items():
+            blocks[at] = data.draw(kinds[kind])
+        cipher = crafted(nbits, blocks, width)
+        first = min(bad)
+        reason = "decrypts out of range" if bad[first] == "decrypts out of range" else ">= r"
+        expected = (MalformedPayload, f"block {first} {reason}")
+        assert outcome(chunk_decrypt, cipher, key, params) == expected
+        assert outcome(oracle_decrypt, cipher, key, params) == expected
+
+
+class TestPackedPath:
+    """Block counts and block values at the edges of the packed layout:
+    the dispatch, the power-of-two plans and the group cap."""
+
+    COUNTS = (PACKED_MIN_BLOCKS - 1, PACKED_MIN_BLOCKS, 31, 32, 33, 127, 128, 129,
+              GROUP_BLOCKS - 1, GROUP_BLOCKS, GROUP_BLOCKS + 1, 2 * GROUP_BLOCKS + 1)
+
+    @pytest.mark.parametrize("r", [227, 1019] + list(WIDE_PRIMES[:4]),
+                             ids=lambda r: f"{r.bit_length()}b")
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_block_counts_match_oracle(self, r, count):
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        rng = random.Random(count)
+        key = key_with_reduced(params, rng.randrange(1, r))
+        seen = set()
+        for length in range((count - 1) * bits // 8, count * bits // 8 + 2):
+            plain = rng.randbytes(length)
+            cipher = chunk_encrypt(plain, key, params)
+            assert cipher == oracle_encrypt(plain, key, params)
+            assert chunk_decrypt(cipher, key, params) == plain
+            seen.add(len(cipher[8:]) // width)
+        assert count in seen or bits < 8  # whole bytes skip some counts then
+        blocks = [rng.randrange(r) for _ in range(count)]
+        nbits = rng.randrange((count - 1) * bits + 1, count * bits + 1)
+        for at in (None, 0, count // 2, count - 1):
+            if at is not None:
+                blocks[at] = rng.randrange(r, 256**width)
+            cipher = crafted(nbits, blocks, width)
+            assert outcome(chunk_decrypt, cipher, key, params) \
+                == outcome(oracle_decrypt, cipher, key, params)
+
+    @pytest.mark.parametrize("r", TestChunkCipherAgainstOracle.TOY_PRIMES + WIDE_PRIMES,
+                             ids=lambda r: f"{r.bit_length()}b")
+    def test_block_values(self, r):
+        # Each plaintext block in a message of that block alone, and each
+        # ciphertext block up to 256**width - 1 alone and between valid
+        # blocks, under the smallest, largest and a middle key. Up to 10-bit
+        # blocks every m and each c below 2r or in the top 256 (at one byte,
+        # every c); wider, the extremes.
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        top = 256**width
+        if bits <= 10:
+            plains = range(1 << bits)
+            ciphers = sorted({*range(min(2 * r, top)), *range(top - 256, top)})
+        else:
+            plains = (0, 1, (1 << bits) - 1)
+            ciphers = (0, r - 1, r, (1 << bits) - 1, 1 << bits, top - 1)
+        count = 2 * PACKED_MIN_BLOCKS
+        for k in {1, r - 1, r // 2}:
+            key = key_with_reduced(params, k)
+            for m in plains:
+                plain = sum(m << i * bits for i in range(count)).to_bytes(count * bits // 8, "big")
+                cipher = chunk_encrypt(plain, key, params)
+                assert cipher == oracle_encrypt(plain, key, params)
+                assert chunk_decrypt(cipher, key, params) == plain
+            for c in ciphers:
+                for blocks in ([c] * count, [r - 1] * 3 + [c] + [0] * (count - 4)):
+                    cipher = crafted(count * bits, blocks, width)
+                    assert outcome(chunk_decrypt, cipher, key, params) \
+                        == outcome(oracle_decrypt, cipher, key, params)
+
+
+class TestPlanStore:
+    """The packed layouts are bounded: log2(GROUP_BLOCKS) + 1 plans per
+    modulus, for at most PLAN_MODULI moduli."""
+
+    def test_plans_stay_bounded(self, params_64):
+        bits16 = make_params(2, 2, WIDE_PRIMES[0])
+        # Every 61st length up to 20 000, and each length at a plan size.
+        lengths = set(range(0, 20_001, 61))
+        for params in (bits16, params_64):
+            bits = params.r.bit_length() - 1
+            lengths |= {n * bits // 8 + d for n in (1 << j for j in range(12)) for d in (-1, 0, 1)}
+        for params in (bits16, params_64):
+            key = key_with_reduced(params, params.r // 3)
+            for length in sorted(lengths):
+                plain = bytes(range(256)) * (length // 256) + bytes(length % 256)
+                assert chunk_decrypt(chunk_encrypt(plain, key, params), key, params) == plain
+            assert len(_layout(params.r).plans) == GROUP_BLOCKS.bit_length()
+            assert _layout.cache_info().currsize <= PLAN_MODULI
+
+    def test_new_modulus_evicts(self):
+        _layout.cache_clear()
+        moduli = [prime_above(1 << b) for b in range(20, 21 + PLAN_MODULI)]
+        for r in moduli:
+            params = make_params(2, 2, r)
+            plain = bytes(4 * PACKED_MIN_BLOCKS * widths(r)[0] // 8)
+            chunk_encrypt(plain, key_with_reduced(params, 2), params)
+        info = _layout.cache_info()
+        assert (info.currsize, info.misses) == (PLAN_MODULI, PLAN_MODULI + 1)
+        _layout(moduli[-1])
+        assert _layout.cache_info().misses == PLAN_MODULI + 1
+        _layout(moduli[0])
+        assert _layout.cache_info().misses == PLAN_MODULI + 2
 
 
 class TestChunkGroupBoundaries:

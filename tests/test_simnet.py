@@ -8,7 +8,7 @@ from onionkep import decode_cell
 from onionkep.errors import StepBudgetExceeded
 from onionkep.protocol import Phase, client_create, client_extend
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
-from conftest import built_tables, raw_extend_cell
+from conftest import built_tables, on_link, raw_extend_cell, serialize, session_keys
 
 EXPECTED_BUILD_COMMANDS = [
     "CREATE", "CREATED", "RELAY",            # hop 1 up, then extend to hop 2
@@ -35,7 +35,7 @@ class TestBuild:
         sim, client, nodes = build_simulation(16, 7)
         state = run_build(sim, client, ["B", "C", "D"])
         expected = [h.session.raw for h in state.hops]
-        got = [nodes[name].session_keys() for name in ("B", "C", "D")]
+        got = [session_keys(nodes[name]) for name in ("B", "C", "D")]
         assert got == [[expected[0]], [expected[1]], [expected[2]]]
         # Sessions are pairwise distinct: no relay learns another's key.
         assert len(set(expected)) == 3
@@ -47,8 +47,8 @@ class TestBuild:
         for entry in sim.transcript.entries:
             src, dst = entry.direction.split("->")
             assert {src, dst} in ({"A", "B"}, {"B", "C"}, {"C", "D"})
-        assert sim.transcript.on_link("A", "B")
-        assert sim.transcript.on_link("A", "D") == []
+        assert on_link(sim.transcript, "A", "B")
+        assert on_link(sim.transcript, "A", "D") == []
 
 
 class TestData:
@@ -77,7 +77,7 @@ class TestDeterminism:
             sim, client, _ = build_simulation(16, 21)
             run_build(sim, client, ["B", "C", "D"])
             run_send(sim, client, 1, b"payload")
-            transcripts.append(sim.transcript.serialize())
+            transcripts.append(serialize(sim.transcript))
         assert transcripts[0] == transcripts[1]
 
     def test_different_seeds_differ(self):
@@ -85,7 +85,7 @@ class TestDeterminism:
         for seed in (1, 2):
             sim, client, _ = build_simulation(16, seed)
             run_build(sim, client, ["B", "C", "D"])
-            outs.append(sim.transcript.serialize())
+            outs.append(serialize(sim.transcript))
         assert outs[0] != outs[1]
 
 
@@ -184,7 +184,7 @@ class TestTranscript:
     def test_serialize_is_parseable(self):
         sim, client, _ = build_simulation(16, 7)
         run_build(sim, client, ["B", "C", "D"])
-        lines = sim.transcript.serialize().decode().splitlines()
+        lines = serialize(sim.transcript).decode().splitlines()
         assert len(lines) == len(sim.transcript.entries)
         for line, entry in zip(lines, sim.transcript.entries):
             step, direction, data = line.split(" ")

@@ -33,7 +33,7 @@ from onionkep.transport import (
     recv_frame,
     send_frame,
 )
-from conftest import built_tables, raw_extend_cell
+from conftest import built_tables, raw_extend_cell, session_keys
 
 
 def socket_pair():
@@ -279,7 +279,7 @@ class TestRuntimesAgree:
             assert client.build(["B", "C", "D"], timeout=10.0) == sim_state
             assert client.send_data(1, b"same bytes") == sim_client.received[-1][1]
             for name, node in nodes.items():
-                assert node.session_keys() == sim_nodes[name].session_keys()
+                assert session_keys(node) == session_keys(sim_nodes[name])
         finally:
             client.close()
             for node in nodes.values():
