@@ -81,10 +81,6 @@ class NotReady(OnionKepError):
     """Operation requires a fully confirmed circuit."""
 
 
-class CircuitIntegrityFailure(OnionKepError):
-    """Key-confirmation digest did not match; circuit torn down."""
-
-
 class DuplicateName(OnionKepError):
     """Directory re-registration under the same name with a different key."""
 

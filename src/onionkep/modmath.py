@@ -62,8 +62,7 @@ def mod_inv(a: int, modulus: int) -> int:
         raise NonInvertible(f"{a} has no inverse modulo {modulus}") from None
 
 
-def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
-                      rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with trial division pre-screening.
 
     Without an rng the witnesses come from a Random seeded with n, so the
@@ -80,7 +79,7 @@ def is_probable_prime(n: int, rounds: int = MILLER_RABIN_ROUNDS,
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

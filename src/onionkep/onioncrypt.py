@@ -396,12 +396,15 @@ def build_extend_data(name: str, v: int, P: int, Q: int, width: int) -> bytes:
     return bytes([len(name_b)]) + name_b + build_create_payload(v, P, Q, width)
 
 
-def parse_extend_data(data: bytes, width: int) -> tuple[str, int, int, int]:
+def parse_extend_data(data: bytes, width: int) -> tuple[str, bytes]:
+    """The next hop's name and the CREATE payload bytes to send it."""
     if len(data) < 1:
         raise TruncatedFrame("empty EXTEND data")
     name_len = data[0]
     if len(data) != 1 + name_len + 3 * width:
         raise TruncatedFrame("EXTEND data does not match declared layout")
-    name = data[1 : 1 + name_len].decode()
-    v, P, Q = parse_create_payload(data[1 + name_len :], width)
-    return name, v, P, Q
+    try:
+        name = data[1 : 1 + name_len].decode()
+    except UnicodeDecodeError:
+        raise TruncatedFrame("EXTEND node name is not UTF-8") from None
+    return name, data[1 + name_len :]

@@ -8,7 +8,10 @@ identical outputs.
 Every protocol rule lives here once. ``Client`` is the one client host,
 which drives its build through ``client_step``, and ``Relay`` the one
 relay host: both runtimes (``simnet`` and ``transport``) use them and only
-move the resulting cells.
+move the resulting cells. What malformed peer bytes raise is the codecs'
+rule: every parse, chunk decrypt and session-key derivation fails with an
+``OnionKepError`` subclass, and the machines catch that base class to fail
+only the circuit the bytes arrived on.
 
 A relay finds a circuit from the (link, circ_id) a cell arrives with, in
 two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
@@ -40,15 +43,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Union
 
-from .errors import (
-    MalformedPayload,
-    MalformedSessionKey,
-    NonInvertible,
-    NotReady,
-    TruncatedCell,
-    TruncatedFrame,
-    UnknownSubcommand,
-)
+from .errors import NotReady, OnionKepError
 from .nikep import (
     KeyPair,
     PublicConstructor,
@@ -192,7 +187,7 @@ def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, l
             return state, []
         try:
             v, digest = parse_created_payload(cell.payload, state.params.residue_width)
-        except TruncatedCell:
+        except OnionKepError:
             return _fail(state, "malformed CREATED payload")
         return _confirm_hop(state, v, digest)
     if cell.command == CellCommand.RELAY:
@@ -220,14 +215,14 @@ def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState,
         for key in _layer_keys(state):
             payload = chunk_decrypt(payload, key, state.params)
         frame = decode_relay_frame(payload)
-    except (MalformedPayload, TruncatedFrame, UnknownSubcommand):
+    except OnionKepError:
         return _fail(state, "malformed relay payload")
     if frame.subcommand == RelaySubcommand.EXTENDED:
         if state.phase != Phase.EXTENDING:
             return state, []
         try:
             v, digest = parse_created_payload(frame.data, state.params.residue_width)
-        except TruncatedCell:
+        except OnionKepError:
             return _fail(state, "malformed EXTENDED data")
         return _confirm_hop(state, v, digest)
     if frame.subcommand == RelaySubcommand.DATA:
@@ -240,7 +235,7 @@ def _confirm_hop(state: CircuitState, v: int, digest: bytes) -> tuple[CircuitSta
     hop = state.hops[index]
     try:
         session = derive_session_key(state.params, v, hop.ephemeral.private.k)
-    except (MalformedSessionKey, NonInvertible):
+    except OnionKepError:
         return _fail(state, "malformed session key")
     if key_digest(session) != digest:
         return _fail(state, "key digest mismatch")
@@ -349,7 +344,7 @@ def _node_handle_create(state: NodeState, from_link: str,
     try:
         v, eph_p, eph_q = parse_create_payload(cell.payload, width)
         session = derive_session_key(state.params, v, state.keypair.private.k)
-    except (TruncatedCell, MalformedSessionKey, NonInvertible):
+    except OnionKepError:
         return _refuse(state, from_link, cell.circ_id, "malformed CREATE handshake")
     reply = mix(state.params, PublicConstructor(P=eph_p, Q=eph_q), state.keypair.private)
     payload = build_created_payload(reply, key_digest(session), width)
@@ -365,7 +360,7 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
     if state.config.peel_per_hop or not relaying:
         try:
             payload = chunk_decrypt(payload, entry.session, state.params)
-        except MalformedPayload:
+        except OnionKepError:
             return _teardown(state, entry, "malformed relay payload")
     if relaying:
         return state, [SendCell(entry.next_link,
@@ -374,20 +369,19 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
         return _teardown(state, entry, "relay before extension completed")
     try:
         frame = decode_relay_frame(payload)
-    except (TruncatedFrame, UnknownSubcommand):
+    except OnionKepError:
         return _teardown(state, entry, "unparseable relay frame")
     if frame.subcommand == RelaySubcommand.EXTEND:
         try:
-            name, v, eph_p, eph_q = parse_extend_data(frame.data, state.params.residue_width)
-        except (TruncatedFrame, TruncatedCell, UnicodeDecodeError):
+            name, create = parse_extend_data(frame.data, state.params.residue_width)
+        except OnionKepError:
             return _teardown(state, entry, "malformed EXTEND data")
         next_circ = state.circ_seq
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
         new_state = replace(state, circ_seq=state.circ_seq + 1,
                             entries={**state.entries, entry.key: updated},
                             nexts={**state.nexts, (name, next_circ): entry.key})
-        payload = build_create_payload(v, eph_p, eph_q, state.params.residue_width)
-        return new_state, [SendCell(name, Cell(next_circ, CellCommand.CREATE, payload))]
+        return new_state, [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))]
     if frame.subcommand == RelaySubcommand.DATA:
         return state, [DeliverLocal(frame.stream_id, frame.data)]
     if frame.subcommand == RelaySubcommand.END:
@@ -399,13 +393,11 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
                          cell: Cell) -> tuple[NodeState, list[Action]]:
     if not entry.next_pending:
         return state, []
-    width = state.params.residue_width
     try:
-        v, digest = parse_created_payload(cell.payload, width)
-    except TruncatedCell:
+        parse_created_payload(cell.payload, state.params.residue_width)
+    except OnionKepError:
         return _teardown(state, entry, "malformed CREATED from next hop")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0,
-                                          build_created_payload(v, digest, width)))
+    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0, cell.payload))
     payload = chunk_encrypt(frame, entry.session, state.params)
     updated = replace(entry, next_pending=False)
     new_state = replace(state, entries={**state.entries, entry.key: updated})

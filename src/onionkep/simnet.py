@@ -38,9 +38,6 @@ class Transcript:
     def __init__(self):
         self.entries: list[TranscriptEntry] = []
 
-    def append(self, entry: TranscriptEntry) -> None:
-        self.entries.append(entry)
-
     def commands(self) -> list[str]:
         from .onioncrypt import decode_cell
         return [decode_cell(e.data).command.name for e in self.entries]
@@ -81,7 +78,7 @@ class SimNet:
                 if tampered is None:
                     continue  # scripted drop
                 cell = tampered
-            self.transcript.append(TranscriptEntry(
+            self.transcript.entries.append(TranscriptEntry(
                 step=self.step, link="-".join(sorted((src, dst))),
                 direction=f"{src}->{dst}", data=encode_cell(cell)))
             for send in self.hosts[dst].handle(src, cell):

@@ -32,6 +32,7 @@ from .directory import Directory, NodeDescriptor, decode_descriptors, encode_des
 from .errors import (
     DuplicateName,
     FrameTooLarge,
+    MalformedKeyFile,
     NotFound,
     NotReady,
     OnionKepError,
@@ -137,7 +138,10 @@ class DirectoryServer:
             tag, value = next(iter(tlv.iter_records(request)))
             with self._lock:
                 if tag == tlv.TAG_DIR_REGISTER:
-                    self.directory.register(decode_descriptors(value)[0])
+                    descs = decode_descriptors(value)
+                    if len(descs) != 1:
+                        raise MalformedKeyFile("REGISTER must carry one descriptor")
+                    self.directory.register(descs[0])
                     payload = b""
                 elif tag == tlv.TAG_DIR_LOOKUP:
                     payload = encode_descriptor(self.directory.lookup(value.decode()))

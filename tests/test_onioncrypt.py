@@ -490,8 +490,12 @@ class TestStructuredPayloads:
 
     def test_extend_data_round_trip(self):
         data = build_extend_data("C", 12, 40, 28, 1)
-        assert parse_extend_data(data, 1) == ("C", 12, 40, 28)
+        assert parse_extend_data(data, 1) == ("C", bytes([12, 40, 28]))
 
     def test_extend_data_bad_length(self):
         with pytest.raises(TruncatedFrame):
             parse_extend_data(build_extend_data("C", 12, 40, 28, 1)[:-1], 1)
+
+    def test_extend_data_name_not_utf8(self):
+        with pytest.raises(TruncatedFrame):
+            parse_extend_data(bytes([1, 0xFF, 12, 40, 28]), 1)

@@ -22,9 +22,12 @@ from onionkep import (
 )
 from onionkep.errors import NotReady
 from onionkep.onioncrypt import (
+    RelayFrame,
     build_create_payload,
     build_created_payload,
     decode_relay_frame,
+    encode_relay_frame,
+    onion_wrap,
     parse_create_payload,
 )
 from onionkep.protocol import (
@@ -354,6 +357,88 @@ class TestRelayMaps:
                                  for key, e in entries.items() if e.next_link is not None}
                 lost = {peer for pair in dead if name in pair for peer in pair - {name}}
                 assert not {link for link, _ in [*entries, *nexts]} & lost
+
+
+def _toy_world():
+    """A toy relay B holding one READY circuit (A, 9) and one circuit (A, 10)
+    pending its extension to C as (C, 1), and the client of each circuit in
+    CREATING, READY and EXTENDING."""
+    params = make_params(2, 2, 11)
+    bob = keypair_from_secrets(params, 5, 15)
+    node = NodeState(name="B", params=params, keypair=bob)
+    clients = {}
+    for circ_id in (9, 10):
+        creating, create = client_create(params, circ_id, "B", bob.public,
+                                         random.Random(circ_id))
+        node, [created] = node_handle_cell(node, "A", create.cell)
+        clients[circ_id] = creating, client_handle_cell(creating, created.cell)[0]
+    creating, ready = clients[9]
+    extending, extend = client_extend(clients[10][1], "C", bob.public, random.Random(3))
+    node, [create_c] = node_handle_cell(node, "A", extend.cell)
+    assert create_c.link == "C" and node.entries["A", 10].next_pending
+    assert (ready.phase, extending.phase) == (Phase.READY, Phase.EXTENDING)
+    return node, {"creating": creating, "ready": ready, "extending": extending}
+
+
+TOY_NODE, TOY_CLIENTS = _toy_world()
+# Handshake-shaped data at width 1: EXTEND data (a name of any bytes and
+# three 1-byte fields) and CREATED payloads or EXTENDED data (33 bytes).
+handshakes = st.one_of(
+    st.builds(lambda name, rest: bytes([len(name)]) + name + rest,
+              st.binary(max_size=8), st.binary(min_size=3, max_size=3)),
+    st.binary(min_size=33, max_size=33))
+relay_frames = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda sub, stream_id, data: encode_relay_frame(RelayFrame(sub, stream_id, data)),
+              st.sampled_from(RelaySubcommand), st.integers(0, 0xFFFF),
+              st.one_of(st.binary(max_size=64), handshakes)),
+    st.builds(lambda sub, data: encode_relay_frame(RelayFrame(sub, 0, data)),
+              st.sampled_from([RelaySubcommand.EXTEND, RelaySubcommand.EXTENDED]), handshakes))
+
+
+def _cells(data, live, keys):
+    """Half the time a random relay frame layered under ``keys`` in a RELAY
+    cell on a ``live`` circuit, else any command on any circuit, with
+    random bytes of any length or of a handshake's, or a layered frame."""
+    layered = relay_frames.map(lambda f: onion_wrap(f, keys, TOY_NODE.params))
+    if data.draw(st.booleans()):
+        return data.draw(st.sampled_from(live)), CellCommand.RELAY, data.draw(layered)
+    return (data.draw(st.sampled_from(live + [("A", 1), ("C", 9), ("D", 77)])),
+            data.draw(st.sampled_from(CellCommand)),
+            data.draw(st.one_of(st.binary(max_size=512), st.binary(min_size=3, max_size=3),
+                                handshakes, layered)))
+
+
+class TestMalformedInputNeverRaises:
+    # Every malformed input fails at most its own circuit: no transition
+    # raises, and each one that tears a circuit down says so.
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_relay(self, data):
+        (link, circ_id), command, payload = _cells(
+            data, [("A", 9), ("A", 10), ("C", 1)], [TOY_NODE.entries["A", 9].session])
+        state, actions = node_handle_cell(TOY_NODE, link, Cell(circ_id, command, payload))
+        destroys = [a for a in actions
+                    if isinstance(a, SendCell) and a.cell.command == CellCommand.DESTROY]
+        lost = TOY_NODE.entries.keys() - state.entries.keys()
+        assert len(lost) <= 1
+        if destroys or lost:
+            assert any(isinstance(a, TearDown) for a in actions)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_client(self, data):
+        state = TOY_CLIENTS[data.draw(st.sampled_from(sorted(TOY_CLIENTS)))]
+        keys = [hop.session for hop in state.hops if hop.confirmed]
+        (_, circ_id), command, payload = _cells(data, [("B", state.circ_id)], keys[::-1])
+        new, actions = client_handle_cell(state, Cell(circ_id, command, payload))
+        teardowns = [a for a in actions if isinstance(a, TearDown)]
+        assert all(isinstance(a, (TearDown, DeliverLocal)) for a in actions)
+        if teardowns:
+            assert new.phase == Phase.FAILED
+            assert [a.reason for a in teardowns] == [new.failure]
+        if new.phase == Phase.FAILED:
+            assert new.failure
 
 
 class TestPurity:

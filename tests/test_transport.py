@@ -19,8 +19,8 @@ from onionkep import (
     keypair_from_secrets,
     params_digest,
 )
-from onionkep import nikep
-from onionkep.directory import Directory, NodeDescriptor
+from onionkep import nikep, tlv
+from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
 from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, NotReady, ParamsMismatch
 from onionkep.protocol import Phase
 from onionkep.simnet import build_simulation, run_build, run_send
@@ -139,6 +139,25 @@ class TestDirectoryOverTcp:
                 name="C", address="c",
                 public=keypair_from_secrets(params, 5, 15).public,
                 params_digest=b"\x00" * 32))
+
+    @pytest.mark.parametrize("descriptors", [0, 2])
+    def test_register_of_not_one_descriptor_keeps_the_connection(
+            self, toy_world, dir_server, descriptors):
+        # A REGISTER must carry exactly one descriptor. Any other count is
+        # answered with a failure status, and the same connection still
+        # serves the next request.
+        params, digest = toy_world
+        desc = NodeDescriptor(name="B", address="a",
+                              public=keypair_from_secrets(params, 3, 13).public,
+                              params_digest=digest)
+        DirectoryClient(dir_server.address).register(desc)
+        value = encode_descriptor(desc) * descriptors
+        with socket.create_connection(parse_address(dir_server.address), timeout=10) as sock:
+            send_frame(sock, tlv.encode_record(tlv.TAG_DIR_REGISTER, value))
+            assert recv_frame(sock) == tlv.encode_record(tlv.TAG_STATUS, bytes([255]))
+            send_frame(sock, tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
+            assert recv_frame(sock) == (tlv.encode_record(tlv.TAG_STATUS, bytes([0]))
+                                        + encode_descriptor(desc))
 
     def test_concurrent_clients(self, toy_world, dir_server):
         params, digest = toy_world
