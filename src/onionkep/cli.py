@@ -47,8 +47,7 @@ def _rng(seed: int | None) -> random.Random:
 
 def _load_params(path: str) -> nikep.SystemParams:
     with open(path, "rb") as fh:
-        params, _ = nikep.decode_public_file(fh.read())
-    return params
+        return nikep.decode_public_file(fh.read())[0]
 
 
 def cmd_keygen(args) -> int:
@@ -116,64 +115,60 @@ def _corrupt_first_created():
 def cmd_client(args) -> int:
     hops = args.hops.split(",")
     tamper = _corrupt_first_created() if args.corrupt_created else None
+    message = args.message if args.action == "send" else None
     if args.sim:
-        return _client_sim(args, hops, tamper)
+        return _run_sim(args.r_bits, args.seed or 0, hops, message, tamper)
     dir_client = DirectoryClient(_dir_address(args))
-    params = _load_params(args.params)
-    client = StreamCircuitClient(params, dir_client, _rng(args.seed))
+    client = StreamCircuitClient(_load_params(args.params), dir_client, _rng(args.seed))
     try:
-        state = client.build(hops, tamper=tamper)
-        if state.phase != Phase.READY:
-            print(f"failed reason={state.failure}")
-            return 3
-        _print_confirmations(state)
-        if args.action == "send":
-            response = client.send_data(1, args.message.encode())
+        code = _report_build(client.build(hops, tamper=tamper))
+        if code == 0 and message is not None:
+            response = client.send_data(1, message.encode())
             print(f"response={response.decode(errors='replace')}")
+        return code
     except NotFound as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
     finally:
         client.close()
-    return 0
-
-
-def _client_sim(args, hops, tamper) -> int:
-    sim, client, nodes = build_simulation(args.r_bits, args.seed or 0,
-                                          node_names=tuple(hops), echo_data=True)
-    sim.tamper = tamper
-    circuit = run_build(sim, client, hops)
-    if circuit.phase != Phase.READY:
-        print(f"failed reason={circuit.failure}")
-        return 3
-    _print_confirmations(circuit)
-    if args.action == "send":
-        run_send(sim, client, 1, args.message.encode())
-        exit_node = nodes[hops[-1]]
-        for stream_id, data in exit_node.delivered:
-            print(f"exit_delivered stream={stream_id} data={data.decode(errors='replace')}")
-        for stream_id, data in client.received:
-            print(f"response stream={stream_id} data={data.decode(errors='replace')}")
-    return 0
-
-
-def _print_confirmations(state) -> None:
-    for hop in state.hops:
-        print(f"confirmed name={hop.node_name} digest={key_digest(hop.session)[:4].hex()}")
 
 
 def cmd_sim(args) -> int:
-    sim, client, nodes = build_simulation(args.r_bits, args.seed, echo_data=True)
-    circuit = run_build(sim, client, ["B", "C", "D"])
-    if circuit.phase != Phase.READY:
-        print(f"failed reason={circuit.failure}")
+    return _run_sim(args.r_bits, args.seed, ["B", "C", "D"], args.message, show_cells=True)
+
+
+def _run_sim(r_bits: int, seed: int, hops: list[str], message: str | None,
+             tamper=None, show_cells: bool = False) -> int:
+    """Build along ``hops`` in a fresh seeded world and report it. With a
+    ``message``, send it and print the exit relay's deliveries, after the
+    cells carried if ``show_cells``, else before the client's responses."""
+    sim, client, nodes = build_simulation(r_bits, seed, node_names=tuple(hops),
+                                          echo_data=True)
+    sim.tamper = tamper
+    code = _report_build(run_build(sim, client, hops))
+    if code == 0 and message is not None:
+        run_send(sim, client, 1, message.encode())
+        if show_cells:
+            print("cells=" + ",".join(sim.transcript.commands()))
+        _print_streams("exit_delivered", nodes[hops[-1]].delivered)
+        if not show_cells:
+            _print_streams("response", client.received)
+    return code
+
+
+def _report_build(state) -> int:
+    """Print a build's failure or its hop confirmations; the exit code."""
+    if state.phase != Phase.READY:
+        print(f"failed reason={state.failure}")
         return 3
-    _print_confirmations(circuit)
-    run_send(sim, client, 1, args.message.encode())
-    print("cells=" + ",".join(sim.transcript.commands()))
-    for stream_id, data in nodes["D"].delivered:
-        print(f"exit_delivered stream={stream_id} data={data.decode(errors='replace')}")
+    for hop in state.hops:
+        print(f"confirmed name={hop.node_name} digest={key_digest(hop.session)[:4].hex()}")
     return 0
+
+
+def _print_streams(label: str, streams) -> None:
+    for stream_id, data in streams:
+        print(f"{label} stream={stream_id} data={data.decode(errors='replace')}")
 
 
 def cmd_demo_prefix_attack(args) -> int:
@@ -214,25 +209,23 @@ def cmd_demo_prefix_attack(args) -> int:
 
 
 def cmd_bench_keysizes(args) -> int:
-    width = (args.n_bits + 7) // 8
-    public_kb = 2 * width / 1000
-    private_kb = (2 * width + 32) / 1000
-    claimed_public = {1024: 0.256, 2048: 0.512}[args.n_bits]
-    claimed_private = {1024: 0.192, 2048: 0.384}[args.n_bits]
-    public_verdict = "MATCH" if public_kb == claimed_public else "DIFFER"
+    # Sizes depend only on the width of n. Private sizes use our canonical
+    # encoding; the claimed figure's derivation is unstated, so DIFFER is expected.
+    r = (1 << (args.n_bits - 3)) | 1
+    sizes = key_sizes(nikep.SystemParams(p=2, q=2, r=r, n=4 * r, phi=0))
+    claimed = {1024: (0.256, 0.192), 2048: (0.512, 0.384)}[args.n_bits]
     print(f"n_bits={args.n_bits}")
-    print(f"public_kb={public_kb:.3f} claimed={claimed_public:.3f} verdict={public_verdict}")
-    # Private sizes use our canonical encoding; the claimed figure's
-    # derivation is unstated, so DIFFER is expected and documented.
-    private_verdict = "MATCH" if private_kb == claimed_private else "DIFFER"
-    print(f"private_kb={private_kb:.3f} claimed={claimed_private:.3f} verdict={private_verdict}")
+    for kind, claimed_kb in zip(("public", "private"), claimed):
+        kb = sizes[f"{kind}_bytes"] / 1000
+        verdict = "MATCH" if kb == claimed_kb else "DIFFER"
+        print(f"{kind}_kb={kb:.3f} claimed={claimed_kb:.3f} verdict={verdict}")
     return 0
 
 
 def _dir_address(args) -> str:
     address = args.dir or os.environ.get(DEFAULT_DIR_ENV)
     if not address:
-        raise SystemExit(2)
+        raise ValueError(f"no directory address: pass --dir or set {DEFAULT_DIR_ENV}")
     return address
 
 

@@ -4,6 +4,11 @@ Clients resolve node names here and never accept a constructor supplied by
 a relay, which is what makes the published keys the trust anchor of the
 handshake. State is optionally snapshotted to a TLV file on every
 mutation so demos can restart without a database.
+
+The wire protocol is here too: ``Directory.answer`` turns a REGISTER, LOOKUP
+or LIST request into a STATUS record and the descriptors asked for, and
+``read_answer`` turns an answer into those descriptors' bytes or the status's
+error. Every decoder here fails with a subclass of ``OnionKepError``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,11 @@ import os
 from dataclasses import dataclass
 
 from . import tlv
-from .errors import DuplicateName, MalformedKeyFile, NotFound, ParamsMismatch
+from .errors import DuplicateName, MalformedKeyFile, NotFound, OnionKepError, ParamsMismatch
 from .nikep import PublicConstructor
+
+_STATUS_OK = 0
+_STATUS_ERRORS = {1: NotFound, 2: DuplicateName, 3: ParamsMismatch}  # any other error: 255
 
 
 @dataclass(frozen=True)
@@ -48,14 +56,24 @@ def decode_descriptors(data: bytes) -> list[NodeDescriptor]:
     return out
 
 
+def decode_descriptor(data: bytes) -> NodeDescriptor:
+    """Parse exactly one descriptor."""
+    descs = decode_descriptors(data)
+    if len(descs) != 1:
+        raise MalformedKeyFile(f"expected one descriptor, got {len(descs)}")
+    return descs[0]
+
+
 def _descriptor_from_fields(fields: dict[int, bytes]) -> NodeDescriptor:
     required = {tlv.TAG_NAME, tlv.TAG_ADDRESS, tlv.TAG_PUB_P, tlv.TAG_PUB_Q,
                 tlv.TAG_PARAMS_DIGEST}
     if required - fields.keys():
         raise MalformedKeyFile("descriptor record is missing fields")
+    if len(fields[tlv.TAG_NAME]) > 255:
+        raise MalformedKeyFile("node name longer than 255 bytes")
     return NodeDescriptor(
-        name=fields[tlv.TAG_NAME].decode(),
-        address=fields[tlv.TAG_ADDRESS].decode(),
+        name=tlv.decode_text(fields[tlv.TAG_NAME]),
+        address=tlv.decode_text(fields[tlv.TAG_ADDRESS]),
         public=PublicConstructor(P=int.from_bytes(fields[tlv.TAG_PUB_P], "big"),
                                  Q=int.from_bytes(fields[tlv.TAG_PUB_Q], "big")),
         params_digest=fields[tlv.TAG_PARAMS_DIGEST],
@@ -92,6 +110,26 @@ class Directory:
     def list(self) -> list[NodeDescriptor]:
         return [self._descriptors[name] for name in sorted(self._descriptors)]
 
+    def answer(self, request: bytes) -> bytes:
+        """A STATUS record answering the leading request record of ``request``,
+        then on success the descriptors asked for; never raises OnionKepError."""
+        try:
+            tag, value, _ = tlv.split_first(request)
+            if tag == tlv.TAG_DIR_REGISTER:
+                self.register(decode_descriptor(value))
+                payload = b""
+            elif tag == tlv.TAG_DIR_LOOKUP:
+                payload = encode_descriptor(self.lookup(tlv.decode_text(value)))
+            elif tag == tlv.TAG_DIR_LIST:
+                payload = b"".join(encode_descriptor(d) for d in self.list())
+            else:
+                raise NotFound(f"unknown request tag {tag:#04x}")
+        except OnionKepError as exc:
+            status = next((code for code, error in _STATUS_ERRORS.items()
+                           if isinstance(exc, error)), 255)
+            return tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
+        return tlv.encode_record(tlv.TAG_STATUS, bytes([_STATUS_OK])) + payload
+
     def _snapshot(self) -> None:
         if not self.snapshot_path:
             return
@@ -100,3 +138,15 @@ class Directory:
         with open(tmp, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, self.snapshot_path)
+
+
+def read_answer(answer: bytes) -> bytes:
+    """The descriptor bytes after the STATUS record of a successful
+    ``answer``; raises the error of a failure status."""
+    tag, value, payload = tlv.split_first(answer)
+    if tag != tlv.TAG_STATUS or len(value) != 1:
+        raise MalformedKeyFile("malformed directory answer")
+    if value[0] != _STATUS_OK:
+        error = _STATUS_ERRORS.get(value[0], OnionKepError)
+        raise error(f"directory returned status {value[0]}")
+    return payload

@@ -344,10 +344,13 @@ def key_sizes(params: SystemParams) -> dict[str, int]:
 
 def params_digest(params: SystemParams) -> bytes:
     """SHA-256 of the canonical TLV encoding of (p, q, r)."""
-    blob = (tlv.encode_int_record(tlv.TAG_P, params.p)
+    return hashlib.sha256(_params_records(params)).digest()
+
+
+def _params_records(params: SystemParams) -> bytes:
+    return (tlv.encode_int_record(tlv.TAG_P, params.p)
             + tlv.encode_int_record(tlv.TAG_Q, params.q)
             + tlv.encode_int_record(tlv.TAG_R, params.r))
-    return hashlib.sha256(blob).digest()
 
 
 # -- key files ---------------------------------------------------------------
@@ -357,9 +360,7 @@ def params_digest(params: SystemParams) -> bytes:
 # private key when present.
 
 def encode_public_file(params: SystemParams, pub: PublicConstructor) -> bytes:
-    return (tlv.encode_int_record(tlv.TAG_P, params.p)
-            + tlv.encode_int_record(tlv.TAG_Q, params.q)
-            + tlv.encode_int_record(tlv.TAG_R, params.r)
+    return (_params_records(params)
             + tlv.encode_int_record(tlv.TAG_PUB_P, pub.P)
             + tlv.encode_int_record(tlv.TAG_PUB_Q, pub.Q))
 
@@ -371,27 +372,23 @@ def encode_private_file(params: SystemParams, pair: KeyPair) -> bytes:
 
 
 def decode_public_file(data: bytes) -> tuple[SystemParams, PublicConstructor]:
-    fields = _read_fields(data, required={tlv.TAG_P, tlv.TAG_Q, tlv.TAG_R,
-                                          tlv.TAG_PUB_P, tlv.TAG_PUB_Q})
-    params = make_params(fields[tlv.TAG_P], fields[tlv.TAG_Q], fields[tlv.TAG_R])
-    return params, PublicConstructor(P=fields[tlv.TAG_PUB_P], Q=fields[tlv.TAG_PUB_Q])
+    return _decode_key_file(data)[:2]
 
 
 def decode_private_file(data: bytes) -> tuple[SystemParams, KeyPair]:
-    fields = _read_fields(data, required={tlv.TAG_P, tlv.TAG_Q, tlv.TAG_R,
-                                          tlv.TAG_PUB_P, tlv.TAG_PUB_Q,
-                                          tlv.TAG_X, tlv.TAG_K})
-    params = make_params(fields[tlv.TAG_P], fields[tlv.TAG_Q], fields[tlv.TAG_R])
+    params, stored, fields = _decode_key_file(data, tlv.TAG_X, tlv.TAG_K)
     pair = keypair_from_secrets(params, fields[tlv.TAG_X], fields[tlv.TAG_K])
-    stored = PublicConstructor(P=fields[tlv.TAG_PUB_P], Q=fields[tlv.TAG_PUB_Q])
     if stored != pair.public:
         raise MalformedKeyFile("stored constructor does not match private key")
     return params, pair
 
 
-def _read_fields(data: bytes, required: set[int]) -> dict[int, int]:
+def _decode_key_file(data: bytes, *more: int) -> tuple[SystemParams, PublicConstructor, dict]:
+    """A key file's parameters, constructor and records; those tagged ``more`` must occur."""
     fields = {tag: int.from_bytes(value, "big") for tag, value in tlv.iter_records(data)}
-    missing = required - fields.keys()
+    missing = {tlv.TAG_P, tlv.TAG_Q, tlv.TAG_R, tlv.TAG_PUB_P, tlv.TAG_PUB_Q,
+               *more} - fields.keys()
     if missing:
         raise MalformedKeyFile(f"missing records: {sorted(hex(t) for t in missing)}")
-    return fields
+    params = make_params(fields[tlv.TAG_P], fields[tlv.TAG_Q], fields[tlv.TAG_R])
+    return params, PublicConstructor(P=fields[tlv.TAG_PUB_P], Q=fields[tlv.TAG_PUB_Q]), fields

@@ -47,16 +47,29 @@ def encode_int_record(tag: int, v: int) -> bytes:
     return encode_record(tag, int_to_minimal_bytes(v))
 
 
+def split_first(data: bytes | memoryview) -> tuple[int, bytes, bytes | memoryview]:
+    """The leading record of ``data`` as (tag, value, rest of ``data``);
+    raises MalformedKeyFile if ``data`` does not start with a whole record."""
+    if len(data) < 5:
+        raise MalformedKeyFile("truncated record header")
+    tag = data[0]
+    end = 5 + int.from_bytes(data[1:5], "big")
+    if end > len(data):
+        raise MalformedKeyFile(f"truncated value for tag {tag:#04x}")
+    return tag, bytes(data[5:end]), data[end:]
+
+
 def iter_records(data: bytes) -> Iterator[tuple[int, bytes]]:
     """Yield (tag, value) pairs; raises MalformedKeyFile on truncation."""
-    pos = 0
-    while pos < len(data):
-        if pos + 5 > len(data):
-            raise MalformedKeyFile("truncated record header")
-        tag = data[pos]
-        length = int.from_bytes(data[pos + 1 : pos + 5], "big")
-        pos += 5
-        if pos + length > len(data):
-            raise MalformedKeyFile(f"truncated value for tag {tag:#04x}")
-        yield tag, data[pos : pos + length]
-        pos += length
+    rest = memoryview(data)
+    while rest:
+        tag, value, rest = split_first(rest)
+        yield tag, value
+
+
+def decode_text(value: bytes) -> str:
+    """A text value, which must be UTF-8; raises MalformedKeyFile if not."""
+    try:
+        return value.decode()
+    except UnicodeDecodeError:
+        raise MalformedKeyFile("text value is not UTF-8") from None

@@ -1,21 +1,21 @@
 """Stream transport: length-framed cells over TCP, plus socket-backed
-directory service and relay servers.
+directory service and relay servers. It only moves frames; what a cell or
+a directory message means, and what its malformed bytes raise, is decided
+by ``onioncrypt``, ``protocol`` and ``directory``.
 
 Frame layout: 4-byte big-endian length || payload, capped at FRAME_MAX.
 Both servers share one accept loop, which serves each connection on its
 own daemon thread; a serving thread ends quietly on any socket error. The
-directory handles requests sequentially per connection and concurrently
-across connections.
+directory server answers each request frame with ``Directory.answer``,
+sequentially per connection and concurrently across connections.
 
 A relay feeds cells to its state machine behind one lock, which also
 guards its link table and is held to open a link. Cells are written
 outside it, under the link's own write lock: frames on one link never
 interleave, and a write that blocks on a full socket never holds the relay
-lock, so two relays writing to each other cannot deadlock on it.
-
-The relay server is ``protocol.Relay`` and the circuit client is
-``protocol.Client``, the hosts of the simulator too; this module only
-moves their cells over sockets.
+lock, so two relays writing to each other cannot deadlock on it. The relay
+server is ``protocol.Relay`` and the circuit client ``protocol.Client``,
+the hosts of the simulator too.
 """
 
 from __future__ import annotations
@@ -28,24 +28,14 @@ import threading
 from typing import Callable
 
 from . import protocol, tlv
-from .directory import Directory, NodeDescriptor, decode_descriptors, encode_descriptor
-from .errors import (
-    DuplicateName,
-    FrameTooLarge,
-    MalformedKeyFile,
-    NotFound,
-    NotReady,
-    OnionKepError,
-    ParamsMismatch,
-)
+from .directory import (Directory, NodeDescriptor, decode_descriptor, decode_descriptors,
+                        encode_descriptor, read_answer)
+from .errors import FrameTooLarge, NotReady, OnionKepError
 from .nikep import KeyPair, SystemParams, params_digest
 from .onioncrypt import Cell, decode_cell, encode_cell
 from .protocol import CircuitState, Phase, TamperFn
 
 FRAME_MAX = 70_000
-
-_STATUS_OK = 0
-_STATUS_ERRORS = {1: NotFound, 2: DuplicateName, 3: ParamsMismatch}
 
 
 def send_frame(sock: socket.socket, data: bytes) -> None:
@@ -131,29 +121,9 @@ class DirectoryServer:
     def _serve(self, seq: int, conn: socket.socket) -> None:
         with conn, contextlib.suppress(OSError, OnionKepError):
             while (request := recv_frame(conn)) is not None:
-                send_frame(conn, self._respond(request))
-
-    def _respond(self, request: bytes) -> bytes:
-        try:
-            tag, value = next(iter(tlv.iter_records(request)))
-            with self._lock:
-                if tag == tlv.TAG_DIR_REGISTER:
-                    descs = decode_descriptors(value)
-                    if len(descs) != 1:
-                        raise MalformedKeyFile("REGISTER must carry one descriptor")
-                    self.directory.register(descs[0])
-                    payload = b""
-                elif tag == tlv.TAG_DIR_LOOKUP:
-                    payload = encode_descriptor(self.directory.lookup(value.decode()))
-                elif tag == tlv.TAG_DIR_LIST:
-                    payload = b"".join(encode_descriptor(d) for d in self.directory.list())
-                else:
-                    raise NotFound(f"unknown request tag {tag:#04x}")
-        except (OnionKepError, StopIteration, UnicodeDecodeError) as exc:
-            status = next((code for code, error in _STATUS_ERRORS.items()
-                           if isinstance(exc, error)), 255)
-            return tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
-        return tlv.encode_record(tlv.TAG_STATUS, bytes([_STATUS_OK])) + payload
+                with self._lock:
+                    answer = self.directory.answer(request)
+                send_frame(conn, answer)
 
 
 class DirectoryClient:
@@ -161,31 +131,21 @@ class DirectoryClient:
         self.address = address
 
     def register(self, desc: NodeDescriptor) -> None:
-        self._request(tlv.encode_record(tlv.TAG_DIR_REGISTER, encode_descriptor(desc)))
+        self._request(tlv.TAG_DIR_REGISTER, encode_descriptor(desc))
 
     def lookup(self, name: str) -> NodeDescriptor:
-        payload = self._request(tlv.encode_record(tlv.TAG_DIR_LOOKUP, name.encode()))
-        return decode_descriptors(payload)[0]
+        return decode_descriptor(self._request(tlv.TAG_DIR_LOOKUP, name.encode()))
 
     def list(self) -> list[NodeDescriptor]:
-        payload = self._request(tlv.encode_record(tlv.TAG_DIR_LIST, b""))
-        return decode_descriptors(payload) if payload else []
+        return decode_descriptors(self._request(tlv.TAG_DIR_LIST, b""))
 
-    def _request(self, request: bytes) -> bytes:
+    def _request(self, tag: int, value: bytes) -> bytes:
         with socket.create_connection(parse_address(self.address), timeout=10) as sock:
-            send_frame(sock, request)
-            response = recv_frame(sock)
-        if response is None:
+            send_frame(sock, tlv.encode_record(tag, value))
+            answer = recv_frame(sock)
+        if answer is None:
             raise ConnectionError("directory closed the connection")
-        tag, value = next(iter(tlv.iter_records(response)))
-        if tag != tlv.TAG_STATUS:
-            raise OnionKepError("malformed directory response")
-        status = value[0]
-        if status != _STATUS_OK:
-            exc = _STATUS_ERRORS.get(status, OnionKepError)
-            raise exc(f"directory returned status {status}")
-        header_len = 5 + len(value)
-        return response[header_len:]
+        return read_answer(answer)
 
 
 # -- relay server ------------------------------------------------------------

@@ -1,8 +1,11 @@
+import contextlib
 import random
+import socket
+import threading
 
 import pytest
 
-from onionkep import Cell, CellCommand, gen_params, keypair_from_secrets, make_params
+from onionkep import Cell, CellCommand, gen_params, keypair_from_secrets, make_params, tlv
 from onionkep.onioncrypt import (
     RelayFrame,
     RelaySubcommand,
@@ -10,6 +13,20 @@ from onionkep.onioncrypt import (
     encode_relay_frame,
     onion_wrap,
 )
+from onionkep.transport import recv_frame, send_frame
+
+# Directory answers that no well-formed request may get back, by name.
+MALFORMED_ANSWERS = {
+    "empty-frame": b"",
+    "empty-status": tlv.encode_record(tlv.TAG_STATUS, b""),
+    "ok-without-descriptor": tlv.encode_record(tlv.TAG_STATUS, b"\x00"),
+    "non-utf8-name": (tlv.encode_record(tlv.TAG_STATUS, b"\x00")
+                      + tlv.encode_record(tlv.TAG_NAME, b"\xff")
+                      + tlv.encode_record(tlv.TAG_ADDRESS, b"127.0.0.1:1")
+                      + tlv.encode_int_record(tlv.TAG_PUB_P, 5)
+                      + tlv.encode_int_record(tlv.TAG_PUB_Q, 7)
+                      + tlv.encode_record(tlv.TAG_PARAMS_DIGEST, bytes(32))),
+}
 
 
 class ScriptedRng:
@@ -35,6 +52,32 @@ def raw_extend_cell(state, name: bytes) -> Cell:
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
     keys = [hop.session for hop in state.hops if hop.confirmed]
     return Cell(state.circ_id, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
+
+
+@contextlib.contextmanager
+def fake_directory(answer):
+    """A directory on 127.0.0.1 that answers each request frame with the
+    frame ``answer(request)``; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve(conn):
+        with conn, contextlib.suppress(OSError):
+            while (request := recv_frame(conn)) is not None:
+                send_frame(conn, answer(request))
+
+    def accept():
+        with contextlib.suppress(OSError):
+            while True:
+                threading.Thread(target=serve, args=(listener.accept()[0],),
+                                 daemon=True).start()
+
+    threading.Thread(target=accept, daemon=True).start()
+    try:
+        yield "%s:%d" % listener.getsockname()[:2]
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
 
 
 def session_keys(relay) -> list[int]:

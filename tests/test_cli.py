@@ -5,11 +5,12 @@ import re
 
 import pytest
 
-from onionkep import decode_cell, gen_keypair, gen_params, params_digest
+from onionkep import decode_cell, gen_keypair, gen_params, params_digest, tlv
 from onionkep.cli import main
 from onionkep.directory import Directory
 from onionkep.nikep import decode_private_file, decode_public_file, encode_public_file
 from onionkep.transport import DirectoryClient, DirectoryServer, NodeServer
+from conftest import MALFORMED_ANSWERS, fake_directory
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +159,51 @@ class TestClientTcp:
             dir_server.stop()
         assert code == 3
         assert "failed reason=CircuitIntegrityFailure" in out
+
+
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS)
+    def test_malformed_directory_answer_exits_3(self, tmp_path, capsys, answer):
+        stem = str(tmp_path / "params")
+        run_cli(capsys, "keygen", "--r-bits", "16", "--seed", "2", "--out", stem)
+        with fake_directory(lambda request: answer) as address:
+            code, out, err = run_cli(capsys, "client", "build", "--hops", "B,C,D",
+                                     "--dir", address, "--params", stem + ".pub")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error=")
+
+    def test_missing_directory_address_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ONIONKEP_DIR", raising=False)
+        code, out, err = run_cli(capsys, "client", "build", "--hops", "B",
+                                 "--params", str(tmp_path / "unread.pub"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error=") and "--dir" in err and "ONIONKEP_DIR" in err
+
+
+class TestDirectorySnapshot:
+    @pytest.mark.parametrize("name, cut", [(b"B", 1), (b"\xff", 0)],
+                             ids=["truncated", "non-utf8-name"])
+    def test_malformed_snapshot_exits_3(self, tmp_path, capsys, monkeypatch, name, cut):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("onionkep.cli.time.sleep", interrupt)
+        stem = str(tmp_path / "params")
+        run_cli(capsys, "keygen", "--r-bits", "16", "--seed", "2", "--out", stem)
+        with open(stem + ".pub", "rb") as fh:
+            params, pub = decode_public_file(fh.read())
+        blob = (tlv.encode_record(tlv.TAG_NAME, name)
+                + tlv.encode_record(tlv.TAG_ADDRESS, b"127.0.0.1:1")
+                + tlv.encode_int_record(tlv.TAG_PUB_P, pub.P)
+                + tlv.encode_int_record(tlv.TAG_PUB_Q, pub.Q)
+                + tlv.encode_record(tlv.TAG_PARAMS_DIGEST, params_digest(params)))
+        snapshot = tmp_path / "dir.tlv"
+        snapshot.write_bytes(blob[:len(blob) - cut])
+        code, out, err = run_cli(capsys, "directory", "--params", stem + ".pub",
+                                 "--snapshot", str(snapshot))
+        assert (code, out) == (3, "")
+        assert err.startswith("error=")
 
 
 class TestSim:

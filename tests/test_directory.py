@@ -1,15 +1,26 @@
-"""Directory registry: registration rules, lookup, snapshot persistence."""
+"""Directory registry: registration rules, lookup, snapshot persistence,
+and its wire protocol: requests, answers and the TLV record reader."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onionkep import keypair_from_secrets, params_digest
+from onionkep import keypair_from_secrets, make_params, params_digest, tlv
 from onionkep.directory import (
     Directory,
     NodeDescriptor,
+    decode_descriptor,
     decode_descriptors,
     encode_descriptor,
+    read_answer,
 )
-from onionkep.errors import DuplicateName, MalformedKeyFile, NotFound, ParamsMismatch
+from onionkep.errors import (
+    DuplicateName,
+    MalformedKeyFile,
+    NotFound,
+    OnionKepError,
+    ParamsMismatch,
+)
 
 
 @pytest.fixture
@@ -98,3 +109,177 @@ class TestSnapshot:
         path = tmp_path / "dir.tlv"
         Directory(digest, snapshot_path=str(path))
         assert not path.exists()
+
+
+class TestRecordReader:
+    def test_split_first(self):
+        data = tlv.encode_record(0x20, b"ab") + b"rest"
+        assert tlv.split_first(data) == (0x20, b"ab", b"rest")
+
+    @pytest.mark.parametrize("data", [b"", b"\x20\x00\x00\x00", b"\x20\x00\x00\x00\x02a"])
+    def test_split_first_needs_a_whole_record(self, data):
+        with pytest.raises(MalformedKeyFile):
+            tlv.split_first(data)
+
+    def test_records_are_read_without_copying_the_rest(self, monkeypatch):
+        # Each record read slices a memoryview of the input, so reading n
+        # records costs O(n) and not the O(n^2) of slicing bytes.
+        data = tlv.encode_record(0x20, b"ab") * 3
+        _, value, rest = tlv.split_first(memoryview(data))
+        assert type(value) is bytes
+        assert isinstance(rest, memoryview) and rest.obj is data
+        read = []
+        split_first = tlv.split_first
+        monkeypatch.setattr(tlv, "split_first", lambda rest: read.append(rest) or split_first(rest))
+        assert list(tlv.iter_records(data)) == [(0x20, b"ab")] * 3
+        assert len(read) == 3 and all(rest.obj is data for rest in read)
+
+    def test_text_must_be_utf8(self):
+        assert tlv.decode_text("é".encode()) == "é"
+        with pytest.raises(MalformedKeyFile):
+            tlv.decode_text(b"\xff")
+
+
+class TestWireProtocol:
+    def _directory(self, digest, desc_b):
+        directory = Directory(digest)
+        directory.register(desc_b)
+        return directory
+
+    def test_answers_round_trip(self, digest, desc_b):
+        directory = self._directory(digest, desc_b)
+        lookup = directory.answer(tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
+        assert decode_descriptor(read_answer(lookup)) == desc_b
+        listing = directory.answer(tlv.encode_record(tlv.TAG_DIR_LIST, b""))
+        assert decode_descriptors(read_answer(listing)) == [desc_b]
+        register = directory.answer(tlv.encode_record(tlv.TAG_DIR_REGISTER,
+                                                      encode_descriptor(desc_b)))
+        assert read_answer(register) == b""
+
+    @pytest.mark.parametrize("request_, status, error", [
+        (tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"ghost"), 1, NotFound),
+        (tlv.encode_record(0x55, b""), 1, NotFound),
+        (b"", 255, OnionKepError),
+        (tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"\xff"), 255, OnionKepError),
+    ])
+    def test_failures_are_statuses(self, digest, desc_b, request_, status, error):
+        answer = self._directory(digest, desc_b).answer(request_)
+        assert answer == tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
+        with pytest.raises(error) as raised:
+            read_answer(answer)
+        assert f"status {status}" in str(raised.value)
+
+    def test_register_statuses(self, toy_alice, digest, desc_b):
+        directory = self._directory(digest, desc_b)
+        impostor = NodeDescriptor(name="B", address="a", public=toy_alice.public,
+                                  params_digest=digest)
+        foreign = NodeDescriptor(name="C", address="a", public=toy_alice.public,
+                                 params_digest=bytes(32))
+        for desc, status in ((impostor, 2), (foreign, 3)):
+            request = tlv.encode_record(tlv.TAG_DIR_REGISTER, encode_descriptor(desc))
+            assert directory.answer(request) == tlv.encode_record(tlv.TAG_STATUS,
+                                                                  bytes([status]))
+
+    def test_one_descriptor_decoder(self, desc_b):
+        blob = encode_descriptor(desc_b)
+        assert decode_descriptor(blob) == desc_b
+        for count in (0, 2):
+            with pytest.raises(MalformedKeyFile):
+                decode_descriptor(blob * count)
+
+    def test_name_longer_than_255_bytes_is_refused(self, digest, desc_b):
+        # It could be registered, but not encoded again: every later LIST
+        # would fail. The decoder refuses it as the encoder does.
+        blob = encode_descriptor(desc_b).replace(
+            tlv.encode_record(tlv.TAG_NAME, b"B"), tlv.encode_record(tlv.TAG_NAME, b"x" * 256))
+        with pytest.raises(MalformedKeyFile):
+            decode_descriptors(blob)
+        directory = Directory(digest)
+        answer = directory.answer(tlv.encode_record(tlv.TAG_DIR_REGISTER, blob))
+        assert answer == tlv.encode_record(tlv.TAG_STATUS, bytes([255]))
+        assert directory.list() == []
+
+    @pytest.mark.parametrize("answer", [
+        b"",
+        tlv.encode_record(tlv.TAG_STATUS, b""),
+        tlv.encode_record(tlv.TAG_STATUS, b"\x00\x00"),
+        tlv.encode_record(tlv.TAG_NAME, b"\x00"),
+    ])
+    def test_malformed_answers(self, answer):
+        with pytest.raises(MalformedKeyFile):
+            read_answer(answer)
+
+
+# -- generated wire bytes ----------------------------------------------------
+
+TOY_PARAMS = make_params(2, 2, 11)
+TOY_DIGEST = params_digest(TOY_PARAMS)
+NAMES = st.sampled_from([b"B", b"C", "é".encode(), b"\xff", b"x" * 255, b"x" * 256])
+
+
+def descriptor_bytes(name, address, p, q, digest):
+    return (tlv.encode_record(tlv.TAG_NAME, name) + tlv.encode_record(tlv.TAG_ADDRESS, address)
+            + tlv.encode_int_record(tlv.TAG_PUB_P, p) + tlv.encode_int_record(tlv.TAG_PUB_Q, q)
+            + tlv.encode_record(tlv.TAG_PARAMS_DIGEST, digest))
+
+
+# Descriptors under the toy parameters, and ones with any field malformed.
+TOY_DESCRIPTORS = st.builds(descriptor_bytes, NAMES, st.just(b"127.0.0.1:1"),
+                            st.integers(0, 3), st.integers(0, 3), st.just(TOY_DIGEST))
+DESCRIPTORS = TOY_DESCRIPTORS | st.builds(
+    descriptor_bytes, NAMES | st.binary(max_size=4), st.binary(max_size=8),
+    st.integers(0, 100), st.integers(0, 100),
+    st.sampled_from([TOY_DIGEST, bytes(32)]) | st.binary(max_size=33))
+RECORDS = st.builds(
+    tlv.encode_record,
+    st.sampled_from([tlv.TAG_NAME, tlv.TAG_ADDRESS, tlv.TAG_PUB_P, tlv.TAG_PUB_Q,
+                     tlv.TAG_PARAMS_DIGEST, tlv.TAG_STATUS]) | st.integers(0, 255),
+    st.binary(max_size=12))
+# Whole records and descriptors, or random bytes, cut short by up to 8 bytes.
+WIRE = st.tuples(
+    st.binary(max_size=64) | st.lists(RECORDS | DESCRIPTORS, max_size=6).map(b"".join),
+    st.integers(0, 8)).map(lambda cut: cut[0][:max(0, len(cut[0]) - cut[1])])
+REQUESTS = st.one_of(
+    WIRE,
+    st.builds(tlv.encode_record,
+              st.sampled_from([tlv.TAG_DIR_REGISTER, tlv.TAG_DIR_LOOKUP, tlv.TAG_DIR_LIST]),
+              WIRE | DESCRIPTORS | NAMES),
+    st.builds(tlv.encode_record, st.just(tlv.TAG_DIR_REGISTER), TOY_DESCRIPTORS),
+    st.builds(tlv.encode_record, st.just(tlv.TAG_DIR_LOOKUP), NAMES),
+    st.just(tlv.encode_record(tlv.TAG_DIR_LIST, b"")))
+
+
+class TestMalformedWireBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(REQUESTS, min_size=1, max_size=6))
+    def test_answer_is_exactly_one_status_record(self, requests):
+        directory = Directory(TOY_DIGEST)
+        for request in requests:
+            answer = directory.answer(request)
+            tag, status, rest = tlv.split_first(answer)
+            assert tag == tlv.TAG_STATUS and status in (b"\0", b"\1", b"\2", b"\3", b"\xff")
+            assert all(tag != tlv.TAG_STATUS for tag, _ in tlv.iter_records(rest))
+            if status != b"\0":
+                assert rest == b""
+                with pytest.raises(OnionKepError):
+                    read_answer(answer)
+            else:
+                assert read_answer(answer) == rest
+                decode_descriptors(rest)
+
+    @settings(max_examples=400, deadline=None)
+    @given(WIRE | st.builds(lambda status, rest: tlv.encode_record(tlv.TAG_STATUS, status) + rest,
+                            st.binary(max_size=2), WIRE))
+    def test_read_answer_raises_only_onionkep_errors(self, answer):
+        try:
+            read_answer(answer)
+        except OnionKepError:
+            pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(WIRE)
+    def test_decode_descriptors_raises_only_onionkep_errors(self, data):
+        try:
+            decode_descriptors(data)
+        except OnionKepError:
+            pass

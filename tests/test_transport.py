@@ -21,7 +21,14 @@ from onionkep import (
 )
 from onionkep import nikep, tlv
 from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
-from onionkep.errors import DuplicateName, FrameTooLarge, NotFound, NotReady, ParamsMismatch
+from onionkep.errors import (
+    DuplicateName,
+    FrameTooLarge,
+    MalformedKeyFile,
+    NotFound,
+    NotReady,
+    ParamsMismatch,
+)
 from onionkep.protocol import Phase
 from onionkep.simnet import build_simulation, run_build, run_send
 from onionkep.transport import (
@@ -33,7 +40,13 @@ from onionkep.transport import (
     recv_frame,
     send_frame,
 )
-from conftest import built_tables, raw_extend_cell, session_keys
+from conftest import (
+    MALFORMED_ANSWERS,
+    built_tables,
+    fake_directory,
+    raw_extend_cell,
+    session_keys,
+)
 
 
 def socket_pair():
@@ -158,6 +171,12 @@ class TestDirectoryOverTcp:
             send_frame(sock, tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
             assert recv_frame(sock) == (tlv.encode_record(tlv.TAG_STATUS, bytes([0]))
                                         + encode_descriptor(desc))
+
+    @pytest.mark.parametrize("answer", MALFORMED_ANSWERS.values(), ids=MALFORMED_ANSWERS)
+    def test_malformed_lookup_answer_raises_malformed_key_file(self, answer):
+        with fake_directory(lambda request: answer) as address:
+            with pytest.raises(MalformedKeyFile):
+                DirectoryClient(address).lookup("B")
 
     def test_concurrent_clients(self, toy_world, dir_server):
         params, digest = toy_world
@@ -498,6 +517,45 @@ class TestLinkFailures:
             bystander.close()
             client.close()
 
+    def test_malformed_lookup_answer_keeps_the_reader(self):
+        # B resolves the EXTEND's "Z" through a directory that answers that
+        # lookup with an empty frame and forwards every other request to a
+        # real one. B must forget the circuit that wanted Z and keep reading
+        # the client's link.
+        rng = random.Random(7)
+        params = gen_params(16, rng)
+        dir_server = DirectoryServer(Directory(params_digest(params))).start()
+        lookup_z = tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"Z")
+
+        def forward(request):
+            if request == lookup_z:
+                return b""
+            with socket.create_connection(parse_address(dir_server.address)) as sock:
+                send_frame(sock, request)
+                return recv_frame(sock)
+
+        with fake_directory(forward) as address:
+            b = NodeServer("B", params, gen_keypair(params, rng), DirectoryClient(address))
+            client = StreamCircuitClient(params, DirectoryClient(address), rng)
+            try:
+                b.start()
+                assert client.build(["B"], timeout=2.0).phase == Phase.READY
+                send_frame(client._sock, encode_cell(raw_extend_cell(client.state, b"Z")))
+                deadline = time.monotonic() + 5.0
+                while b.state.entries and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not b.state.entries
+                # A fresh one-hop circuit on the same link.
+                sends = [client.start_build(2, ["B"])]
+                while client.state.phase not in (Phase.READY, Phase.FAILED):
+                    client._send(sends)
+                    sends = client.handle("B", client._recv())
+                assert client.state.phase == Phase.READY
+            finally:
+                client.close()
+                b.stop()
+                dir_server.stop()
+
     def test_extend_cannot_name_an_inbound_link(self, live_network):
         # Two one-hop clients on B. The second asks B to extend to "conn1":
         # an EXTEND name resolves only through the directory, never to one
@@ -544,3 +602,23 @@ class TestLinkFailures:
             assert [len(node.state.entries) for node in nodes] == [1, 1, 1]
         finally:
             client.close()
+
+
+class TestLinkModel:
+    def test_circuit_ids_reused_in_both_directions_of_a_link(self, live_network):
+        # X runs C->B and Y runs B->C, both with circuit id 1. A relay sends
+        # CREATE only on links it opened, and an inbound link is keyed by its
+        # accept number, so B's link toward C (which carries Y) is not C's
+        # link toward B (which carries X): the ids cannot collide.
+        params, dir_client, nodes, rng = live_network
+        x = StreamCircuitClient(params, dir_client, rng)
+        y = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert x.build(["C", "B"], circ_id=1, timeout=2.0).phase == Phase.READY
+            assert y.build(["B", "C"], circ_id=1, timeout=2.0).phase == Phase.READY
+            assert x.send_data(1, b"to B") == b"to B"
+            assert y.send_data(1, b"to C") == b"to C"
+            assert [len(node.state.entries) for node in nodes] == [2, 2, 0]
+        finally:
+            x.close()
+            y.close()
