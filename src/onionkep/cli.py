@@ -45,7 +45,9 @@ def _rng(seed: int | None) -> random.Random:
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
-def _load_params(path: str) -> nikep.SystemParams:
+def _load_params(path: str | None) -> nikep.SystemParams:
+    if path is None:
+        raise ValueError("no parameters: pass --params")
     with open(path, "rb") as fh:
         return nikep.decode_public_file(fh.read())[0]
 
@@ -142,7 +144,7 @@ def _run_sim(r_bits: int, seed: int, hops: list[str], message: str | None,
     """Build along ``hops`` in a fresh seeded world and report it. With a
     ``message``, send it and print the exit relay's deliveries, after the
     cells carried if ``show_cells``, else before the client's responses."""
-    sim, client, nodes = build_simulation(r_bits, seed, node_names=tuple(hops),
+    sim, client, nodes = build_simulation(r_bits, seed, node_names=dict.fromkeys(hops),
                                           echo_data=True)
     sim.tamper = tamper
     code = _report_build(run_build(sim, client, hops))

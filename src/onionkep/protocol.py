@@ -18,6 +18,10 @@ two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
 (prev_link, circ_id), and ``nexts`` by the next hop's side,
 (next_link, next_circ_id), pointing back at the ``entries`` key. Both maps
 are copied on write, so a transition never changes the state it was given.
+A link may carry ids drawn by both of its ends, so their keys are kept
+apart: an EXTEND skips any id its link already has in ``entries``, and a
+CREATE on a key of ``nexts`` is refused with DESTROY. A runtime that cannot
+open a link feeds the relay DESTROY from it, as if the next hop refused.
 
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
@@ -340,6 +344,8 @@ def _node_handle_create(state: NodeState, from_link: str,
     existing = state.entries.get((from_link, cell.circ_id))
     if existing is not None:
         return _teardown(state, existing, "duplicate CREATE")
+    if (from_link, cell.circ_id) in state.nexts:
+        return _refuse(state, from_link, cell.circ_id, "circuit id in use")
     width = state.params.residue_width
     try:
         v, eph_p, eph_q = parse_create_payload(cell.payload, width)
@@ -377,8 +383,10 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
         except OnionKepError:
             return _teardown(state, entry, "malformed EXTEND data")
         next_circ = state.circ_seq
+        while (name, next_circ) in state.entries:  # an id the link's other end drew
+            next_circ += 1
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
-        new_state = replace(state, circ_seq=state.circ_seq + 1,
+        new_state = replace(state, circ_seq=next_circ + 1,
                             entries={**state.entries, entry.key: updated},
                             nexts={**state.nexts, (name, next_circ): entry.key})
         return new_state, [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))]

@@ -4,10 +4,11 @@ Single-threaded event loop: one (src, dst, cell) event is popped at a time
 in FIFO order, handed to the destination host, and the SendCell actions it
 returns are enqueued. The hosts are ``protocol.Relay`` (as ``SimNode``) and
 ``protocol.Client`` (as ``SimClient``), the hosts of the TCP runtime too,
-so this module only moves cells. A cell for a host the net does not have
-is not delivered and its sender loses that link, as a relay whose connect
-fails over TCP does. Time is a step counter; equal seeds and scripts
-produce byte-identical transcripts.
+so this module only moves cells. A CREATE for a host that is not a relay
+is not delivered: its sender is fed DESTROY from that host, as over TCP a
+relay whose open fails is. Any other cell for a host the net does not have
+costs its sender that link, as a departed client does. Time is a step
+counter; equal seeds and scripts produce byte-identical transcripts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .directory import Directory, NodeDescriptor
 from .errors import StepBudgetExceeded
 from . import protocol
 from .nikep import gen_keypair, gen_params, params_digest
-from .onioncrypt import Cell, encode_cell
+from .onioncrypt import Cell, CellCommand, encode_cell
 from .protocol import DEFAULT_CONFIG, CircuitState, ProtocolConfig, TamperFn
 
 
@@ -70,6 +71,11 @@ class SimNet:
             self.step += 1
             if self.step > self.step_budget:
                 raise StepBudgetExceeded(f"exceeded {self.step_budget} steps")
+            if cell.command == CellCommand.CREATE and not isinstance(
+                    self.hosts.get(dst), protocol.Relay):
+                for send in self.hosts[src].handle(dst, Cell(cell.circ_id, CellCommand.DESTROY)):
+                    self.post(src, send.link, send.cell)
+                continue
             if dst not in self.hosts:
                 self.hosts[src].drop_link(dst)
                 continue

@@ -32,7 +32,7 @@ from .directory import (Directory, NodeDescriptor, decode_descriptor, decode_des
                         encode_descriptor, read_answer)
 from .errors import FrameTooLarge, NotReady, OnionKepError
 from .nikep import KeyPair, SystemParams, params_digest
-from .onioncrypt import Cell, decode_cell, encode_cell
+from .onioncrypt import Cell, CellCommand, decode_cell, encode_cell
 from .protocol import CircuitState, Phase, TamperFn
 
 FRAME_MAX = 70_000
@@ -163,10 +163,11 @@ class NodeServer(protocol.Relay):
     the link table, and is held to open a link (lookup, connect, store,
     start its reader), so concurrent sends toward one relay open one
     connection. Cells are written outside it, under the link's write lock.
-    A link dies only for its own socket (EOF, a read, decode or write
-    error, a failed open) and forgets every circuit riding on it here only:
-    no DESTROY goes to the circuit's other neighbour, so relays further
-    along keep it.
+    A failed open (lookup, address or connect) feeds the relay DESTROY from
+    that link, which fails the circuit back toward its client. A link dies
+    only for its own socket (EOF, a read, decode or write error) and forgets
+    every circuit riding on it here only: no DESTROY goes to the circuit's
+    other neighbour, so relays further along keep it.
     """
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
@@ -208,20 +209,23 @@ class NodeServer(protocol.Relay):
         self._drop_link(link, sock)
 
     def _send(self, link: int | str, cell: Cell) -> None:
+        refused: list[protocol.SendCell] = []
         with self._lock:
-            if link not in self._links:
-                if isinstance(link, int):  # a lost inbound link
-                    return
+            if link not in self._links and isinstance(link, str):  # a lost inbound link stays lost
                 try:
                     desc = self.dir_client.lookup(link)
                     sock = socket.create_connection(parse_address(desc.address), timeout=10)
                     sock.setblocking(True)
-                except (OSError, OnionKepError):
-                    self.drop_link(link)
-                    return
-                self._links[link] = (sock, threading.Lock())
-                _spawn(self._reader, link, sock)
-            sock, write_lock = self._links[link]
+                except (OSError, ValueError, OnionKepError):  # as if the next hop refused
+                    refused = self.handle(link, Cell(cell.circ_id, CellCommand.DESTROY))
+                else:
+                    self._links[link] = (sock, threading.Lock())
+                    _spawn(self._reader, link, sock)
+            sock, write_lock = self._links.get(link, (None, None))
+        for send in refused:
+            self._send(send.link, send.cell)
+        if sock is None:
+            return
         try:
             with write_lock:
                 send_frame(sock, encode_cell(cell))

@@ -4,6 +4,7 @@ import socket
 import threading
 
 import pytest
+from hypothesis import settings
 
 from onionkep import Cell, CellCommand, gen_params, keypair_from_secrets, make_params, tlv
 from onionkep.onioncrypt import (
@@ -14,6 +15,11 @@ from onionkep.onioncrypt import (
     onion_wrap,
 )
 from onionkep.transport import recv_frame, send_frame
+
+# Ten times the examples of Hypothesis's default profile, for tests that
+# take their count from the loaded profile, such as the simulator's link
+# model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
+settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.
 MALFORMED_ANSWERS = {

@@ -132,6 +132,13 @@ class TestClientSim:
         assert code == 3
         assert "failed reason=CircuitIntegrityFailure" in out
 
+    def test_repeated_hops_echo(self, capsys):
+        code, out, _ = run_cli(capsys, "client", "send", "hi", "--sim",
+                               "--hops", "B,C,B", "--seed", "1")
+        assert code == 0
+        assert [l.split()[1] for l in out.splitlines()[:3]] == ["name=B", "name=C", "name=B"]
+        assert "response stream=1 data=hi" in out
+
     def test_seeded_output_deterministic(self, capsys):
         outs = [run_cli(capsys, "client", "send", "msg", "--sim",
                         "--hops", "B,C,D", "--seed", "12")[1] for _ in range(2)]
@@ -171,6 +178,14 @@ class TestClientTcp:
         assert code == 3
         assert out == ""
         assert err.startswith("error=")
+
+    @pytest.mark.parametrize("action", ["build", "send"])
+    def test_missing_params_exits_2(self, capsys, action):
+        code, out, err = run_cli(capsys, "client", action, "--hops", "B",
+                                 "--dir", "127.0.0.1:1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error=") and "--params" in err
 
     def test_missing_directory_address_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("ONIONKEP_DIR", raising=False)

@@ -281,6 +281,49 @@ class TestDropLink:
         assert node_drop_link(state, "D") == state
 
 
+class TestCircuitIds:
+    # A link may carry circuit ids drawn by both of its ends, so a relay
+    # keeps its entries and nexts keys apart on its own.
+    def _extend_to_c(self, toy_params, toy_bob, bob_node, from_c):
+        """B holding one circuit from C per id in ``from_c``, then asked by
+        A's circuit 9 to extend to C: B's new state and its actions."""
+        state = bob_node
+        for circ_id in from_c:
+            state, _ = node_handle_cell(
+                state, "C", Cell(circ_id, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        state, [created] = node_handle_cell(
+            state, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        client, _ = client_create(toy_params, 9, "B", toy_bob.public, ScriptedRng([3, 13]))
+        client, _ = client_handle_cell(client, created.cell)
+        charlie = keypair_from_secrets(toy_params, 7, 17)
+        _, relay = client_extend(client, "C", charlie.public, ScriptedRng([4, 19]))
+        return node_handle_cell(state, "A", relay.cell)
+
+    @pytest.mark.parametrize("from_c, next_id", [((), 1), ((2,), 1), ((1,), 2), ((1, 2), 3)],
+                             ids=["none", "other-id", "same-id", "two-ids"])
+    def test_extend_skips_ids_the_link_already_carries(self, toy_params, toy_bob, bob_node,
+                                                       from_c, next_id):
+        state, [send] = self._extend_to_c(toy_params, toy_bob, bob_node, from_c)
+        assert (send.link, send.cell.circ_id, send.cell.command) == ("C", next_id,
+                                                                    CellCommand.CREATE)
+        assert state.circ_seq == next_id + 1
+        assert not state.entries.keys() & state.nexts.keys()
+
+    def test_create_on_an_id_drawn_for_that_link_is_refused(self, toy_params, toy_bob,
+                                                            bob_node):
+        state, [send] = self._extend_to_c(toy_params, toy_bob, bob_node, ())
+        assert node_handle_cell(state, "C", send.cell) == (
+            state, [TearDown(1, "circuit id in use"), SendCell("C", Cell(1, CellCommand.DESTROY))])
+
+    def test_destroy_for_a_pending_extension_fails_the_circuit_back(self, toy_params, toy_bob,
+                                                                   bob_node):
+        # What both runtimes feed the relay when they cannot open the link.
+        state, _ = self._extend_to_c(toy_params, toy_bob, bob_node, ())
+        state, actions = node_handle_cell(state, "C", Cell(1, CellCommand.DESTROY))
+        assert actions == [TearDown(9, "destroyed by peer"), SendCell("A", Cell(9, CellCommand.DESTROY))]
+        assert state.entries == {} and state.nexts == {}
+
+
 class TestRelayHost:
     def test_delivers_echoes_and_drops(self, toy_params, toy_bob):
         relay = Relay("B", toy_params, toy_bob, echo_data=True)

@@ -3,10 +3,13 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
-from onionkep import decode_cell
+from onionkep import Cell, CellCommand, decode_cell
 from onionkep.errors import StepBudgetExceeded
-from onionkep.protocol import Phase, client_create, client_extend
+from onionkep.protocol import Phase, client_create, client_extend, client_send_data
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
 from conftest import built_tables, on_link, raw_extend_cell, serialize, session_keys
 
@@ -149,9 +152,10 @@ class TestTeardown:
 
 class TestUnknownHost:
     def test_relay_loses_only_the_link_it_could_not_open(self):
-        # A client extends toward "Z", which the net does not have: B loses
-        # its link to Z and forgets that circuit, as a failed connect does
-        # over TCP; a bystander circuit through B still echoes.
+        # A client extends toward "Z", which the net does not have: B cannot
+        # open that link, so it hears DESTROY as if Z had refused, as after a
+        # failed connect over TCP, and fails that one circuit back to A; a
+        # bystander circuit through B still echoes.
         sim, client, nodes = build_simulation(16, 7, echo_data=True)
         bystander = SimClient("U", client.params, client.directory, client.rng)
         sim.add_host(bystander.name, bystander)
@@ -165,6 +169,129 @@ class TestUnknownHost:
         assert [e.prev_link for e in nodes["B"].state.entries.values()] == ["U"]
         run_send(sim, bystander, 1, b"still here")
         assert bystander.received == [(1, b"still here")]
+
+
+class TestLinkModel:
+    # One link carries circuit ids drawn by both of its ends, and a relay
+    # may appear on a path more than once or be asked to extend anywhere.
+    def test_circuit_ids_reused_in_both_directions_of_a_link(self):
+        # X runs C->B and Y runs B->C, both with circuit id 1: C draws id 1
+        # toward B for X, so B must draw another toward C for Y.
+        sim, x, _ = build_simulation(64, 0, echo_data=True)
+        y = SimClient("Y", x.params, x.directory, x.rng)
+        sim.add_host(y.name, y)
+        assert run_build(sim, x, ["C", "B"], circ_id=1).phase == Phase.READY
+        assert run_build(sim, y, ["B", "C"], circ_id=1).phase == Phase.READY
+        run_send(sim, x, 1, b"to B")
+        run_send(sim, y, 1, b"to C")
+        assert (x.received, y.received) == ([(1, b"to B")], [(1, b"to C")])
+
+    def test_path_through_one_relay_twice(self):
+        sim, client, nodes = build_simulation(16, 7, node_names=("B", "C"), echo_data=True)
+        assert run_build(sim, client, ["B", "C", "B"]).phase == Phase.READY
+        run_send(sim, client, 1, b"twice")
+        assert client.received == [(1, b"twice")]
+        assert [len(node.state.entries) for node in nodes.values()] == [2, 1]
+
+    def test_relay_extending_to_itself_is_destroyed(self):
+        # B's CREATE to itself arrives on the id B drew for that link.
+        sim, client, nodes = build_simulation(16, 7)
+        assert run_build(sim, client, ["B", "B"]).failure == "destroyed by relay"
+        assert (nodes["B"].state.entries, nodes["B"].state.nexts) == ({}, {})
+
+    @pytest.mark.parametrize("name", ["A", "U"])
+    def test_extend_naming_a_client_host_fails_that_circuit(self, name):
+        # A client host is not a relay, so B cannot open a circuit to it.
+        sim, client, nodes = build_simulation(16, 7)
+        sim.add_host("U", SimClient("U", client.params, client.directory, client.rng))
+        assert run_build(sim, client, ["B"]).phase == Phase.READY
+        sim.post(client.name, "B", raw_extend_cell(client.state, name.encode()))
+        sim.run()
+        assert client.state.failure == "destroyed by relay"
+        assert [e.direction for e in sim.transcript.entries
+                if decode_cell(e.data).command == CellCommand.CREATE] == ["A->B"]
+        assert nodes["B"].state.entries == {}
+
+
+class SimNetLinkModel(RuleBasedStateMachine):
+    """Clients build circuits over relays B, C and D in any order, repeats
+    included, then use, destroy, corrupt or misdirect them. Every step runs
+    the net until it is quiet, so after it every circuit has an outcome and
+    every relay's maps agree. Cells are never dropped and links never lost:
+    the simulator has no timeouts, so a lost cell stalls by design."""
+
+    clients = Bundle("clients")
+
+    def __init__(self):
+        super().__init__()
+        self.sim, self.first, self.nodes = build_simulation(16, 3, echo_data=True)
+        self.built: list[SimClient] = []
+        self.checked = 0
+
+    @rule(target=clients, path=st.lists(st.sampled_from("BCD"), min_size=1, max_size=3),
+          circ_id=st.integers(1, 3))
+    def build(self, path, circ_id):
+        client = SimClient(f"U{len(self.built)}", self.first.params, self.first.directory,
+                           self.first.rng)
+        self.sim.add_host(client.name, client)
+        self.built.append(client)
+        # The net is quiet, so only a relay extending to itself can refuse.
+        repeats = any(a == b for a, b in zip(path, path[1:]))
+        assert run_build(self.sim, client, path, circ_id).phase == (
+            Phase.FAILED if repeats else Phase.READY)
+        return client
+
+    @rule(client=clients, data=st.binary(max_size=32))
+    def send(self, client, data):
+        if client.state.phase == Phase.READY:
+            client.received.clear()
+            run_send(self.sim, client, 1, data)
+            assert client.received == [(1, data)] or client.state.phase == Phase.FAILED
+
+    @rule(client=clients)
+    def destroy(self, client):
+        self.post(client, Cell(client.state.circ_id, CellCommand.DESTROY))
+
+    @rule(client=clients, index=st.integers(0, 255), mask=st.integers(1, 255))
+    def corrupt(self, client, index, mask):
+        payload = bytearray(client_send_data(client.state, 1, b"probe").cell.payload
+                            if client.state.phase == Phase.READY else b"junk")
+        payload[index % len(payload)] ^= mask
+        self.post(client, Cell(client.state.circ_id, CellCommand.RELAY, bytes(payload)))
+
+    @rule(client=clients, name=st.sampled_from(["A", "U0", "U1", "Z"]))
+    def extend_to_non_relay(self, client, name):
+        if client.state.phase == Phase.READY:
+            self.post(client, raw_extend_cell(client.state, name.encode()))
+            assert client.state.failure == "destroyed by relay"
+
+    def post(self, client, cell):
+        self.sim.post(client.name, client.path[0].name, cell)
+        self.sim.run()
+
+    @invariant()
+    def every_circuit_has_an_outcome(self):
+        assert all(c.state.phase in (Phase.READY, Phase.FAILED) for c in self.built)
+
+    @invariant()
+    def relay_maps_agree(self):
+        for node in self.nodes.values():
+            entries, nexts = node.state.entries, node.state.nexts
+            assert not entries.keys() & nexts.keys()
+            assert nexts == {(e.next_link, e.next_circ_id): key
+                             for key, e in entries.items() if e.next_link is not None}
+
+    @invariant()
+    def no_create_reaches_a_client(self):
+        for entry in self.sim.transcript.entries[self.checked:]:
+            dst = entry.direction.split("->")[1]
+            assert dst in self.nodes or decode_cell(entry.data).command != CellCommand.CREATE
+        self.checked = len(self.sim.transcript.entries)
+
+
+# max_examples comes from the loaded profile: see ``thorough`` in conftest.
+SimNetLinkModel.TestCase.settings = settings(deadline=None, stateful_step_count=20)
+TestSimNetLinkModel = SimNetLinkModel.TestCase
 
 
 class TestStepBudget:

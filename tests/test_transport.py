@@ -493,8 +493,8 @@ class TestLinkFailures:
         return bystander, client
 
     def test_extend_to_unregistered_name_drops_only_that_link(self, live_network):
-        # C cannot open "Z": it must forget the one circuit that wanted Z,
-        # not its link from B with every other circuit on it.
+        # C cannot open "Z": it must fail the one circuit that wanted Z with
+        # DESTROY, not lose its link from B with every other circuit on it.
         c = live_network[2][1]
         bystander, client = self._extend_from_c(live_network, b"Z")
         try:
@@ -503,6 +503,28 @@ class TestLinkFailures:
                 time.sleep(0.01)
             assert len(c.state.entries) == 1
             assert bystander.send_data(1, b"still here") == b"still here"
+        finally:
+            bystander.close()
+            client.close()
+
+    @pytest.mark.parametrize("address", [None, "nohost"], ids=["unregistered", "no-port"])
+    def test_failed_open_is_destroyed_at_once(self, live_network, monkeypatch, address):
+        # C cannot open "Z", which is unregistered or registered at an
+        # address without a port. The client must hear DESTROY within its
+        # 2 s socket timeout, and C's reader of its link from B live on.
+        params, dir_client, nodes, _ = live_network
+        if address is not None:
+            dir_client.register(NodeDescriptor(name="Z", address=address,
+                                               public=nodes[2].state.keypair.public,
+                                               params_digest=params_digest(params)))
+        died = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: died.append(args.exc_type))
+        bystander, client = self._extend_from_c(live_network, b"Z")
+        try:
+            client.handle("B", client._recv())
+            assert client.state.failure == "destroyed by relay"
+            assert bystander.send_data(1, b"still here") == b"still here"
+            assert died == []
         finally:
             bystander.close()
             client.close()
@@ -520,8 +542,8 @@ class TestLinkFailures:
     def test_malformed_lookup_answer_keeps_the_reader(self):
         # B resolves the EXTEND's "Z" through a directory that answers that
         # lookup with an empty frame and forwards every other request to a
-        # real one. B must forget the circuit that wanted Z and keep reading
-        # the client's link.
+        # real one. B must fail the circuit that wanted Z with DESTROY and
+        # keep reading the client's link.
         rng = random.Random(7)
         params = gen_params(16, rng)
         dir_server = DirectoryServer(Directory(params_digest(params))).start()
@@ -559,8 +581,8 @@ class TestLinkFailures:
     def test_extend_cannot_name_an_inbound_link(self, live_network):
         # Two one-hop clients on B. The second asks B to extend to "conn1":
         # an EXTEND name resolves only through the directory, never to one
-        # of B's inbound links, so B finds no such relay, forgets the second
-        # circuit and sends the first client nothing.
+        # of B's inbound links, so B finds no such relay, answers the second
+        # circuit with DESTROY and sends the first client nothing.
         params, dir_client, nodes, rng = live_network
         b = nodes[0]
         first = StreamCircuitClient(params, dir_client, rng)
@@ -619,6 +641,20 @@ class TestLinkModel:
             assert x.send_data(1, b"to B") == b"to B"
             assert y.send_data(1, b"to C") == b"to C"
             assert [len(node.state.entries) for node in nodes] == [2, 2, 0]
+        finally:
+            x.close()
+            y.close()
+
+    def test_paths_through_one_relay_twice(self, live_network):
+        params, dir_client, nodes, rng = live_network
+        x = StreamCircuitClient(params, dir_client, rng)
+        y = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert x.build(["B", "C", "B"], timeout=2.0).phase == Phase.READY
+            assert y.build(["C", "B"], timeout=2.0).phase == Phase.READY
+            assert x.send_data(1, b"twice") == b"twice"
+            assert y.send_data(1, b"once") == b"once"
+            assert [len(node.state.entries) for node in nodes] == [3, 2, 0]
         finally:
             x.close()
             y.close()
