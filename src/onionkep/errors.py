@@ -24,7 +24,7 @@ class GenerationFailed(OnionKepError):
 
 
 class UnsupportedShape(OnionKepError):
-    """Number does not have the safe-prime shape 2s+1 with s prime."""
+    """Parameters the prefix attack is not stated for: it needs p = q = 2."""
 
 
 # -- key exchange ------------------------------------------------------------

@@ -20,15 +20,16 @@ two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
 are copied on write, so a transition never changes the state it was given.
 A link may carry ids drawn by both of its ends, so their keys are kept
 apart: an EXTEND skips any id its link already has in ``entries``, and a
-CREATE on a key of ``nexts`` is refused with DESTROY. A runtime that cannot
+CREATE on a key of ``nexts`` is refused with DESTROY; an EXTEND naming the
+relay itself is torn down before it draws an id. A runtime that cannot
 open a link feeds the relay DESTROY from it, as if the next hop refused.
 
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
 already-built prefix, is turned into a CREATE by the current terminal hop,
 and comes back as an EXTENDED relay frame. Every confirmation payload
-carries a digest of the shared key; a digest mismatch fails the circuit
-unconditionally.
+carries a digest of the shared key; a mismatch fails the circuit. A client
+hop keeps only its ephemeral secret k until then and its session key after.
 
 Two relay-layering modes exist (ProtocolConfig.peel_per_hop):
 
@@ -97,9 +98,12 @@ class Phase(Enum):
 @dataclass(frozen=True)
 class HopKeys:
     node_name: str
-    ephemeral: KeyPair
+    own_k: int | None
     session: SessionKey | None = None
-    confirmed: bool = False
+
+    @property
+    def confirmed(self) -> bool:
+        return self.session is not None
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ def client_create(params: SystemParams, circ_id: int, node_name: str,
     v = mix(params, node_pub, eph.private)
     payload = build_create_payload(v, eph.public.P, eph.public.Q, params.residue_width)
     state = CircuitState(params=params, circ_id=circ_id,
-                         hops=(HopKeys(node_name=node_name, ephemeral=eph),),
+                         hops=(HopKeys(node_name, eph.private.k),),
                          phase=Phase.CREATING, config=config)
     return state, SendCell(node_name, Cell(circ_id, CellCommand.CREATE, payload))
 
@@ -166,7 +170,7 @@ def client_extend(state: CircuitState, node_name: str, node_pub: PublicConstruct
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
     payload = onion_wrap(frame, _layer_keys(state)[::-1], params)
     new_state = replace(state,
-                        hops=state.hops + (HopKeys(node_name=node_name, ephemeral=eph),),
+                        hops=state.hops + (HopKeys(node_name, eph.private.k),),
                         phase=Phase.EXTENDING)
     return new_state, SendCell(state.hops[0].node_name,
                                Cell(state.circ_id, CellCommand.RELAY, payload))
@@ -235,17 +239,15 @@ def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState,
 
 
 def _confirm_hop(state: CircuitState, v: int, digest: bytes) -> tuple[CircuitState, list[Action]]:
-    index = sum(1 for hop in state.hops if hop.confirmed)
-    hop = state.hops[index]
+    hop = state.hops[-1]
     try:
-        session = derive_session_key(state.params, v, hop.ephemeral.private.k)
+        session = derive_session_key(state.params, v, hop.own_k)
     except OnionKepError:
         return _fail(state, "malformed session key")
     if key_digest(session) != digest:
         return _fail(state, "key digest mismatch")
-    hops = list(state.hops)
-    hops[index] = replace(hop, session=session, confirmed=True)
-    return replace(state, hops=tuple(hops), phase=Phase.READY), []
+    hops = state.hops[:-1] + (HopKeys(hop.node_name, None, session),)
+    return replace(state, hops=hops, phase=Phase.READY), []
 
 
 def _fail(state: CircuitState, reason: str) -> tuple[CircuitState, list[Action]]:
@@ -382,6 +384,8 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
             name, create = parse_extend_data(frame.data, state.params.residue_width)
         except OnionKepError:
             return _teardown(state, entry, "malformed EXTEND data")
+        if name == state.name:
+            return _teardown(state, entry, "extend to self")
         next_circ = state.circ_seq
         while (name, next_circ) in state.entries:  # an id the link's other end drew
             next_circ += 1

@@ -19,6 +19,7 @@ from onionkep.transport import recv_frame, send_frame
 # Ten times the examples of Hypothesis's default profile, for tests that
 # take their count from the loaded profile, such as the simulator's link
 # model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
+# and the machines' malformed-input tests (tests/test_protocol.py).
 settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.
@@ -58,6 +59,13 @@ def raw_extend_cell(state, name: bytes) -> Cell:
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
     keys = [hop.session for hop in state.hops if hop.confirmed]
     return Cell(state.circ_id, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
+
+
+def check_hop_keys(state) -> None:
+    """A client hop keeps only what the handshake still reads: every hop
+    but the last is confirmed, and a confirmed hop no longer holds its k."""
+    assert all(hop.confirmed for hop in state.hops[:-1])
+    assert all(hop.own_k is None for hop in state.hops if hop.confirmed)
 
 
 @contextlib.contextmanager

@@ -48,7 +48,7 @@ from onionkep.protocol import (
     node_reply_data,
 )
 from onionkep.simnet import SimClient, build_simulation
-from conftest import ScriptedRng, raw_extend_cell, session_keys, tabulate
+from conftest import ScriptedRng, check_hop_keys, raw_extend_cell, session_keys, tabulate
 
 
 @pytest.fixture
@@ -284,9 +284,9 @@ class TestDropLink:
 class TestCircuitIds:
     # A link may carry circuit ids drawn by both of its ends, so a relay
     # keeps its entries and nexts keys apart on its own.
-    def _extend_to_c(self, toy_params, toy_bob, bob_node, from_c):
+    def _extend(self, toy_params, toy_bob, bob_node, from_c, to="C"):
         """B holding one circuit from C per id in ``from_c``, then asked by
-        A's circuit 9 to extend to C: B's new state and its actions."""
+        A's circuit 9 to extend to ``to``: B's new state and its actions."""
         state = bob_node
         for circ_id in from_c:
             state, _ = node_handle_cell(
@@ -296,14 +296,14 @@ class TestCircuitIds:
         client, _ = client_create(toy_params, 9, "B", toy_bob.public, ScriptedRng([3, 13]))
         client, _ = client_handle_cell(client, created.cell)
         charlie = keypair_from_secrets(toy_params, 7, 17)
-        _, relay = client_extend(client, "C", charlie.public, ScriptedRng([4, 19]))
+        _, relay = client_extend(client, to, charlie.public, ScriptedRng([4, 19]))
         return node_handle_cell(state, "A", relay.cell)
 
     @pytest.mark.parametrize("from_c, next_id", [((), 1), ((2,), 1), ((1,), 2), ((1, 2), 3)],
                              ids=["none", "other-id", "same-id", "two-ids"])
     def test_extend_skips_ids_the_link_already_carries(self, toy_params, toy_bob, bob_node,
                                                        from_c, next_id):
-        state, [send] = self._extend_to_c(toy_params, toy_bob, bob_node, from_c)
+        state, [send] = self._extend(toy_params, toy_bob, bob_node, from_c)
         assert (send.link, send.cell.circ_id, send.cell.command) == ("C", next_id,
                                                                     CellCommand.CREATE)
         assert state.circ_seq == next_id + 1
@@ -311,17 +311,23 @@ class TestCircuitIds:
 
     def test_create_on_an_id_drawn_for_that_link_is_refused(self, toy_params, toy_bob,
                                                             bob_node):
-        state, [send] = self._extend_to_c(toy_params, toy_bob, bob_node, ())
+        state, [send] = self._extend(toy_params, toy_bob, bob_node, ())
         assert node_handle_cell(state, "C", send.cell) == (
             state, [TearDown(1, "circuit id in use"), SendCell("C", Cell(1, CellCommand.DESTROY))])
 
     def test_destroy_for_a_pending_extension_fails_the_circuit_back(self, toy_params, toy_bob,
                                                                    bob_node):
         # What both runtimes feed the relay when they cannot open the link.
-        state, _ = self._extend_to_c(toy_params, toy_bob, bob_node, ())
+        state, _ = self._extend(toy_params, toy_bob, bob_node, ())
         state, actions = node_handle_cell(state, "C", Cell(1, CellCommand.DESTROY))
         assert actions == [TearDown(9, "destroyed by peer"), SendCell("A", Cell(9, CellCommand.DESTROY))]
         assert state.entries == {} and state.nexts == {}
+
+    def test_extend_to_self_is_torn_down_before_an_id_is_drawn(self, toy_params, toy_bob,
+                                                               bob_node):
+        state, actions = self._extend(toy_params, toy_bob, bob_node, (), to="B")
+        assert actions == [TearDown(9, "extend to self"), SendCell("A", Cell(9, CellCommand.DESTROY))]
+        assert (state.entries, state.nexts, state.circ_seq) == ({}, {}, 1)
 
 
 class TestRelayHost:
@@ -452,11 +458,16 @@ def _cells(data, live, keys):
                                 handshakes, layered)))
 
 
+# Four times the loaded profile's examples: 400 by default, 4000 under
+# ``thorough`` (see conftest).
+MALFORMED_SETTINGS = settings(max_examples=4 * settings.default.max_examples, deadline=None)
+
+
 class TestMalformedInputNeverRaises:
     # Every malformed input fails at most its own circuit: no transition
     # raises, and each one that tears a circuit down says so.
     @given(st.data())
-    @settings(max_examples=400, deadline=None)
+    @MALFORMED_SETTINGS
     def test_relay(self, data):
         (link, circ_id), command, payload = _cells(
             data, [("A", 9), ("A", 10), ("C", 1)], [TOY_NODE.entries["A", 9].session])
@@ -469,12 +480,14 @@ class TestMalformedInputNeverRaises:
             assert any(isinstance(a, TearDown) for a in actions)
 
     @given(st.data())
-    @settings(max_examples=400, deadline=None)
+    @MALFORMED_SETTINGS
     def test_client(self, data):
         state = TOY_CLIENTS[data.draw(st.sampled_from(sorted(TOY_CLIENTS)))]
+        check_hop_keys(state)
         keys = [hop.session for hop in state.hops if hop.confirmed]
         (_, circ_id), command, payload = _cells(data, [("B", state.circ_id)], keys[::-1])
         new, actions = client_handle_cell(state, Cell(circ_id, command, payload))
+        check_hop_keys(new)
         teardowns = [a for a in actions if isinstance(a, TearDown)]
         assert all(isinstance(a, (TearDown, DeliverLocal)) for a in actions)
         if teardowns:

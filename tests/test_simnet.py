@@ -11,7 +11,8 @@ from onionkep import Cell, CellCommand, decode_cell
 from onionkep.errors import StepBudgetExceeded
 from onionkep.protocol import Phase, client_create, client_extend, client_send_data
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
-from conftest import built_tables, on_link, raw_extend_cell, serialize, session_keys
+from conftest import (built_tables, check_hop_keys, on_link, raw_extend_cell, serialize,
+                      session_keys)
 
 EXPECTED_BUILD_COMMANDS = [
     "CREATE", "CREATED", "RELAY",            # hop 1 up, then extend to hop 2
@@ -194,7 +195,7 @@ class TestLinkModel:
         assert [len(node.state.entries) for node in nodes.values()] == [2, 1]
 
     def test_relay_extending_to_itself_is_destroyed(self):
-        # B's CREATE to itself arrives on the id B drew for that link.
+        # B tears the circuit down before it draws an id for itself.
         sim, client, nodes = build_simulation(16, 7)
         assert run_build(sim, client, ["B", "B"]).failure == "destroyed by relay"
         assert (nodes["B"].state.entries, nodes["B"].state.nexts) == ({}, {})
@@ -235,7 +236,8 @@ class SimNetLinkModel(RuleBasedStateMachine):
                            self.first.rng)
         self.sim.add_host(client.name, client)
         self.built.append(client)
-        # The net is quiet, so only a relay extending to itself can refuse.
+        # The net is quiet, so a build fails only where a relay is asked to
+        # extend to itself, which it refuses.
         repeats = any(a == b for a, b in zip(path, path[1:]))
         assert run_build(self.sim, client, path, circ_id).phase == (
             Phase.FAILED if repeats else Phase.READY)
@@ -282,11 +284,18 @@ class SimNetLinkModel(RuleBasedStateMachine):
                              for key, e in entries.items() if e.next_link is not None}
 
     @invariant()
-    def no_create_reaches_a_client(self):
+    def creates_reach_only_other_relays(self):
+        # No CREATE goes to a client host, and no relay sends one to itself.
         for entry in self.sim.transcript.entries[self.checked:]:
-            dst = entry.direction.split("->")[1]
-            assert dst in self.nodes or decode_cell(entry.data).command != CellCommand.CREATE
+            src, dst = entry.direction.split("->")
+            if decode_cell(entry.data).command == CellCommand.CREATE:
+                assert dst in self.nodes and dst != src
         self.checked = len(self.sim.transcript.entries)
+
+    @invariant()
+    def hops_keep_only_what_the_handshake_reads(self):
+        for client in self.built:
+            check_hop_keys(client.state)
 
 
 # max_examples comes from the loaded profile: see ``thorough`` in conftest.

@@ -1,5 +1,6 @@
 """TCP transport: framing, directory service, live three-hop circuits."""
 
+import contextlib
 import random
 import select
 import socket
@@ -297,32 +298,53 @@ class TestLiveCircuit:
 
 
 class TestRuntimesAgree:
-    def test_simulator_and_tcp_build_agree(self):
-        # One seeded client, relays with the same keypairs: the two
-        # runtimes must drive the same build, byte for byte.
-        sim, sim_client, sim_nodes = build_simulation(32, 11, echo_data=True)
-        rng_state = sim_client.rng.getstate()
-        sim_state = run_build(sim, sim_client, ["B", "C", "D"])
-        run_send(sim, sim_client, 1, b"same bytes")
-        assert sim_state.phase == Phase.READY
+    # One seeded client, relays with the same keypairs: the two runtimes
+    # must drive the same build, byte for byte.
+    @staticmethod
+    @contextlib.contextmanager
+    def tcp_twin(sim_client, sim_nodes, rng_state):
+        """Relays over TCP with the simulated relays' keypairs, and a client
+        whose rng starts at ``rng_state``: yields (client, relays by name)."""
         params = sim_client.params
         dir_server = DirectoryServer(Directory(params_digest(params))).start()
         dir_client = DirectoryClient(dir_server.address)
-        nodes = {name: NodeServer(name, params, sim_nodes[name].state.keypair,
-                                  dir_client).start() for name in ("B", "C", "D")}
+        nodes = {name: NodeServer(name, params, sim_node.state.keypair, dir_client).start()
+                 for name, sim_node in sim_nodes.items()}
         rng = random.Random()
         rng.setstate(rng_state)
         client = StreamCircuitClient(params, dir_client, rng)
         try:
-            assert client.build(["B", "C", "D"], timeout=10.0) == sim_state
-            assert client.send_data(1, b"same bytes") == sim_client.received[-1][1]
-            for name, node in nodes.items():
-                assert session_keys(node) == session_keys(sim_nodes[name])
+            yield client, nodes
         finally:
             client.close()
             for node in nodes.values():
                 node.stop()
             dir_server.stop()
+
+    def test_simulator_and_tcp_build_agree(self):
+        sim, sim_client, sim_nodes = build_simulation(32, 11, echo_data=True)
+        rng_state = sim_client.rng.getstate()
+        sim_state = run_build(sim, sim_client, ["B", "C", "D"])
+        run_send(sim, sim_client, 1, b"same bytes")
+        assert sim_state.phase == Phase.READY
+        with self.tcp_twin(sim_client, sim_nodes, rng_state) as (client, nodes):
+            assert client.build(["B", "C", "D"], timeout=10.0) == sim_state
+            assert client.send_data(1, b"same bytes") == sim_client.received[-1][1]
+            for name, node in nodes.items():
+                assert session_keys(node) == session_keys(sim_nodes[name])
+
+    def test_relay_extending_to_itself_fails_on_both(self):
+        # B refuses [B, B] on both runtimes; over TCP it neither keeps an
+        # entry nor dials its own listener.
+        sim, sim_client, sim_nodes = build_simulation(32, 11)
+        rng_state = sim_client.rng.getstate()
+        sim_state = run_build(sim, sim_client, ["B", "B"])
+        assert (sim_state.phase, sim_state.failure) == (Phase.FAILED, "destroyed by relay")
+        with self.tcp_twin(sim_client, sim_nodes, rng_state) as (client, nodes):
+            assert client.build(["B", "B"], timeout=10.0) == sim_state
+            for name, node in nodes.items():
+                assert session_keys(node) == session_keys(sim_nodes[name]) == []
+            assert list(nodes["B"]._links) == [1]
 
 
 class TestMixTables:
