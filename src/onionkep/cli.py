@@ -144,8 +144,7 @@ def _run_sim(r_bits: int, seed: int, hops: list[str], message: str | None,
     """Build along ``hops`` in a fresh seeded world and report it. With a
     ``message``, send it and print the exit relay's deliveries, after the
     cells carried if ``show_cells``, else before the client's responses."""
-    sim, client, nodes = build_simulation(r_bits, seed, node_names=dict.fromkeys(hops),
-                                          echo_data=True)
+    sim, client, nodes = build_simulation(r_bits, seed, node_names=dict.fromkeys(hops))
     sim.tamper = tamper
     code = _report_build(run_build(sim, client, hops))
     if code == 0 and message is not None:

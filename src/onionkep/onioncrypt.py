@@ -389,11 +389,12 @@ def parse_created_payload(data: bytes, width: int) -> tuple[int, bytes]:
     return int.from_bytes(data[:width], "big"), data[width:]
 
 
-def build_extend_data(name: str, v: int, P: int, Q: int, width: int) -> bytes:
+def build_extend_data(name: str, create: bytes) -> bytes:
+    """EXTEND data: the next hop's name and its CREATE payload bytes."""
     name_b = name.encode()
     if len(name_b) > 255:
         raise EncodingOverflow("node name longer than 255 bytes")
-    return bytes([len(name_b)]) + name_b + build_create_payload(v, P, Q, width)
+    return bytes([len(name_b)]) + name_b + create
 
 
 def parse_extend_data(data: bytes, width: int) -> tuple[str, bytes]:

@@ -31,7 +31,7 @@ and comes back as an EXTENDED relay frame. Every confirmation payload
 carries a digest of the shared key; a mismatch fails the circuit. A client
 hop keeps only its ephemeral secret k until then and its session key after.
 
-Two relay-layering modes exist (ProtocolConfig.peel_per_hop):
+Two relay-layering modes exist, the ``peel_per_hop`` flag of each machine:
 
 * True (default): the client wraps relayed frames once per established
   hop and every relay peels (forward) or adds (backward) exactly one
@@ -79,13 +79,8 @@ from .onioncrypt import (
 
 INTEGRITY_FAILURE = "CircuitIntegrityFailure"
 
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    peel_per_hop: bool = True
-
-
-DEFAULT_CONFIG = ProtocolConfig()
+# How many of its latest deliveries a Relay or a Client host keeps.
+_RECORDS_KEPT = 64
 
 
 class Phase(Enum):
@@ -112,7 +107,7 @@ class CircuitState:
     circ_id: int
     hops: tuple[HopKeys, ...]
     phase: Phase
-    config: ProtocolConfig = DEFAULT_CONFIG
+    peel_per_hop: bool = True
     failure: str | None = None
 
 
@@ -146,14 +141,11 @@ TamperFn = Callable[[str, str, Cell], Union[Cell, None]]
 
 def client_create(params: SystemParams, circ_id: int, node_name: str,
                   node_pub: PublicConstructor, rng: random.Random,
-                  config: ProtocolConfig = DEFAULT_CONFIG) -> tuple[CircuitState, SendCell]:
+                  peel_per_hop: bool = True) -> tuple[CircuitState, SendCell]:
     """Open a circuit to the entry node with a fresh ephemeral constructor."""
-    eph = gen_keypair(params, rng)
-    v = mix(params, node_pub, eph.private)
-    payload = build_create_payload(v, eph.public.P, eph.public.Q, params.residue_width)
-    state = CircuitState(params=params, circ_id=circ_id,
-                         hops=(HopKeys(node_name, eph.private.k),),
-                         phase=Phase.CREATING, config=config)
+    k, payload = _offer(params, node_pub, rng)
+    state = CircuitState(params=params, circ_id=circ_id, hops=(HopKeys(node_name, k),),
+                         phase=Phase.CREATING, peel_per_hop=peel_per_hop)
     return state, SendCell(node_name, Cell(circ_id, CellCommand.CREATE, payload))
 
 
@@ -162,28 +154,17 @@ def client_extend(state: CircuitState, node_name: str, node_pub: PublicConstruct
     """Tunnel an EXTEND frame for the next hop through the built prefix."""
     if state.phase != Phase.READY:
         raise NotReady(f"cannot extend a circuit in phase {state.phase.value}")
-    params = state.params
-    eph = gen_keypair(params, rng)
-    v = mix(params, node_pub, eph.private)
-    data = build_extend_data(node_name, v, eph.public.P, eph.public.Q,
-                             params.residue_width)
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTEND, 0, data))
-    payload = onion_wrap(frame, _layer_keys(state)[::-1], params)
-    new_state = replace(state,
-                        hops=state.hops + (HopKeys(node_name, eph.private.k),),
-                        phase=Phase.EXTENDING)
-    return new_state, SendCell(state.hops[0].node_name,
-                               Cell(state.circ_id, CellCommand.RELAY, payload))
+    k, create = _offer(state.params, node_pub, rng)
+    send = _client_relay(state, RelaySubcommand.EXTEND, 0, build_extend_data(node_name, create))
+    return replace(state, hops=state.hops + (HopKeys(node_name, k),),
+                   phase=Phase.EXTENDING), send
 
 
 def client_send_data(state: CircuitState, stream_id: int, data: bytes) -> SendCell:
     """Wrap application data for the exit hop; innermost layer is the exit key."""
     if state.phase != Phase.READY:
         raise NotReady(f"cannot send on a circuit in phase {state.phase.value}")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
-    payload = onion_wrap(frame, _layer_keys(state)[::-1], state.params)
-    return SendCell(state.hops[0].node_name,
-                    Cell(state.circ_id, CellCommand.RELAY, payload))
+    return _client_relay(state, RelaySubcommand.DATA, stream_id, data)
 
 
 def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, list[Action]]:
@@ -238,6 +219,22 @@ def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState,
     return state, []
 
 
+def _offer(params: SystemParams, node_pub: PublicConstructor,
+           rng: random.Random) -> tuple[int, bytes]:
+    """A fresh ephemeral secret k and the CREATE payload offering it to ``node_pub``."""
+    eph = gen_keypair(params, rng)
+    v = mix(params, node_pub, eph.private)
+    return eph.private.k, build_create_payload(v, eph.public.P, eph.public.Q, params.residue_width)
+
+
+def _client_relay(state: CircuitState, subcommand: RelaySubcommand, stream_id: int,
+                  data: bytes) -> SendCell:
+    """One relay frame, layered for the built prefix, to the entry node."""
+    frame = encode_relay_frame(RelayFrame(subcommand, stream_id, data))
+    payload = onion_wrap(frame, _layer_keys(state)[::-1], state.params)
+    return SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.RELAY, payload))
+
+
 def _confirm_hop(state: CircuitState, v: int, digest: bytes) -> tuple[CircuitState, list[Action]]:
     hop = state.hops[-1]
     try:
@@ -261,7 +258,7 @@ def _layer_keys(state: CircuitState) -> list[SessionKey]:
     or without ``peel_per_hop`` only the last one. Wrapping applies them
     in reverse, innermost first."""
     keys = [hop.session for hop in state.hops if hop.confirmed]
-    return keys if state.config.peel_per_hop else keys[-1:]
+    return keys if state.peel_per_hop else keys[-1:]
 
 
 # -- relay (node) side -------------------------------------------------------
@@ -287,7 +284,7 @@ class NodeState:
     name: str
     params: SystemParams
     keypair: KeyPair
-    config: ProtocolConfig = DEFAULT_CONFIG
+    peel_per_hop: bool = True
     entries: dict[tuple[str, int], CircuitEntry] = field(default_factory=dict)
     nexts: dict[tuple[str, int], tuple[str, int]] = field(default_factory=dict)
     circ_seq: int = 1
@@ -311,7 +308,7 @@ def node_handle_cell(state: NodeState, from_link: str,
         if cell.command == CellCommand.CREATED:
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
-            return _node_backward_relay(state, entry, cell)
+            return state, [_toward_client(state, entry, None, 0, cell.payload)]
         if cell.command == CellCommand.DESTROY:
             return _teardown(state, entry, "destroyed by peer", onward=False)
         return state, []
@@ -326,19 +323,14 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     entry = state.entries.get((prev_link, circ_id))
     if entry is None:
         raise NotReady(f"no circuit {circ_id} from {prev_link}")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
-    payload = chunk_encrypt(frame, entry.session, state.params)
-    return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, payload))
+    return _toward_client(state, entry, RelaySubcommand.DATA, stream_id, data)
 
 
 def node_drop_link(state: NodeState, link: str) -> NodeState:
-    """Forget every circuit riding on a lost link, in either direction, in
-    one pass over the maps. No DESTROY goes to the other neighbour, so
-    relays further along keep those circuits."""
-    entries = {key: e for key, e in state.entries.items()
-               if link not in (e.prev_link, e.next_link)}
-    nexts = {key: prev for key, prev in state.nexts.items() if prev in entries}
-    return replace(state, entries=entries, nexts=nexts)
+    """Forget every circuit riding on a lost link, in either direction. No
+    DESTROY goes to the other neighbour, so relays further along keep them."""
+    return _forget(state, [e for e in state.entries.values()
+                           if link in (e.prev_link, e.next_link)])
 
 
 def _node_handle_create(state: NodeState, from_link: str,
@@ -365,7 +357,7 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
                         cell: Cell) -> tuple[NodeState, list[Action]]:
     payload = cell.payload
     relaying = entry.next_link is not None and not entry.next_pending
-    if state.config.peel_per_hop or not relaying:
+    if state.peel_per_hop or not relaying:
         try:
             payload = chunk_decrypt(payload, entry.session, state.params)
         except OnionKepError:
@@ -409,21 +401,20 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
         parse_created_payload(cell.payload, state.params.residue_width)
     except OnionKepError:
         return _teardown(state, entry, "malformed CREATED from next hop")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0, cell.payload))
-    payload = chunk_encrypt(frame, entry.session, state.params)
     updated = replace(entry, next_pending=False)
     new_state = replace(state, entries={**state.entries, entry.key: updated})
-    return new_state, [SendCell(entry.prev_link,
-                                Cell(entry.circ_id, CellCommand.RELAY, payload))]
+    return new_state, [_toward_client(state, entry, RelaySubcommand.EXTENDED, 0, cell.payload)]
 
 
-def _node_backward_relay(state: NodeState, entry: CircuitEntry,
-                         cell: Cell) -> tuple[NodeState, list[Action]]:
-    payload = cell.payload
-    if state.config.peel_per_hop:
-        payload = chunk_encrypt(payload, entry.session, state.params)
-    return state, [SendCell(entry.prev_link,
-                            Cell(entry.circ_id, CellCommand.RELAY, payload))]
+def _toward_client(state: NodeState, entry: CircuitEntry, subcommand: RelaySubcommand | None,
+                   stream_id: int, data: bytes) -> SendCell:
+    """A RELAY cell back along ``entry``'s circuit: this relay's own frame under its
+    layer or, with no ``subcommand``, the next hop's ``data``, layered if ``peel_per_hop``."""
+    if subcommand is not None:
+        data = encode_relay_frame(RelayFrame(subcommand, stream_id, data))
+    if subcommand is not None or state.peel_per_hop:
+        data = chunk_encrypt(data, entry.session, state.params)
+    return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, data))
 
 
 def _teardown(state: NodeState, entry: CircuitEntry, reason: str, back: bool = True,
@@ -434,16 +425,22 @@ def _teardown(state: NodeState, entry: CircuitEntry, reason: str, back: bool = T
     actions: list[Action] = [TearDown(entry.circ_id, reason)]
     if back:
         actions.append(SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.DESTROY)))
-    entries = dict(state.entries)
-    del entries[entry.key]
-    nexts = state.nexts
-    if entry.next_link is not None:
-        if onward:
-            actions.append(SendCell(entry.next_link,
-                                    Cell(entry.next_circ_id, CellCommand.DESTROY)))
-        nexts = dict(nexts)
-        del nexts[entry.next_link, entry.next_circ_id]
-    return replace(state, entries=entries, nexts=nexts), actions
+    if onward and entry.next_link is not None:
+        actions.append(SendCell(entry.next_link, Cell(entry.next_circ_id, CellCommand.DESTROY)))
+    return _forget(state, [entry]), actions
+
+
+def _forget(state: NodeState, gone: list[CircuitEntry]) -> NodeState:
+    """``state`` without the circuits ``gone``, in both maps; a map that
+    loses no key is shared, not copied."""
+    outs = [(e.next_link, e.next_circ_id) for e in gone if e.next_link is not None]
+    entries = dict(state.entries) if gone else state.entries
+    nexts = dict(state.nexts) if outs else state.nexts
+    for entry in gone:
+        del entries[entry.key]
+    for key in outs:
+        del nexts[key]
+    return replace(state, entries=entries, nexts=nexts)
 
 
 def _refuse(state: NodeState, link: str, circ_id: int,
@@ -455,13 +452,13 @@ def _refuse(state: NodeState, link: str, circ_id: int,
 # -- relay host --------------------------------------------------------------
 
 class Relay:
-    """The relay host of both runtimes: owns one NodeState, records exit
-    deliveries and, with ``echo_data``, answers each one back."""
+    """The relay host of both runtimes: owns one NodeState, keeps its latest
+    exit deliveries and, unless ``echo_data`` is false, echoes each one back."""
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
-                 config: ProtocolConfig = DEFAULT_CONFIG, echo_data: bool = False):
+                 peel_per_hop: bool = True, echo_data: bool = True):
         self.name = name
-        self.state = NodeState(name=name, params=params, keypair=keypair, config=config)
+        self.state = NodeState(name, params, keypair, peel_per_hop)
         self.echo_data = echo_data
         self.delivered: list[tuple[int, bytes]] = []
 
@@ -471,6 +468,7 @@ class Relay:
         for action in actions:
             if isinstance(action, DeliverLocal):
                 self.delivered.append((action.stream_id, action.data))
+                del self.delivered[:-_RECORDS_KEPT]
                 if self.echo_data:
                     sends.append(node_reply_data(self.state, cell.circ_id, link,
                                                  action.stream_id, action.data))
@@ -485,17 +483,17 @@ class Relay:
 class Client:
     """The client host of both runtimes: resolves the path through
     ``directory`` (anything with ``lookup(name)``), drives the build through
-    ``client_step`` and records deliveries. Each resolved constructor is
+    ``client_step`` and keeps its latest deliveries. Each resolved constructor is
     noted on ``params``, which tabulates it for ``mix`` from the second
     time on, so every client host sharing ``params`` reads the tables."""
 
     def __init__(self, name: str, params: SystemParams, directory,
-                 rng: random.Random, config: ProtocolConfig = DEFAULT_CONFIG):
+                 rng: random.Random, peel_per_hop: bool = True):
         self.name = name
         self.params = params
         self.directory = directory
         self.rng = rng
-        self.config = config
+        self.peel_per_hop = peel_per_hop
         self.state: CircuitState | None = None
         self.path: list = []
         self.received: list[tuple[int, bytes]] = []
@@ -506,10 +504,11 @@ class Client:
             self.params.note_resolved(desc.public)
         entry = self.path[0]
         self.state, send = client_create(self.params, circ_id, entry.name,
-                                         entry.public, self.rng, self.config)
+                                         entry.public, self.rng, self.peel_per_hop)
         return send
 
     def handle(self, from_name: str, cell: Cell) -> list[SendCell]:
         self.state, actions = client_step(self.state, cell, self.path, self.rng)
         self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
+        del self.received[:-_RECORDS_KEPT]
         return [a for a in actions if isinstance(a, SendCell)]

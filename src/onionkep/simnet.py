@@ -22,7 +22,7 @@ from .errors import StepBudgetExceeded
 from . import protocol
 from .nikep import gen_keypair, gen_params, params_digest
 from .onioncrypt import Cell, CellCommand, encode_cell
-from .protocol import DEFAULT_CONFIG, CircuitState, ProtocolConfig, TamperFn
+from .protocol import CircuitState, TamperFn
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,8 @@ class SimNet:
 
 
 def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
-                     config: ProtocolConfig = DEFAULT_CONFIG,
-                     echo_data: bool = False) -> tuple[SimNet, SimClient, dict[str, SimNode]]:
-    """Seeded world: parameters, registered relays and one client host 'A'."""
+                     peel_per_hop: bool = True) -> tuple[SimNet, SimClient, dict[str, SimNode]]:
+    """Seeded world: parameters, registered echoing relays and one client host 'A'."""
     rng = random.Random(seed)
     params = gen_params(r_bits, rng)
     digest = params_digest(params)
@@ -103,12 +102,12 @@ def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
     nodes: dict[str, SimNode] = {}
     for name in node_names:
         keypair = gen_keypair(params, rng)
-        node = SimNode(name, params, keypair, config=config, echo_data=echo_data)
+        node = SimNode(name, params, keypair, peel_per_hop)
         nodes[name] = node
         sim.add_host(name, node)
         directory.register(NodeDescriptor(name=name, address=f"sim://{name}",
                                           public=keypair.public, params_digest=digest))
-    client = SimClient("A", params, directory, rng, config=config)
+    client = SimClient("A", params, directory, rng, peel_per_hop)
     sim.add_host("A", client)
     return sim, client, nodes
 

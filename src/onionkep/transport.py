@@ -172,7 +172,7 @@ class NodeServer(protocol.Relay):
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
                  dir_client: DirectoryClient, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(name, params, keypair, echo_data=True)
+        super().__init__(name, params, keypair)
         self.dir_client = dir_client
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]

@@ -16,7 +16,7 @@ import pytest
 from onionkep import gen_params, protocol
 from onionkep.cli import main
 from onionkep.onioncrypt import Cell, CellCommand
-from onionkep.protocol import Phase, ProtocolConfig
+from onionkep.protocol import Phase
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
 from conftest import serialize
 
@@ -61,8 +61,7 @@ def test_generated_params(bits, seed, r, state_digest):
     (False, "20e4ad90a4b0646ff408834a60f0ba1924f170109f2edb6e67477a7c0e39194f"),
 ], ids=["peel-per-hop", "literal"])
 def test_simulator_transcript(peel_per_hop, digest):
-    sim, client, _ = build_simulation(32, 112, config=ProtocolConfig(peel_per_hop=peel_per_hop),
-                                      echo_data=True)
+    sim, client, _ = build_simulation(32, 112, peel_per_hop=peel_per_hop)
     run_build(sim, client, ["B", "C", "D"])
     run_send(sim, client, 1, b"golden probe")
     assert sha256(serialize(sim.transcript)) == digest
@@ -78,7 +77,7 @@ def test_multi_circuit_relay_transcript():
     # teardown: DESTROY from a peer, a malformed relay payload, a duplicate
     # CREATE (which destroys the circuit back to the client and onward
     # along its path) and, after C loses its link to B, unknown circuits.
-    sim, first, nodes = build_simulation(32, 7, echo_data=True)
+    sim, first, nodes = build_simulation(32, 7)
     clients = []
     for i in range(16):
         client = SimClient(f"U{i}", first.params, first.directory, first.rng)

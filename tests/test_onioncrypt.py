@@ -489,12 +489,12 @@ class TestStructuredPayloads:
         assert parse_create_payload(data, 1) == (12, 40, 28)
 
     def test_extend_data_round_trip(self):
-        data = build_extend_data("C", 12, 40, 28, 1)
-        assert parse_extend_data(data, 1) == ("C", bytes([12, 40, 28]))
+        create = build_create_payload(12, 40, 28, 1)
+        assert parse_extend_data(build_extend_data("C", create), 1) == ("C", create)
 
     def test_extend_data_bad_length(self):
         with pytest.raises(TruncatedFrame):
-            parse_extend_data(build_extend_data("C", 12, 40, 28, 1)[:-1], 1)
+            parse_extend_data(build_extend_data("C", bytes([12, 40])), 1)
 
     def test_extend_data_name_not_utf8(self):
         with pytest.raises(TruncatedFrame):

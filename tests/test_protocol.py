@@ -5,7 +5,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onionkep import (
@@ -34,7 +34,6 @@ from onionkep.protocol import (
     DeliverLocal,
     NodeState,
     Phase,
-    ProtocolConfig,
     Relay,
     SendCell,
     TearDown,
@@ -203,10 +202,12 @@ class TestNodeRelay:
                    and a.cell.command == CellCommand.DESTROY for a in actions)
 
     @given(st.binary(max_size=255))
-    @settings(max_examples=200)
+    @example(b"B")
+    @settings(max_examples=2 * settings.default.max_examples)  # 200, or 2000 under ``thorough``
     def test_any_extend_name_never_raises(self, name):
-        # A name that is not UTF-8 is malformed EXTEND data, answered with
-        # DESTROY; any other is extended toward.
+        # A name that is not UTF-8 is malformed EXTEND data and the relay's
+        # own name is refused, each answered with DESTROY; any other name
+        # is extended toward.
         params = make_params(2, 2, 11)
         bob = keypair_from_secrets(params, 5, 15)
         state, [created] = node_handle_cell(
@@ -218,10 +219,13 @@ class TestNodeRelay:
         try:
             name.decode()
         except UnicodeDecodeError:
-            assert actions == [TearDown(9, "malformed EXTEND data"),
-                               SendCell("A", Cell(9, CellCommand.DESTROY))]
+            reason = "malformed EXTEND data"
         else:
+            reason = "extend to self" if name == b"B" else None
+        if reason is None:
             assert [a.cell.command for a in actions] == [CellCommand.CREATE]
+        else:
+            assert actions == [TearDown(9, reason), SendCell("A", Cell(9, CellCommand.DESTROY))]
 
     def test_reply_data_round_trip(self, toy_params, toy_bob, bob_node):
         state, actions = node_handle_cell(
@@ -332,7 +336,7 @@ class TestCircuitIds:
 
 class TestRelayHost:
     def test_delivers_echoes_and_drops(self, toy_params, toy_bob):
-        relay = Relay("B", toy_params, toy_bob, echo_data=True)
+        relay = Relay("B", toy_params, toy_bob)
         [created] = relay.handle(
             "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(toy_params, 9, "B", toy_bob.public,
@@ -551,8 +555,7 @@ class TestLiteralLayeringMode:
         # Figure-literal mode: relayed frames carry only the consumer's
         # layer and intermediates forward opaquely.
         from onionkep.simnet import build_simulation, run_build, run_send
-        config = ProtocolConfig(peel_per_hop=False)
-        sim, client, nodes = build_simulation(16, 3, config=config, echo_data=True)
+        sim, client, nodes = build_simulation(16, 3, peel_per_hop=False)
         state = run_build(sim, client, ["B", "C", "D"])
         assert state.phase == Phase.READY
         run_send(sim, client, 1, b"literal mode")

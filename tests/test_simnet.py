@@ -57,7 +57,7 @@ class TestBuild:
 
 class TestData:
     def test_exit_delivery_and_echo(self):
-        sim, client, nodes = build_simulation(16, 7, echo_data=True)
+        sim, client, nodes = build_simulation(16, 7)
         run_build(sim, client, ["B", "C", "D"])
         run_send(sim, client, 4, b"hello onion world")
         assert nodes["D"].delivered == [(4, b"hello onion world")]
@@ -72,6 +72,16 @@ class TestData:
         assert nodes["D"].delivered == [(1, secret)]
         for entry in sim.transcript.entries:
             assert secret not in entry.data
+
+    def test_hosts_keep_only_their_latest_deliveries(self):
+        sim, client, nodes = build_simulation(16, 7)
+        run_build(sim, client, ["B", "C", "D"])
+        for i in range(500):
+            run_send(sim, client, 1, b"echo %d" % i)
+        latest = [(1, b"echo %d" % i) for i in range(500 - 64, 500)]
+        assert nodes["D"].delivered == latest
+        assert client.received == latest
+        assert client.received[-1] == (1, b"echo 499")
 
 
 class TestDeterminism:
@@ -157,7 +167,7 @@ class TestUnknownHost:
         # open that link, so it hears DESTROY as if Z had refused, as after a
         # failed connect over TCP, and fails that one circuit back to A; a
         # bystander circuit through B still echoes.
-        sim, client, nodes = build_simulation(16, 7, echo_data=True)
+        sim, client, nodes = build_simulation(16, 7)
         bystander = SimClient("U", client.params, client.directory, client.rng)
         sim.add_host(bystander.name, bystander)
         assert run_build(sim, bystander, ["B", "C", "D"]).phase == Phase.READY
@@ -178,7 +188,7 @@ class TestLinkModel:
     def test_circuit_ids_reused_in_both_directions_of_a_link(self):
         # X runs C->B and Y runs B->C, both with circuit id 1: C draws id 1
         # toward B for X, so B must draw another toward C for Y.
-        sim, x, _ = build_simulation(64, 0, echo_data=True)
+        sim, x, _ = build_simulation(64, 0)
         y = SimClient("Y", x.params, x.directory, x.rng)
         sim.add_host(y.name, y)
         assert run_build(sim, x, ["C", "B"], circ_id=1).phase == Phase.READY
@@ -188,7 +198,7 @@ class TestLinkModel:
         assert (x.received, y.received) == ([(1, b"to B")], [(1, b"to C")])
 
     def test_path_through_one_relay_twice(self):
-        sim, client, nodes = build_simulation(16, 7, node_names=("B", "C"), echo_data=True)
+        sim, client, nodes = build_simulation(16, 7, node_names=("B", "C"))
         assert run_build(sim, client, ["B", "C", "B"]).phase == Phase.READY
         run_send(sim, client, 1, b"twice")
         assert client.received == [(1, b"twice")]
@@ -225,7 +235,7 @@ class SimNetLinkModel(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.sim, self.first, self.nodes = build_simulation(16, 3, echo_data=True)
+        self.sim, self.first, self.nodes = build_simulation(16, 3)
         self.built: list[SimClient] = []
         self.checked = 0
 

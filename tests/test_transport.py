@@ -322,7 +322,7 @@ class TestRuntimesAgree:
             dir_server.stop()
 
     def test_simulator_and_tcp_build_agree(self):
-        sim, sim_client, sim_nodes = build_simulation(32, 11, echo_data=True)
+        sim, sim_client, sim_nodes = build_simulation(32, 11)
         rng_state = sim_client.rng.getstate()
         sim_state = run_build(sim, sim_client, ["B", "C", "D"])
         run_send(sim, sim_client, 1, b"same bytes")
