@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import tlv
 from .errors import DuplicateName, MalformedKeyFile, NotFound, OnionKepError, ParamsMismatch
 from .nikep import PublicConstructor
+from .onioncrypt import MAX_NAME_BYTES
 
 _STATUS_OK = 0
 _STATUS_ERRORS = {1: NotFound, 2: DuplicateName, 3: ParamsMismatch}  # any other error: 255
@@ -33,8 +34,8 @@ class NodeDescriptor:
 
 
 def encode_descriptor(desc: NodeDescriptor) -> bytes:
-    if len(desc.name.encode()) > 255:
-        raise ValueError("node name longer than 255 bytes")
+    if len(desc.name.encode()) > MAX_NAME_BYTES:
+        raise ValueError(f"node name longer than {MAX_NAME_BYTES} bytes")
     return (tlv.encode_record(tlv.TAG_NAME, desc.name.encode())
             + tlv.encode_record(tlv.TAG_ADDRESS, desc.address.encode())
             + tlv.encode_int_record(tlv.TAG_PUB_P, desc.public.P)
@@ -69,8 +70,8 @@ def _descriptor_from_fields(fields: dict[int, bytes]) -> NodeDescriptor:
                 tlv.TAG_PARAMS_DIGEST}
     if required - fields.keys():
         raise MalformedKeyFile("descriptor record is missing fields")
-    if len(fields[tlv.TAG_NAME]) > 255:
-        raise MalformedKeyFile("node name longer than 255 bytes")
+    if len(fields[tlv.TAG_NAME]) > MAX_NAME_BYTES:
+        raise MalformedKeyFile(f"node name longer than {MAX_NAME_BYTES} bytes")
     return NodeDescriptor(
         name=tlv.decode_text(fields[tlv.TAG_NAME]),
         address=tlv.decode_text(fields[tlv.TAG_ADDRESS]),

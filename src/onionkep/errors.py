@@ -52,27 +52,17 @@ class MalformedKeyFile(OnionKepError):
 # -- wire formats ------------------------------------------------------------
 
 class EncodingOverflow(OnionKepError):
-    """Integer does not fit in the requested fixed width."""
+    """A value does not fit its field: an integer its fixed width, a node
+    name its one-byte length, a cell payload or frame data its two-byte length."""
 
 
 class MalformedPayload(OnionKepError):
     """Chunked ciphertext stream fails structural validation."""
 
 
-class UnknownCommand(OnionKepError):
-    """Cell command byte is not in the command vocabulary."""
-
-
-class TruncatedCell(OnionKepError):
-    """Cell bytes are shorter (or longer) than the declared layout."""
-
-
-class UnknownSubcommand(OnionKepError):
-    """Relay frame subcommand byte is not recognised."""
-
-
-class TruncatedFrame(OnionKepError):
-    """Relay frame bytes do not match the declared layout."""
+class MalformedCell(OnionKepError):
+    """Cell, relay frame, CREATE, CREATED or EXTEND bytes do not match
+    their layout or vocabulary."""
 
 
 # -- protocol / network ------------------------------------------------------

@@ -8,6 +8,10 @@ Relay frames travel inside (possibly layered) cell payloads:
 
     subcommand (1) || stream_id (2 BE) || data_len (2 BE) || data
 
+Each format fails one way. The decoders of cells, relay frames and the
+CREATE, CREATED and EXTEND payloads raise MalformedCell, the chunked
+stream raises MalformedPayload, and the encoders raise EncodingOverflow.
+
 The chunked stream lifts the single-residue cipher to byte strings: an
 8-byte big-endian bit-length header, then the plaintext bitstream split
 into bits = bitlen(r) - 1 bit blocks (so every block is < r without
@@ -51,17 +55,13 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    EncodingOverflow,
-    MalformedPayload,
-    TruncatedCell,
-    TruncatedFrame,
-    UnknownCommand,
-    UnknownSubcommand,
-)
+from .errors import EncodingOverflow, MalformedCell, MalformedPayload
 from .nikep import SessionKey, SystemParams
 
 MAX_PAYLOAD = 65535
+# EXTEND carries a node name behind a one-byte length; a directory
+# descriptor's name is held to the same limit.
+MAX_NAME_BYTES = 255
 
 
 class CellCommand(IntEnum):
@@ -75,7 +75,6 @@ class RelaySubcommand(IntEnum):
     EXTEND = 0x01
     EXTENDED = 0x02
     DATA = 0x03
-    CONNECTED = 0x04
     END = 0x05
 
 
@@ -329,33 +328,35 @@ def encode_cell(cell: Cell) -> bytes:
 
 def decode_cell(data: bytes) -> Cell:
     if len(data) < 7:
-        raise TruncatedCell(f"cell of {len(data)} bytes is shorter than the header")
+        raise MalformedCell(f"cell of {len(data)} bytes is shorter than the header")
     circ_id, command, length = struct.unpack(">IBH", data[:7])
     try:
         command = CellCommand(command)
     except ValueError:
-        raise UnknownCommand(f"command byte {command:#04x}") from None
+        raise MalformedCell(f"command byte {command:#04x}") from None
     if len(data) != 7 + length:
-        raise TruncatedCell(f"declared {length} payload bytes, got {len(data) - 7}")
+        raise MalformedCell(f"declared {length} payload bytes, got {len(data) - 7}")
     return Cell(circ_id=circ_id, command=command, payload=data[7:])
 
 
 # -- relay frame codec -------------------------------------------------------
 
 def encode_relay_frame(frame: RelayFrame) -> bytes:
+    if len(frame.data) > MAX_PAYLOAD:
+        raise EncodingOverflow(f"data of {len(frame.data)} bytes exceeds cap")
     return struct.pack(">BHH", frame.subcommand, frame.stream_id, len(frame.data)) + frame.data
 
 
 def decode_relay_frame(data: bytes) -> RelayFrame:
     if len(data) < 5:
-        raise TruncatedFrame(f"frame of {len(data)} bytes is shorter than the header")
+        raise MalformedCell(f"frame of {len(data)} bytes is shorter than the header")
     sub, stream_id, length = struct.unpack(">BHH", data[:5])
     try:
         sub = RelaySubcommand(sub)
     except ValueError:
-        raise UnknownSubcommand(f"subcommand byte {sub:#04x}") from None
+        raise MalformedCell(f"subcommand byte {sub:#04x}") from None
     if len(data) != 5 + length:
-        raise TruncatedFrame(f"declared {length} data bytes, got {len(data) - 5}")
+        raise MalformedCell(f"declared {length} data bytes, got {len(data) - 5}")
     return RelayFrame(subcommand=sub, stream_id=stream_id, data=data[5:])
 
 
@@ -371,41 +372,39 @@ def build_create_payload(v: int, P: int, Q: int, width: int) -> bytes:
 
 def parse_create_payload(data: bytes, width: int) -> tuple[int, int, int]:
     if len(data) != 3 * width:
-        raise TruncatedCell(f"CREATE payload must be {3 * width} bytes, got {len(data)}")
+        raise MalformedCell(f"CREATE payload must be {3 * width} bytes, got {len(data)}")
     return (int.from_bytes(data[:width], "big"),
             int.from_bytes(data[width : 2 * width], "big"),
             int.from_bytes(data[2 * width :], "big"))
 
 
 def build_created_payload(v: int, digest: bytes, width: int) -> bytes:
-    if len(digest) != 32:
-        raise ValueError("digest must be 32 bytes")
     return int_encode(v, width) + digest
 
 
 def parse_created_payload(data: bytes, width: int) -> tuple[int, bytes]:
     if len(data) != width + 32:
-        raise TruncatedCell(f"CREATED payload must be {width + 32} bytes, got {len(data)}")
+        raise MalformedCell(f"CREATED payload must be {width + 32} bytes, got {len(data)}")
     return int.from_bytes(data[:width], "big"), data[width:]
 
 
 def build_extend_data(name: str, create: bytes) -> bytes:
     """EXTEND data: the next hop's name and its CREATE payload bytes."""
     name_b = name.encode()
-    if len(name_b) > 255:
-        raise EncodingOverflow("node name longer than 255 bytes")
+    if len(name_b) > MAX_NAME_BYTES:
+        raise EncodingOverflow(f"node name longer than {MAX_NAME_BYTES} bytes")
     return bytes([len(name_b)]) + name_b + create
 
 
 def parse_extend_data(data: bytes, width: int) -> tuple[str, bytes]:
     """The next hop's name and the CREATE payload bytes to send it."""
     if len(data) < 1:
-        raise TruncatedFrame("empty EXTEND data")
+        raise MalformedCell("empty EXTEND data")
     name_len = data[0]
     if len(data) != 1 + name_len + 3 * width:
-        raise TruncatedFrame("EXTEND data does not match declared layout")
+        raise MalformedCell("EXTEND data does not match declared layout")
     try:
         name = data[1 : 1 + name_len].decode()
     except UnicodeDecodeError:
-        raise TruncatedFrame("EXTEND node name is not UTF-8") from None
+        raise MalformedCell("EXTEND node name is not UTF-8") from None
     return name, data[1 + name_len :]

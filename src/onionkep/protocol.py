@@ -309,9 +309,7 @@ def node_handle_cell(state: NodeState, from_link: str,
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
             return state, [_toward_client(state, entry, None, 0, cell.payload)]
-        if cell.command == CellCommand.DESTROY:
-            return _teardown(state, entry, "destroyed by peer", onward=False)
-        return state, []
+        return _teardown(state, entry, "destroyed by peer", onward=False)  # DESTROY
     if cell.command == CellCommand.DESTROY:
         return state, []
     return _refuse(state, from_link, cell.circ_id, "unknown circuit")

@@ -31,20 +31,12 @@ TAG_PARAMS_DIGEST = 0x22
 TAG_STATUS = 0x7F
 
 
-def int_to_minimal_bytes(v: int) -> bytes:
-    if v < 0:
-        raise ValueError("negative integers are not representable")
-    return v.to_bytes((v.bit_length() + 7) // 8, "big")
-
-
 def encode_record(tag: int, value: bytes) -> bytes:
-    if not 0 <= tag <= 0xFF:
-        raise ValueError(f"tag out of range: {tag}")
     return bytes([tag]) + len(value).to_bytes(4, "big") + value
 
 
 def encode_int_record(tag: int, v: int) -> bytes:
-    return encode_record(tag, int_to_minimal_bytes(v))
+    return encode_record(tag, v.to_bytes((v.bit_length() + 7) // 8, "big"))
 
 
 def split_first(data: bytes | memoryview) -> tuple[int, bytes, bytes | memoryview]:

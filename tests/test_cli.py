@@ -145,25 +145,48 @@ class TestClientSim:
         assert outs[0] == outs[1]
 
 
+@pytest.fixture
+def tcp_relays(tmp_path):
+    """A directory and relays B, C and D on loopback: yields the directory's
+    address and a public key file carrying their parameters."""
+    rng = random.Random(41)
+    params = gen_params(16, rng)
+    params_file = tmp_path / "params.pub"
+    params_file.write_bytes(encode_public_file(params, gen_keypair(params, rng).public))
+    dir_server = DirectoryServer(Directory(params_digest(params))).start()
+    dir_client = DirectoryClient(dir_server.address)
+    nodes = [NodeServer(name, params, gen_keypair(params, rng), dir_client).start()
+             for name in ("B", "C", "D")]
+    yield dir_server.address, str(params_file)
+    for node in nodes:
+        node.stop()
+    dir_server.stop()
+
+
 class TestClientTcp:
-    def test_corrupt_created_exits_3(self, tmp_path, capsys):
-        rng = random.Random(41)
-        params = gen_params(16, rng)
-        params_file = tmp_path / "params.pub"
-        params_file.write_bytes(encode_public_file(params, gen_keypair(params, rng).public))
-        dir_server = DirectoryServer(Directory(params_digest(params))).start()
-        dir_client = DirectoryClient(dir_server.address)
-        nodes = [NodeServer(name, params, gen_keypair(params, rng), dir_client).start()
-                 for name in ("B", "C", "D")]
-        try:
-            code, out, _ = run_cli(capsys, "client", "build", "--hops", "B,C,D",
-                                   "--dir", dir_server.address,
-                                   "--params", str(params_file),
-                                   "--seed", "5", "--corrupt-created")
-        finally:
-            for node in nodes:
-                node.stop()
-            dir_server.stop()
+    def test_send_echoes(self, capsys, tcp_relays):
+        address, params_file = tcp_relays
+        code, out, _ = run_cli(capsys, "client", "send", "hi there", "--hops", "B,C,D",
+                               "--dir", address, "--params", params_file)
+        assert code == 0
+        lines = out.splitlines()
+        assert [l.split()[:2] for l in lines[:3]] == [
+            ["confirmed", "name=B"], ["confirmed", "name=C"], ["confirmed", "name=D"]]
+        assert lines[3:] == ["response=hi there"]
+
+    def test_unregistered_hop_exits_2(self, capsys, tcp_relays):
+        address, params_file = tcp_relays
+        code, out, err = run_cli(capsys, "client", "send", "hi", "--hops", "B,Z",
+                                 "--dir", address, "--params", params_file)
+        assert code == 2
+        assert out == ""
+        assert err == "error=directory returned status 1\n"
+
+    def test_corrupt_created_exits_3(self, capsys, tcp_relays):
+        address, params_file = tcp_relays
+        code, out, _ = run_cli(capsys, "client", "build", "--hops", "B,C,D",
+                               "--dir", address, "--params", params_file,
+                               "--seed", "5", "--corrupt-created")
         assert code == 3
         assert "failed reason=CircuitIntegrityFailure" in out
 

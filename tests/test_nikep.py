@@ -38,6 +38,7 @@ from onionkep.errors import (
     MalformedSessionKey,
     NonInvertible,
     NotPrime,
+    UnsupportedShape,
 )
 from onionkep import nikep
 from onionkep.modmath import mod_inv
@@ -129,6 +130,10 @@ class TestGenKeypair:
         pair = gen_keypair(toy_params, ScriptedRng([3, 13]))
         assert (pair.public.P, pair.public.Q) == (40, 28)
 
+    def test_rejects_k_sharing_a_factor_with_n(self, toy_params):
+        with pytest.raises(NonInvertible, match="k = 22 shares a factor with n"):
+            keypair_from_secrets(toy_params, 5, 22)
+
 
 class TestHandshake:
     def test_mix_toy_values(self, toy_params, toy_alice, toy_bob):
@@ -183,6 +188,10 @@ class TestReduce:
     def test_rejects_indivisible(self, toy_params):
         with pytest.raises(MalformedSessionKey):
             reduce_key(toy_params, 35)
+
+    def test_rejects_zero_mod_r(self, toy_params):
+        with pytest.raises(MalformedSessionKey, match="reduced session key is 0 mod r"):
+            reduce_key(toy_params, toy_params.n)
 
     def test_raw_always_non_invertible(self, params_64):
         rng = random.Random(9)
@@ -253,6 +262,10 @@ class TestPrefixAttack:
     def test_degenerate_capture(self, toy_params):
         with pytest.raises(DegenerateCapture):
             prefix_recover(toy_params, 0, 24)
+
+    def test_unsupported_shape(self):
+        with pytest.raises(UnsupportedShape, match="requires p = q = 2"):
+            prefix_recover(make_params(3, 5, 11), 4, 8)
 
 
 class TestKeySizes:

@@ -27,14 +27,7 @@ from onionkep import (
     onion_wrap,
     reduce_key,
 )
-from onionkep.errors import (
-    EncodingOverflow,
-    MalformedPayload,
-    TruncatedCell,
-    TruncatedFrame,
-    UnknownCommand,
-    UnknownSubcommand,
-)
+from onionkep.errors import EncodingOverflow, MalformedCell, MalformedPayload
 from onionkep.modmath import is_probable_prime
 from onionkep.onioncrypt import (
     GROUP_BLOCKS,
@@ -43,9 +36,11 @@ from onionkep.onioncrypt import (
     PLAN_MODULI,
     _layout,
     build_create_payload,
+    build_created_payload,
     build_extend_data,
     int_encode,
     parse_create_payload,
+    parse_created_payload,
     parse_extend_data,
 )
 
@@ -152,6 +147,14 @@ class TestChunkCipher:
         cipher = chunk_encrypt(b"\xe0", key, toy_params)
         with pytest.raises(MalformedPayload):
             chunk_decrypt(cipher + b"\x01", key, toy_params)
+
+    def test_body_of_partial_blocks(self):
+        # Blocks of r = 65537 are 3 bytes wide, so a body can end mid-block.
+        params = make_params(2, 2, 65537)
+        key = reduce_key(params, 36)
+        cipher = chunk_encrypt(b"\xe0", key, params)
+        with pytest.raises(MalformedPayload, match="ciphertext not block-aligned"):
+            chunk_decrypt(cipher + b"\x01", key, params)
 
     def test_block_at_or_above_r(self, toy_params):
         key = reduce_key(toy_params, 36)
@@ -442,15 +445,19 @@ class TestCellCodec:
 
     def test_unknown_command(self):
         data = bytes.fromhex("00000001090000")
-        with pytest.raises(UnknownCommand):
+        with pytest.raises(MalformedCell, match="command byte 0x09"):
             decode_cell(data)
 
     def test_truncated(self):
-        with pytest.raises(TruncatedCell):
+        with pytest.raises(MalformedCell, match="declared 255 payload bytes, got 0"):
             decode_cell(bytes.fromhex("000000010100ff"))
 
+    def test_shorter_than_header(self):
+        with pytest.raises(MalformedCell, match="cell of 2 bytes is shorter than the header"):
+            decode_cell(b"\x00\x01")
+
     def test_trailing_garbage(self):
-        with pytest.raises(TruncatedCell):
+        with pytest.raises(MalformedCell, match="declared 0 payload bytes, got 1"):
             decode_cell(bytes.fromhex("00000001010000") + b"x")
 
     def test_payload_cap(self):
@@ -467,12 +474,16 @@ class TestCellCodec:
 
 class TestRelayFrameCodec:
     def test_unknown_subcommand(self):
-        with pytest.raises(UnknownSubcommand):
+        with pytest.raises(MalformedCell, match="subcommand byte 0xff"):
             decode_relay_frame(bytes.fromhex("ff00010000"))
 
     def test_truncated(self):
-        with pytest.raises(TruncatedFrame):
+        with pytest.raises(MalformedCell, match="declared 5 data bytes, got 1"):
             decode_relay_frame(bytes.fromhex("0100010005ab"))
+
+    def test_data_cap(self):
+        with pytest.raises(EncodingOverflow, match="data of 65536 bytes exceeds cap"):
+            encode_relay_frame(RelayFrame(RelaySubcommand.DATA, 1, b"\x00" * 65536))
 
     @given(st.sampled_from(list(RelaySubcommand)), st.integers(0, 65535),
            st.binary(max_size=256))
@@ -492,10 +503,59 @@ class TestStructuredPayloads:
         create = build_create_payload(12, 40, 28, 1)
         assert parse_extend_data(build_extend_data("C", create), 1) == ("C", create)
 
+    def test_extend_name_longer_than_255_bytes(self):
+        with pytest.raises(EncodingOverflow, match="node name longer than 255 bytes"):
+            build_extend_data("x" * 256, build_create_payload(12, 40, 28, 1))
+
     def test_extend_data_bad_length(self):
-        with pytest.raises(TruncatedFrame):
+        with pytest.raises(MalformedCell, match="EXTEND data does not match declared layout"):
             parse_extend_data(build_extend_data("C", bytes([12, 40])), 1)
 
     def test_extend_data_name_not_utf8(self):
-        with pytest.raises(TruncatedFrame):
+        with pytest.raises(MalformedCell, match="EXTEND node name is not UTF-8"):
             parse_extend_data(bytes([1, 0xFF, 12, 40, 28]), 1)
+
+
+def exactly(size):
+    return st.binary(min_size=size, max_size=size)
+
+
+def framed(id_before, id_after):
+    """Bytes of a cell's or relay frame's layout: any id bytes around a
+    command byte of at most 7, a two-byte length and the body it counts,
+    and at times one byte too many."""
+    return st.builds(lambda before, code, after, body, extra:
+                     before + bytes([code]) + after + len(body).to_bytes(2, "big") + body + extra,
+                     exactly(id_before), st.integers(0, 7), exactly(id_after),
+                     st.binary(max_size=64), st.binary(max_size=1))
+
+
+# Each cell-format decoder followed by the encoder that must give back
+# whatever bytes the decoder accepts, and the bytes of its layout by width.
+CELL_FORMATS = {
+    "cell": (lambda data, width: encode_cell(decode_cell(data)),
+             lambda width: framed(4, 0)),
+    "relay-frame": (lambda data, width: encode_relay_frame(decode_relay_frame(data)),
+                    lambda width: framed(0, 2)),
+    "create": (lambda data, width: build_create_payload(*parse_create_payload(data, width),
+                                                        width),
+               lambda width: exactly(3 * width)),
+    "created": (lambda data, width: build_created_payload(*parse_created_payload(data, width),
+                                                          width),
+                lambda width: exactly(width + 32)),
+    "extend": (lambda data, width: build_extend_data(*parse_extend_data(data, width)),
+               lambda width: st.builds(lambda name, create: bytes([len(name)]) + name + create,
+                                       st.binary(max_size=255), exactly(3 * width))),
+}
+
+
+class TestMalformedCellBytes:
+    @pytest.mark.parametrize("reencode, layout", CELL_FORMATS.values(), ids=CELL_FORMATS)
+    @given(st.data())
+    def test_decoders_raise_only_malformed_cell(self, reencode, layout, data):
+        width = data.draw(st.integers(1, 64), "width")
+        wire = data.draw(st.binary(max_size=300) | layout(width), "wire")
+        try:
+            assert reencode(wire, width) == wire
+        except MalformedCell:
+            pass

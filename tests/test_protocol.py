@@ -237,6 +237,10 @@ class TestNodeRelay:
         client, actions = client_handle_cell(client, reply.cell)
         assert actions == [DeliverLocal(5, b"pong")]
 
+    def test_reply_data_needs_a_circuit(self, bob_node):
+        with pytest.raises(NotReady, match="no circuit 9 from A"):
+            node_reply_data(bob_node, 9, "A", 5, b"pong")
+
 
 class TestClientStep:
     def _created(self, toy_params, toy_bob):
@@ -332,6 +336,16 @@ class TestCircuitIds:
         state, actions = self._extend(toy_params, toy_bob, bob_node, (), to="B")
         assert actions == [TearDown(9, "extend to self"), SendCell("A", Cell(9, CellCommand.DESTROY))]
         assert (state.entries, state.nexts, state.circ_seq) == ({}, {}, 1)
+
+    def test_created_after_the_extension_completed_is_ignored(self, toy_params, toy_bob,
+                                                              bob_node):
+        state, [create] = self._extend(toy_params, toy_bob, bob_node, ())
+        charlie = NodeState(name="C", params=toy_params,
+                            keypair=keypair_from_secrets(toy_params, 7, 17))
+        _, [created] = node_handle_cell(charlie, "B", create.cell)
+        state, [extended] = node_handle_cell(state, "C", created.cell)
+        assert (extended.link, extended.cell.command) == ("A", CellCommand.RELAY)
+        assert node_handle_cell(state, "C", created.cell) == (state, [])
 
 
 class TestRelayHost:

@@ -181,6 +181,20 @@ class TestUnknownHost:
         run_send(sim, bystander, 1, b"still here")
         assert bystander.received == [(1, b"still here")]
 
+    def test_echo_toward_a_departed_client_costs_only_its_entry_relay(self):
+        # B cannot deliver the echo to A, which has left, so it drops that
+        # link and the circuit on it. No DESTROY goes onward: C and D keep
+        # the circuit.
+        sim, client, nodes = build_simulation(16, 7)
+        assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+        send = client_send_data(client.state, 1, b"bye")
+        sim.hosts.pop("A")
+        sim.post("A", send.link, send.cell)
+        sim.run()
+        assert nodes["D"].delivered == [(1, b"bye")]
+        assert {name: len(node.state.entries) for name, node in nodes.items()} == \
+            {"B": 0, "C": 1, "D": 1}
+
 
 class TestLinkModel:
     # One link carries circuit ids drawn by both of its ends, and a relay

@@ -69,22 +69,24 @@ class TestFraming:
             a.close(); b.close()
 
     def test_clean_eof(self):
-        a, b = socket_pair()
+        a, b = socket.socketpair()
         a.close()
-        try:
+        with b:
             assert recv_frame(b) is None
-        finally:
-            b.close()
+
+    def test_eof_after_header(self):
+        a, b = socket.socketpair()
+        a.sendall((10).to_bytes(4, "big"))
+        a.close()
+        with b, pytest.raises(ConnectionError, match="connection closed mid-frame"):
+            recv_frame(b)
 
     def test_mid_frame_eof(self):
-        a, b = socket_pair()
+        a, b = socket.socketpair()
         a.sendall((10).to_bytes(4, "big") + b"abc")
         a.close()
-        try:
-            with pytest.raises(ConnectionError):
-                recv_frame(b)
-        finally:
-            b.close()
+        with b, pytest.raises(ConnectionError, match="connection closed mid-read"):
+            recv_frame(b)
 
     def test_oversize_send_rejected(self):
         a, b = socket_pair()
