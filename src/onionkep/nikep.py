@@ -27,6 +27,13 @@ The direct two-pow formula is used for inputs the identity does not
 cover: r equal to p or q, p != q for keypairs, Q == 0 (mod r), or a
 hand-made PrivateKey whose x + y - 1 is not a multiple of r - 1.
 
+A session key takes one inverse mod r and none mod n (Montgomery's
+simultaneous inversion, 1987): w = (v * k * p*q)**-1 mod r gives both
+k_r = v**2 * w and k_r**-1 = (k * p*q)**2 * w mod r, and k_s = p*q * k_r.
+strip and reduce_key, with their two inverses and their errors, serve the
+inputs this does not cover: r equal to p or q, v == 0 (mod r), v not a
+multiple of p*q, or an own k that shares a factor with n.
+
 The cipher is deterministic and malleable by construction; it offers no
 semantic security and is implemented here exactly as the exchange defines
 it.
@@ -295,7 +302,15 @@ def reduce_key(params: SystemParams, raw: int) -> SessionKey:
 
 
 def derive_session_key(params: SystemParams, v: int, own_k: int) -> SessionKey:
-    """strip followed by reduce_key; the receive side of the handshake."""
+    """reduce_key(params, strip(params, v, own_k)), the receive side of the
+    handshake, from one inverse mod r; see the module docstring."""
+    if params._crt is not None:
+        pq, r = params._crt[0], params.r
+        vr, kpq = v % r, own_k * pq % r
+        if vr and kpq and v % pq == 0 and math.gcd(own_k, pq) == 1:
+            w = pow(vr * kpq, -1, r)
+            reduced = vr * vr * w % r
+            return SessionKey(raw=pq * reduced, reduced=reduced, reduced_inv=kpq * kpq * w % r)
     return reduce_key(params, strip(params, v, own_k))
 
 

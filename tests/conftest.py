@@ -19,8 +19,9 @@ from onionkep.transport import recv_frame, send_frame
 # Ten times the examples of Hypothesis's default profile, for tests that
 # take their count from the loaded profile, such as the simulator's link
 # model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
-# and the malformed-input tests of the machines (tests/test_protocol.py) and
-# the cell-format decoders (tests/test_onioncrypt.py).
+# and the malformed-input tests of the machines (tests/test_protocol.py), of
+# the cell-format decoders (tests/test_onioncrypt.py) and of the session-key
+# derivation against its oracle (tests/test_nikep.py).
 settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.

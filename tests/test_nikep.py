@@ -54,6 +54,7 @@ from onionkep.nikep import (
     encode_public_file,
 )
 from conftest import ScriptedRng, built_tables, outcome, tabulate
+import session_key_oracle
 
 
 def oracle_shared_key(params, a, b):
@@ -203,6 +204,94 @@ class TestReduce:
             with pytest.raises(NonInvertible):
                 mod_inv(key.raw, params_64.n)
             assert key.reduced * key.reduced_inv % params_64.r == 1
+
+
+class TestDeriveAgainstOracle:
+    """derive_session_key against the former strip-then-reduce_key
+    derivation (``session_key_oracle``): the same SessionKey, or the same
+    exception type and message."""
+
+    # (3, 5, 5) has r equal to q, where no inverse mod r applies.
+    SHAPES = [(2, 2, 11), (2, 3, 11), (3, 5, 7), (3, 3, 7), (3, 5, 5)]
+
+    @staticmethod
+    def units(params):
+        """A k invertible mod n, give or take multiples of n."""
+        n = params.n
+        unit = st.integers(1, n - 1).filter(lambda k: math.gcd(k, n) == 1)
+        return st.tuples(unit, st.integers(-1, 2)).map(lambda t: t[0] + t[1] * n)
+
+    @staticmethod
+    def handshake_values(params):
+        """A multiple of p*q that is not 0 mod r, as a handshake value is,
+        give or take multiples of n."""
+        pq, n = params.p * params.q, params.n
+        return st.tuples(st.integers(1, params.r - 1), st.integers(-1, 2)) \
+            .map(lambda t: t[0] * pq + t[1] * n)
+
+    @classmethod
+    def any_values(cls, params):
+        """A handshake value, or 0, a multiple of r, a value off the
+        multiples of p*q, a negative value, or one at or past n or 2**(8W)."""
+        n, r, pq = params.n, params.r, params.p * params.q
+        wide = 1 << 8 * params.residue_width
+        return (cls.handshake_values(params)
+                | st.integers(-3, 3 * pq).map(lambda m: m * r)
+                | st.tuples(st.integers(0, n // pq), st.integers(1, pq - 1))
+                    .map(lambda t: t[0] * pq + t[1])
+                | st.integers(-n, -1) | st.integers(n, 3 * n) | st.integers(wide, 2 * wide))
+
+    @classmethod
+    def any_ks(cls, params):
+        """A k invertible mod n, an even k, or a multiple of r."""
+        return (cls.units(params)
+                | st.integers(-params.n, params.n).map(lambda m: 2 * m)
+                | st.integers(-3, 3 * params.p * params.q).map(lambda m: m * params.r))
+
+    def check(self, params, v, k):
+        assert outcome(derive_session_key, params, v, k) \
+            == outcome(session_key_oracle.derive_session_key, params, v, k)
+
+    @pytest.mark.parametrize("shape", [*SHAPES, "params_64"], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=settings.default.max_examples, deadline=None)  # 100, or 1000 under ``thorough``
+    def test_handshake_values(self, request, shape, data):
+        params = request.getfixturevalue(shape) if shape == "params_64" else make_params(*shape)
+        self.check(params, data.draw(self.handshake_values(params)), data.draw(self.units(params)))
+
+    @pytest.mark.parametrize("shape", [*SHAPES, "params_64"], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)  # 200, or 2000 under ``thorough``
+    def test_any_values(self, request, shape, data):
+        params = request.getfixturevalue(shape) if shape == "params_64" else make_params(*shape)
+        self.check(params, data.draw(self.any_values(params)), data.draw(self.any_ks(params)))
+
+    @pytest.mark.parametrize("k", [4, 22])
+    @pytest.mark.parametrize("v", [12, 28])
+    def test_k_sharing_a_factor_with_n(self, toy_params, v, k):
+        # v is a multiple of p*q = 4 and not 0 mod r = 11, so only k stops
+        # the one-inverse derivation: it must fall back to strip's error.
+        with pytest.raises(NonInvertible) as raised:
+            derive_session_key(toy_params, v, k)
+        assert outcome(strip, toy_params, v, k) == (NonInvertible, str(raised.value))
+
+    def test_one_inverse_mod_r_per_handshake(self, params_256, monkeypatch):
+        rng = random.Random(5)
+        inverses = []
+
+        def counting_pow(base, exp, mod=None):
+            if exp == -1:
+                inverses.append(mod)
+            return pow(base, exp, mod)
+
+        pairs = [(gen_keypair(params_256, rng), gen_keypair(params_256, rng)) for _ in range(5)]
+        values = [(mix(params_256, b.public, a.private), b.private.k) for a, b in pairs]
+        monkeypatch.setattr(nikep, "pow", counting_pow, raising=False)
+        for v, k in values:
+            assert derive_session_key(params_256, v, k) \
+                == session_key_oracle.derive_session_key(params_256, v, k)
+        # Only nikep's own pow is counted; the oracle inverts through mod_inv.
+        assert inverses == [params_256.r] * len(values)
 
 
 class TestBlockCipher:
