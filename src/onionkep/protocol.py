@@ -1,9 +1,9 @@
 """Client and relay state machines for telescoping circuit construction.
 
-Every transition is a pure function from (state, input cell) to
-(new state, ordered list of output actions); states are frozen dataclasses
-and nothing here performs I/O, so identical inputs always replay to
-identical outputs.
+Every transition is a pure function from (state, input cell) to (new
+state, or on a relay a delta, and an ordered list of output actions);
+states are frozen dataclasses and nothing here performs I/O, so identical
+inputs always replay to identical outputs.
 
 Every protocol rule lives here once. ``Client`` is the one client host,
 which drives its build through ``client_step``, and ``Relay`` the one
@@ -16,8 +16,10 @@ only the circuit the bytes arrived on.
 A relay finds a circuit from the (link, circ_id) a cell arrives with, in
 two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
 (prev_link, circ_id), and ``nexts`` by the next hop's side,
-(next_link, next_circ_id), pointing back at the ``entries`` key. Both maps
-are copied on write, so a transition never changes the state it was given.
+(next_link, next_circ_id), pointing back at the ``entries`` key. A relay
+transition returns a ``NodeDelta`` of entries to put and to forget, which
+one rule applies to both maps, ``node_apply`` on copies and ``Relay`` in
+place, so that a cell costs the same however many circuits a relay holds.
 A link may carry ids drawn by both of its ends, so their keys are kept
 apart: an EXTEND skips any id its link already has in ``entries``, and a
 CREATE on a key of ``nexts`` is refused with DESTROY; an EXTEND naming the
@@ -290,8 +292,39 @@ class NodeState:
     circ_seq: int = 1
 
 
+@dataclass(frozen=True)
+class NodeDelta:
+    """What one relay transition changes: entries to put and to forget, and a new ``circ_seq``."""
+
+    put: tuple[CircuitEntry, ...] = ()
+    forget: tuple[CircuitEntry, ...] = ()
+    circ_seq: int | None = None
+
+
+_NOOP = NodeDelta()
+
+
+def node_apply(state: NodeState, delta: NodeDelta) -> NodeState:
+    """``state`` with ``delta`` applied, on copies of its maps."""
+    return _apply(replace(state, entries=dict(state.entries), nexts=dict(state.nexts)), delta)
+
+
+def _apply(state: NodeState, delta: NodeDelta) -> NodeState:
+    """The one rule that changes a relay's maps, in place: each ``nexts``
+    key is read off its entry, and a new ``circ_seq`` shares the maps."""
+    for entry in delta.forget:
+        del state.entries[entry.key]
+        if entry.next_link is not None:
+            del state.nexts[entry.next_link, entry.next_circ_id]
+    for entry in delta.put:
+        state.entries[entry.key] = entry
+        if entry.next_link is not None:
+            state.nexts[entry.next_link, entry.next_circ_id] = entry.key
+    return state if delta.circ_seq is None else replace(state, circ_seq=delta.circ_seq)
+
+
 def node_handle_cell(state: NodeState, from_link: str,
-                     cell: Cell) -> tuple[NodeState, list[Action]]:
+                     cell: Cell) -> tuple[NodeDelta, list[Action]]:
     """Feed one inbound cell to the relay machine."""
     if cell.command == CellCommand.CREATE:
         return _node_handle_create(state, from_link, cell)
@@ -300,19 +333,19 @@ def node_handle_cell(state: NodeState, from_link: str,
         if cell.command == CellCommand.RELAY:
             return _node_forward_relay(state, entry, cell)
         if cell.command == CellCommand.DESTROY:
-            return _teardown(state, entry, "destroyed by peer", back=False)
-        return state, []
+            return _teardown(entry, "destroyed by peer", back=False)
+        return _NOOP, []
     key = state.nexts.get((from_link, cell.circ_id))
     if key is not None:
         entry = state.entries[key]
         if cell.command == CellCommand.CREATED:
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
-            return state, [_toward_client(state, entry, None, 0, cell.payload)]
-        return _teardown(state, entry, "destroyed by peer", onward=False)  # DESTROY
+            return _NOOP, [_toward_client(state, entry, None, 0, cell.payload)]
+        return _teardown(entry, "destroyed by peer", onward=False)  # DESTROY
     if cell.command == CellCommand.DESTROY:
-        return state, []
-    return _refuse(state, from_link, cell.circ_id, "unknown circuit")
+        return _NOOP, []
+    return _refuse(from_link, cell.circ_id, "unknown circuit")
 
 
 def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
@@ -324,84 +357,81 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     return _toward_client(state, entry, RelaySubcommand.DATA, stream_id, data)
 
 
-def node_drop_link(state: NodeState, link: str) -> NodeState:
+def node_drop_link(state: NodeState, link: str) -> NodeDelta:
     """Forget every circuit riding on a lost link, in either direction. No
     DESTROY goes to the other neighbour, so relays further along keep them."""
-    return _forget(state, [e for e in state.entries.values()
-                           if link in (e.prev_link, e.next_link)])
+    return NodeDelta(forget=tuple(e for e in state.entries.values()
+                                  if link in (e.prev_link, e.next_link)))
 
 
 def _node_handle_create(state: NodeState, from_link: str,
-                        cell: Cell) -> tuple[NodeState, list[Action]]:
+                        cell: Cell) -> tuple[NodeDelta, list[Action]]:
     existing = state.entries.get((from_link, cell.circ_id))
     if existing is not None:
-        return _teardown(state, existing, "duplicate CREATE")
+        return _teardown(existing, "duplicate CREATE")
     if (from_link, cell.circ_id) in state.nexts:
-        return _refuse(state, from_link, cell.circ_id, "circuit id in use")
+        return _refuse(from_link, cell.circ_id, "circuit id in use")
     width = state.params.residue_width
     try:
         v, eph_p, eph_q = parse_create_payload(cell.payload, width)
         session = derive_session_key(state.params, v, state.keypair.private.k)
     except OnionKepError:
-        return _refuse(state, from_link, cell.circ_id, "malformed CREATE handshake")
+        return _refuse(from_link, cell.circ_id, "malformed CREATE handshake")
     reply = mix(state.params, PublicConstructor(P=eph_p, Q=eph_q), state.keypair.private)
     payload = build_created_payload(reply, key_digest(session), width)
     entry = CircuitEntry(circ_id=cell.circ_id, prev_link=from_link, session=session)
-    new_state = replace(state, entries={**state.entries, entry.key: entry})
-    return new_state, [SendCell(from_link, Cell(cell.circ_id, CellCommand.CREATED, payload))]
+    send = SendCell(from_link, Cell(cell.circ_id, CellCommand.CREATED, payload))
+    return NodeDelta(put=(entry,)), [send]
 
 
 def _node_forward_relay(state: NodeState, entry: CircuitEntry,
-                        cell: Cell) -> tuple[NodeState, list[Action]]:
+                        cell: Cell) -> tuple[NodeDelta, list[Action]]:
     payload = cell.payload
     relaying = entry.next_link is not None and not entry.next_pending
     if state.peel_per_hop or not relaying:
         try:
             payload = chunk_decrypt(payload, entry.session, state.params)
         except OnionKepError:
-            return _teardown(state, entry, "malformed relay payload")
+            return _teardown(entry, "malformed relay payload")
     if relaying:
-        return state, [SendCell(entry.next_link,
+        return _NOOP, [SendCell(entry.next_link,
                                 Cell(entry.next_circ_id, CellCommand.RELAY, payload))]
     if entry.next_pending:
-        return _teardown(state, entry, "relay before extension completed")
+        return _teardown(entry, "relay before extension completed")
     try:
         frame = decode_relay_frame(payload)
     except OnionKepError:
-        return _teardown(state, entry, "unparseable relay frame")
+        return _teardown(entry, "unparseable relay frame")
     if frame.subcommand == RelaySubcommand.EXTEND:
         try:
             name, create = parse_extend_data(frame.data, state.params.residue_width)
         except OnionKepError:
-            return _teardown(state, entry, "malformed EXTEND data")
+            return _teardown(entry, "malformed EXTEND data")
         if name == state.name:
-            return _teardown(state, entry, "extend to self")
+            return _teardown(entry, "extend to self")
         next_circ = state.circ_seq
         while (name, next_circ) in state.entries:  # an id the link's other end drew
             next_circ += 1
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
-        new_state = replace(state, circ_seq=next_circ + 1,
-                            entries={**state.entries, entry.key: updated},
-                            nexts={**state.nexts, (name, next_circ): entry.key})
-        return new_state, [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))]
+        return (NodeDelta(put=(updated,), circ_seq=next_circ + 1),
+                [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))])
     if frame.subcommand == RelaySubcommand.DATA:
-        return state, [DeliverLocal(frame.stream_id, frame.data)]
+        return _NOOP, [DeliverLocal(frame.stream_id, frame.data)]
     if frame.subcommand == RelaySubcommand.END:
-        return _teardown(state, entry, "stream ended")
-    return state, []
+        return _teardown(entry, "stream ended")
+    return _NOOP, []
 
 
 def _node_handle_created(state: NodeState, entry: CircuitEntry,
-                         cell: Cell) -> tuple[NodeState, list[Action]]:
+                         cell: Cell) -> tuple[NodeDelta, list[Action]]:
     if not entry.next_pending:
-        return state, []
+        return _NOOP, []
     try:
         parse_created_payload(cell.payload, state.params.residue_width)
     except OnionKepError:
-        return _teardown(state, entry, "malformed CREATED from next hop")
-    updated = replace(entry, next_pending=False)
-    new_state = replace(state, entries={**state.entries, entry.key: updated})
-    return new_state, [_toward_client(state, entry, RelaySubcommand.EXTENDED, 0, cell.payload)]
+        return _teardown(entry, "malformed CREATED from next hop")
+    extended = _toward_client(state, entry, RelaySubcommand.EXTENDED, 0, cell.payload)
+    return NodeDelta(put=(replace(entry, next_pending=False),)), [extended]
 
 
 def _toward_client(state: NodeState, entry: CircuitEntry, subcommand: RelaySubcommand | None,
@@ -415,8 +445,8 @@ def _toward_client(state: NodeState, entry: CircuitEntry, subcommand: RelaySubco
     return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, data))
 
 
-def _teardown(state: NodeState, entry: CircuitEntry, reason: str, back: bool = True,
-              onward: bool = True) -> tuple[NodeState, list[Action]]:
+def _teardown(entry: CircuitEntry, reason: str, back: bool = True,
+              onward: bool = True) -> tuple[NodeDelta, list[Action]]:
     """Forget ``entry`` and send DESTROY back toward the client and/or
     onward to the next hop. The sides are chosen by direction, never by
     link name: ``prev_link`` may equal ``next_link``."""
@@ -425,33 +455,21 @@ def _teardown(state: NodeState, entry: CircuitEntry, reason: str, back: bool = T
         actions.append(SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.DESTROY)))
     if onward and entry.next_link is not None:
         actions.append(SendCell(entry.next_link, Cell(entry.next_circ_id, CellCommand.DESTROY)))
-    return _forget(state, [entry]), actions
+    return NodeDelta(forget=(entry,)), actions
 
 
-def _forget(state: NodeState, gone: list[CircuitEntry]) -> NodeState:
-    """``state`` without the circuits ``gone``, in both maps; a map that
-    loses no key is shared, not copied."""
-    outs = [(e.next_link, e.next_circ_id) for e in gone if e.next_link is not None]
-    entries = dict(state.entries) if gone else state.entries
-    nexts = dict(state.nexts) if outs else state.nexts
-    for entry in gone:
-        del entries[entry.key]
-    for key in outs:
-        del nexts[key]
-    return replace(state, entries=entries, nexts=nexts)
-
-
-def _refuse(state: NodeState, link: str, circ_id: int,
-            reason: str) -> tuple[NodeState, list[Action]]:
+def _refuse(link: str, circ_id: int, reason: str) -> tuple[NodeDelta, list[Action]]:
     """Answer a cell that no circuit takes with DESTROY on its own link."""
-    return state, [TearDown(circ_id, reason), SendCell(link, Cell(circ_id, CellCommand.DESTROY))]
+    return _NOOP, [TearDown(circ_id, reason), SendCell(link, Cell(circ_id, CellCommand.DESTROY))]
 
 
 # -- relay host --------------------------------------------------------------
 
 class Relay:
     """The relay host of both runtimes: owns one NodeState, keeps its latest
-    exit deliveries and, unless ``echo_data`` is false, echoes each one back."""
+    exit deliveries and, unless ``echo_data`` is false, echoes each one back.
+    It changes ``state.entries`` and ``state.nexts`` in place, so a threaded
+    host calls it, and reads them beyond ``len()``, under one lock."""
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
                  peel_per_hop: bool = True, echo_data: bool = True):
@@ -461,7 +479,8 @@ class Relay:
         self.delivered: list[tuple[int, bytes]] = []
 
     def handle(self, link: str, cell: Cell) -> list[SendCell]:
-        self.state, actions = node_handle_cell(self.state, link, cell)
+        delta, actions = node_handle_cell(self.state, link, cell)
+        self.state = _apply(self.state, delta)
         sends = [a for a in actions if isinstance(a, SendCell)]
         for action in actions:
             if isinstance(action, DeliverLocal):
@@ -473,7 +492,7 @@ class Relay:
         return sends
 
     def drop_link(self, link: str) -> None:
-        self.state = node_drop_link(self.state, link)
+        self.state = _apply(self.state, node_drop_link(self.state, link))
 
 
 # -- client host -------------------------------------------------------------

@@ -159,7 +159,8 @@ class NodeServer(protocol.Relay):
     resolved through the directory, one connection per name, and are
     blocking sockets once connected, like the inbound ones. Each link has
     a reader thread that feeds its cells to the relay and sends the
-    answers. ``_lock`` guards the relay state and
+    answers. ``_lock`` guards the relay state, whose maps change in place
+    (other threads read them under it or only through ``len()``), and
     the link table, and is held to open a link (lookup, connect, store,
     start its reader), so concurrent sends toward one relay open one
     connection. Cells are written outside it, under the link's write lock.

@@ -19,9 +19,10 @@ from onionkep.transport import recv_frame, send_frame
 # Ten times the examples of Hypothesis's default profile, for tests that
 # take their count from the loaded profile, such as the simulator's link
 # model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
-# and the malformed-input tests of the machines (tests/test_protocol.py), of
-# the cell-format decoders (tests/test_onioncrypt.py) and of the session-key
-# derivation against its oracle (tests/test_nikep.py).
+# and the malformed-input and relay-delta tests of the machines
+# (tests/test_protocol.py), of the cell-format decoders
+# (tests/test_onioncrypt.py) and of the session-key derivation against its
+# oracle (tests/test_nikep.py).
 settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.
@@ -97,8 +98,10 @@ def fake_directory(answer):
 
 
 def session_keys(relay) -> list[int]:
-    """The raw session keys of ``relay``'s circuits, in entry order."""
-    return [entry.session.raw for entry in relay.state.entries.values()]
+    """The raw session keys of ``relay``'s circuits, in entry order, read
+    under the lock of a TCP relay, whose reader threads change its maps."""
+    with getattr(relay, "_lock", contextlib.nullcontext()):
+        return [entry.session.raw for entry in relay.state.entries.values()]
 
 
 def serialize(transcript) -> bytes:

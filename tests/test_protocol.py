@@ -42,17 +42,25 @@ from onionkep.protocol import (
     client_handle_cell,
     client_send_data,
     client_step,
+    node_apply,
     node_drop_link,
     node_handle_cell,
     node_reply_data,
 )
-from onionkep.simnet import SimClient, build_simulation
+from onionkep.simnet import SimClient, build_simulation, run_build, run_send
 from conftest import ScriptedRng, check_hop_keys, raw_extend_cell, session_keys, tabulate
 
 
 @pytest.fixture
 def bob_node(toy_params, toy_bob):
     return NodeState(name="B", params=toy_params, keypair=toy_bob)
+
+
+def relay_transition(state, link, cell):
+    """``node_handle_cell`` with its delta folded into ``state`` by
+    ``node_apply``: the relay's new state and its actions."""
+    delta, actions = node_handle_cell(state, link, cell)
+    return node_apply(state, delta), actions
 
 
 class TestClientCreate:
@@ -76,7 +84,7 @@ class TestClientCreate:
 class TestNodeHandleCreate:
     def test_toy_response(self, toy_params, toy_bob, bob_node):
         cell = Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1))
-        state, actions = node_handle_cell(bob_node, "A", cell)
+        state, actions = relay_transition(bob_node, "A", cell)
         [send] = actions
         assert send.cell.command == CellCommand.CREATED
         v, digest = send.cell.payload[0], send.cell.payload[1:]
@@ -87,7 +95,7 @@ class TestNodeHandleCreate:
     def test_malformed_handshake_destroys(self, bob_node):
         # V=35 strips to a value not divisible by 4.
         cell = Cell(9, CellCommand.CREATE, build_create_payload(35, 40, 28, 1))
-        state, actions = node_handle_cell(bob_node, "A", cell)
+        state, actions = relay_transition(bob_node, "A", cell)
         assert state.entries == {}
         assert any(isinstance(a, TearDown) for a in actions)
         assert any(isinstance(a, SendCell)
@@ -169,7 +177,7 @@ class TestClientExtend:
 class TestNodeRelay:
     def test_terminal_peels_and_emits_create(self, toy_params, toy_bob, bob_node):
         # Build B's entry, then feed it a one-layer EXTEND to C.
-        state, actions = node_handle_cell(
+        state, actions = relay_transition(
             bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, send = client_create(toy_params, 9, "B", toy_bob.public,
                                      ScriptedRng([3, 13]))
@@ -177,7 +185,7 @@ class TestNodeRelay:
         assert client.phase == Phase.READY
         charlie = keypair_from_secrets(toy_params, 7, 17)
         client, relay = client_extend(client, "C", charlie.public, ScriptedRng([4, 19]))
-        state, actions = node_handle_cell(state, "A", relay.cell)
+        state, actions = relay_transition(state, "A", relay.cell)
         [send] = actions
         assert send.link == "C"
         assert send.cell.command == CellCommand.CREATE
@@ -185,17 +193,17 @@ class TestNodeRelay:
         assert entry.next_link == "C" and entry.next_pending
 
     def test_data_at_exit_delivers_local(self, toy_params, toy_bob, bob_node):
-        state, actions = node_handle_cell(
+        state, actions = relay_transition(
             bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(toy_params, 9, "B", toy_bob.public,
                                   ScriptedRng([3, 13]))
         client, _ = client_handle_cell(client, actions[0].cell)
         send = client_send_data(client, 5, b"hi")
-        state, actions = node_handle_cell(state, "A", send.cell)
+        state, actions = relay_transition(state, "A", send.cell)
         assert actions == [DeliverLocal(5, b"hi")]
 
     def test_unknown_circuit_tears_down(self, bob_node):
-        state, actions = node_handle_cell(bob_node, "A",
+        state, actions = relay_transition(bob_node, "A",
                                           Cell(42, CellCommand.RELAY, b"junk"))
         assert any(isinstance(a, TearDown) for a in actions)
         assert any(isinstance(a, SendCell)
@@ -210,12 +218,12 @@ class TestNodeRelay:
         # is extended toward.
         params = make_params(2, 2, 11)
         bob = keypair_from_secrets(params, 5, 15)
-        state, [created] = node_handle_cell(
+        state, [created] = relay_transition(
             NodeState(name="B", params=params, keypair=bob), "A",
             Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(params, 9, "B", bob.public, ScriptedRng([3, 13]))
         client, _ = client_handle_cell(client, created.cell)
-        _, actions = node_handle_cell(state, "A", raw_extend_cell(client, name))
+        _, actions = relay_transition(state, "A", raw_extend_cell(client, name))
         try:
             name.decode()
         except UnicodeDecodeError:
@@ -228,7 +236,7 @@ class TestNodeRelay:
             assert actions == [TearDown(9, reason), SendCell("A", Cell(9, CellCommand.DESTROY))]
 
     def test_reply_data_round_trip(self, toy_params, toy_bob, bob_node):
-        state, actions = node_handle_cell(
+        state, actions = relay_transition(
             bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(toy_params, 9, "B", toy_bob.public,
                                   ScriptedRng([3, 13]))
@@ -269,24 +277,24 @@ class TestClientStep:
 
 class TestDropLink:
     def _extended(self, toy_params, toy_bob, bob_node):
-        state, actions = node_handle_cell(
+        state, actions = relay_transition(
             bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(toy_params, 9, "B", toy_bob.public,
                                   ScriptedRng([3, 13]))
         client, _ = client_handle_cell(client, actions[0].cell)
         charlie = keypair_from_secrets(toy_params, 7, 17)
         _, relay = client_extend(client, "C", charlie.public, ScriptedRng([4, 19]))
-        state, _ = node_handle_cell(state, "A", relay.cell)
+        state, _ = relay_transition(state, "A", relay.cell)
         return state
 
     @pytest.mark.parametrize("link", ["A", "C"])
     def test_forgets_circuits_on_either_side(self, toy_params, toy_bob, bob_node, link):
         state = self._extended(toy_params, toy_bob, bob_node)
-        assert node_drop_link(state, link).entries == {}
+        assert node_apply(state, node_drop_link(state, link)).entries == {}
 
     def test_keeps_circuits_on_other_links(self, toy_params, toy_bob, bob_node):
         state = self._extended(toy_params, toy_bob, bob_node)
-        assert node_drop_link(state, "D") == state
+        assert node_apply(state, node_drop_link(state, "D")) == state
 
 
 class TestCircuitIds:
@@ -297,15 +305,15 @@ class TestCircuitIds:
         A's circuit 9 to extend to ``to``: B's new state and its actions."""
         state = bob_node
         for circ_id in from_c:
-            state, _ = node_handle_cell(
+            state, _ = relay_transition(
                 state, "C", Cell(circ_id, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
-        state, [created] = node_handle_cell(
+        state, [created] = relay_transition(
             state, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
         client, _ = client_create(toy_params, 9, "B", toy_bob.public, ScriptedRng([3, 13]))
         client, _ = client_handle_cell(client, created.cell)
         charlie = keypair_from_secrets(toy_params, 7, 17)
         _, relay = client_extend(client, to, charlie.public, ScriptedRng([4, 19]))
-        return node_handle_cell(state, "A", relay.cell)
+        return relay_transition(state, "A", relay.cell)
 
     @pytest.mark.parametrize("from_c, next_id", [((), 1), ((2,), 1), ((1,), 2), ((1, 2), 3)],
                              ids=["none", "other-id", "same-id", "two-ids"])
@@ -320,14 +328,14 @@ class TestCircuitIds:
     def test_create_on_an_id_drawn_for_that_link_is_refused(self, toy_params, toy_bob,
                                                             bob_node):
         state, [send] = self._extend(toy_params, toy_bob, bob_node, ())
-        assert node_handle_cell(state, "C", send.cell) == (
+        assert relay_transition(state, "C", send.cell) == (
             state, [TearDown(1, "circuit id in use"), SendCell("C", Cell(1, CellCommand.DESTROY))])
 
     def test_destroy_for_a_pending_extension_fails_the_circuit_back(self, toy_params, toy_bob,
                                                                    bob_node):
         # What both runtimes feed the relay when they cannot open the link.
         state, _ = self._extend(toy_params, toy_bob, bob_node, ())
-        state, actions = node_handle_cell(state, "C", Cell(1, CellCommand.DESTROY))
+        state, actions = relay_transition(state, "C", Cell(1, CellCommand.DESTROY))
         assert actions == [TearDown(9, "destroyed by peer"), SendCell("A", Cell(9, CellCommand.DESTROY))]
         assert state.entries == {} and state.nexts == {}
 
@@ -342,10 +350,10 @@ class TestCircuitIds:
         state, [create] = self._extend(toy_params, toy_bob, bob_node, ())
         charlie = NodeState(name="C", params=toy_params,
                             keypair=keypair_from_secrets(toy_params, 7, 17))
-        _, [created] = node_handle_cell(charlie, "B", create.cell)
-        state, [extended] = node_handle_cell(state, "C", created.cell)
+        _, [created] = relay_transition(charlie, "B", create.cell)
+        state, [extended] = relay_transition(state, "C", created.cell)
         assert (extended.link, extended.cell.command) == ("A", CellCommand.RELAY)
-        assert node_handle_cell(state, "C", created.cell) == (state, [])
+        assert relay_transition(state, "C", created.cell) == (state, [])
 
 
 class TestRelayHost:
@@ -363,18 +371,43 @@ class TestRelayHost:
         relay.drop_link("A")
         assert session_keys(relay) == []
 
+    def test_keeps_its_maps_through_every_transition(self):
+        # Each transition updates the host's two dicts in place, so a cell
+        # costs the same however many circuits the relay holds.
+        sim, client, nodes = build_simulation(16, 5)
+        maps = {name: (node.state.entries, node.state.nexts) for name, node in nodes.items()}
+
+        def entries_held():
+            for name, node in nodes.items():
+                assert node.state.entries is maps[name][0] and node.state.nexts is maps[name][1]
+            return [len(node.state.entries) for node in nodes.values()]
+
+        # CREATE, EXTEND, CREATED, then RELAY both ways.
+        assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+        run_send(sim, client, 1, b"ping")
+        assert nodes["D"].delivered == [(1, b"ping")] and client.received == [(1, b"ping")]
+        assert entries_held() == [1, 1, 1]
+        sim.post("A", "B", Cell(1, CellCommand.DESTROY))
+        sim.run()
+        assert entries_held() == [0, 0, 0]
+        assert run_build(sim, client, ["B", "C"], circ_id=2).phase == Phase.READY
+        nodes["C"].drop_link("B")
+        assert entries_held() == [1, 0, 0]
+        assert [node.state.circ_seq for node in nodes.values()] == [3, 2, 1]
+
 
 RELAY_NAMES = ("B", "C", "D")
 relay_paths = st.lists(st.sampled_from(RELAY_NAMES), min_size=1, max_size=3).filter(
     lambda path: all(a != b for a, b in zip(path, path[1:])))
 relay_builds = st.lists(st.tuples(st.just("build"), relay_paths, st.integers(1, 3)),
                         min_size=1, max_size=6)
-relay_events = st.lists(st.one_of(
+relay_event = st.one_of(
     st.tuples(st.just("build"), relay_paths, st.integers(1, 3)),
     st.tuples(st.just("destroy"), st.integers(0, 15)),
     st.tuples(st.just("corrupt"), st.integers(0, 15), st.integers(0, 255)),
     st.tuples(st.just("drop"), st.sampled_from(RELAY_NAMES), st.integers(0, 15)),
-), max_size=10)
+)
+relay_events = st.lists(relay_event, max_size=10)
 
 
 class TestRelayMaps:
@@ -426,6 +459,105 @@ class TestRelayMaps:
                 assert not {link for link, _ in [*entries, *nexts]} & lost
 
 
+class FoldedRelay(Relay):
+    """A relay host that also folds each delta into a pure copy of its
+    state with ``node_apply``, and checks that no transition changed the
+    copy it was given."""
+
+    def __init__(self, name, params, keypair):
+        super().__init__(name, params, keypair)
+        self.folded = NodeState(name, params, keypair)
+
+    def handle(self, link, cell):
+        self._fold(lambda state: node_handle_cell(state, link, cell)[0])
+        return super().handle(link, cell)
+
+    def drop_link(self, link):
+        self._fold(lambda state: node_drop_link(state, link))
+        super().drop_link(link)
+
+    def _fold(self, transition):
+        def contents(state):
+            return list(state.entries.items()), list(state.nexts.items()), state.circ_seq
+        before = contents(self.folded)
+        delta = transition(self.folded)
+        assert contents(self.folded) == before
+        self.folded = node_apply(self.folded, delta)
+
+
+# ``relay_event`` plus a DESTROY from a relay's next hop on one of its
+# extended circuits, and a cell of any command with junk bytes from a
+# client to its entry relay (refused, ignored or torn down).
+delta_events = st.lists(st.one_of(
+    relay_event,
+    st.tuples(st.just("destroy_next"), st.sampled_from(RELAY_NAMES), st.integers(0, 15)),
+    st.tuples(st.just("stray"), st.integers(0, 15), st.sampled_from(CellCommand),
+              st.integers(1, 3)),
+), max_size=12)
+
+
+class TestRelayDeltas:
+    @given(relay_builds, delta_events)
+    @example([("build", ["B", "C", "D"], 1)],  # every kind of transition at least once
+             [("stray", 0, CellCommand.RELAY, 3), ("stray", 0, CellCommand.CREATE, 2),
+              ("stray", 0, CellCommand.CREATED, 1), ("destroy_next", "C", 0),
+              ("build", ["C", "B"], 2), ("stray", 1, CellCommand.CREATE, 2),
+              ("build", ["D", "B"], 3), ("corrupt", 2, 5), ("build", ["B", "D"], 1),
+              ("destroy", 3), ("drop", "D", 0)])
+    @settings(max_examples=settings.default.max_examples // 2, deadline=None)
+    def test_in_place_host_matches_the_pure_fold(self, builds, events):
+        # 50 examples, or 500 under ``thorough`` (see conftest).
+        sim, first, _ = build_simulation(16, 5)
+        relays = {name: FoldedRelay(name, first.params, sim.hosts[name].state.keypair)
+                  for name in RELAY_NAMES}
+        sim.hosts.update(relays)
+        clients = []
+        for step in builds + events:
+            if step[0] == "build":
+                client = SimClient(f"U{len(clients)}", first.params, first.directory,
+                                   first.rng)
+                sim.add_host(client.name, client)
+                send = client.start_build(step[2], step[1])
+                sim.post(client.name, send.link, send.cell)
+                clients.append(client)
+            elif step[0] == "drop":
+                _, name, index = step
+                state = relays[name].state
+                links = sorted({link for link, _ in [*state.entries, *state.nexts]})
+                if links:
+                    peer = links[index % len(links)]
+                    relays[name].drop_link(peer)
+                    if peer in relays:
+                        relays[peer].drop_link(name)
+            elif step[0] == "destroy_next":
+                _, name, index = step
+                outs = list(relays[name].state.nexts)
+                if outs:
+                    link, circ_id = outs[index % len(outs)]
+                    sim.post(link, name, Cell(circ_id, CellCommand.DESTROY))
+            elif clients:
+                client = clients[step[1] % len(clients)]
+                cell = Cell(client.state.circ_id, CellCommand.DESTROY)
+                if step[0] == "corrupt":
+                    payload = (client_send_data(client.state, 1, b"probe").cell.payload
+                               if client.state.phase == Phase.READY else b"junk")
+                    flip = step[2] % len(payload)
+                    payload = payload[:flip] + bytes([payload[flip] ^ 0xFF]) + payload[flip + 1:]
+                    cell = Cell(cell.circ_id, CellCommand.RELAY, payload)
+                elif step[0] == "stray":
+                    cell = Cell(step[3], step[2], b"junk")
+                sim.post(client.name, client.path[0].name, cell)
+            sim.run()
+            for relay in relays.values():
+                state, folded = relay.state, relay.folded
+                assert list(state.entries.items()) == list(folded.entries.items())
+                assert list(state.nexts.items()) == list(folded.nexts.items())
+                assert state.circ_seq == folded.circ_seq
+                assert state.nexts == {(e.next_link, e.next_circ_id): key
+                                       for key, e in state.entries.items()
+                                       if e.next_link is not None}
+
+
 def _toy_world():
     """A toy relay B holding one READY circuit (A, 9) and one circuit (A, 10)
     pending its extension to C as (C, 1), and the client of each circuit in
@@ -437,11 +569,11 @@ def _toy_world():
     for circ_id in (9, 10):
         creating, create = client_create(params, circ_id, "B", bob.public,
                                          random.Random(circ_id))
-        node, [created] = node_handle_cell(node, "A", create.cell)
+        node, [created] = relay_transition(node, "A", create.cell)
         clients[circ_id] = creating, client_handle_cell(creating, created.cell)[0]
     creating, ready = clients[9]
     extending, extend = client_extend(clients[10][1], "C", bob.public, random.Random(3))
-    node, [create_c] = node_handle_cell(node, "A", extend.cell)
+    node, [create_c] = relay_transition(node, "A", extend.cell)
     assert create_c.link == "C" and node.entries["A", 10].next_pending
     assert (ready.phase, extending.phase) == (Phase.READY, Phase.EXTENDING)
     return node, {"creating": creating, "ready": ready, "extending": extending}
@@ -489,7 +621,7 @@ class TestMalformedInputNeverRaises:
     def test_relay(self, data):
         (link, circ_id), command, payload = _cells(
             data, [("A", 9), ("A", 10), ("C", 1)], [TOY_NODE.entries["A", 9].session])
-        state, actions = node_handle_cell(TOY_NODE, link, Cell(circ_id, command, payload))
+        state, actions = relay_transition(TOY_NODE, link, Cell(circ_id, command, payload))
         destroys = [a for a in actions
                     if isinstance(a, SendCell) and a.cell.command == CellCommand.DESTROY]
         lost = TOY_NODE.entries.keys() - state.entries.keys()
@@ -555,7 +687,7 @@ class TestRelayNeverTabulates:
             state = NodeState(name="B", params=params, keypair=relay)
             replies[params is shared] = []
             for cell in cells:
-                state, [send] = node_handle_cell(state, "A", cell)
+                state, [send] = relay_transition(state, "A", cell)
                 assert send.cell.command == CellCommand.CREATED
                 replies[params is shared].append(send.cell.payload)
         assert plain._mix_tables == {}
@@ -568,7 +700,6 @@ class TestLiteralLayeringMode:
     def test_end_to_end(self, toy_params):
         # Figure-literal mode: relayed frames carry only the consumer's
         # layer and intermediates forward opaquely.
-        from onionkep.simnet import build_simulation, run_build, run_send
         sim, client, nodes = build_simulation(16, 3, peel_per_hop=False)
         state = run_build(sim, client, ["B", "C", "D"])
         assert state.phase == Phase.READY
