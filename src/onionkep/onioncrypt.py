@@ -22,11 +22,13 @@ chunked cipher, innermost key first.
 Both directions work on packed ints, GROUP_BLOCKS blocks at a time
 (Kronecker substitution; Harvey, J. Symbolic Comput. 2009):
 
-- Slot layout. Block i of a group of n sits in slot n - 1 - i, bits
-  [S*(n-1-i), S*(n-i)) of one int, with S = 16 * width: twice a block's
-  bytes, so a slot holds m * k < r**2. Encrypt spreads the dense bit
-  stream into slots in log2(n) mask-and-shift passes; decrypt packs them
-  back the same way. Width-byte blocks move in and out of slots as bytes.
+- Slot layout. Block i of a group sits in slot N - 1 - i, bits
+  [S*(N-1-i), S*(N-i)) of one int, with S = 16 * width: twice a block's
+  bytes, so a slot holds m * k < r**2. N is the block count rounded up
+  to whole units of 8 blocks with zero blocks. A unit is ``bits`` bytes
+  of the bit stream and 16 * width bytes of slots, so units move as bytes,
+  as width-byte blocks do; three mask-and-shift passes per group move
+  the blocks within each unit.
 - Barrett bound. With L = bitlen(r) and mu = k * 2**L // r, the quotient
   q = m * mu >> L is floor(m * k / r) or one less for m < 2**L (Barrett,
   CRYPTO '86), so m * k - q * r < 2r, and adding 2**L - r to every slot
@@ -38,12 +40,12 @@ Both directions work on packed ints, GROUP_BLOCKS blocks at a time
   ">= r" is reported before "decrypts out of range", as a block-by-block
   loop would.
 - Width and length dispatch. The masks of each power-of-two group size
-  up to GROUP_BLOCKS are built once per modulus, by doubling, for at most
-  PLAN_MODULI moduli. Moduli wider than PACKED_MAX_BITS (the packed path
-  is the slower there, as at 256 bits) and messages of fewer than
-  PACKED_MIN_BLOCKS blocks, such as EXTEND frames, take the block loop,
-  in bits-byte groups of exactly 8 blocks. Every path gives the same
-  bytes and errors.
+  up to GROUP_BLOCKS = 1024 blocks are built once per modulus, by
+  doubling, for at most PLAN_MODULI moduli. Moduli wider than
+  PACKED_MAX_BITS (the packed path is the slower there, as at 256 bits)
+  and messages of fewer than PACKED_MIN_BLOCKS blocks, such as EXTEND
+  frames, take the block loop, in bits-byte groups of exactly 8 blocks.
+  Every path gives the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ PACKED_MAX_BITS = 192
 PACKED_MIN_BLOCKS = 16
 # Blocks per packed group, and the largest plan: longer messages are
 # taken in groups of this many blocks. A multiple of 8, so that a full
-# group is whole bytes of the bit stream.
-GROUP_BLOCKS = 256
+# group is whole bytes of the bit stream. The passes per group do not grow
+# with it; the plans do, to 28 * width * GROUP_BLOCKS bytes a modulus.
+GROUP_BLOCKS = 1024
 # Moduli whose plans are kept; the least recently used one is dropped.
 PLAN_MODULI = 4
 
@@ -125,7 +128,7 @@ class _Plan(NamedTuple):
     """The constants of a packed group of up to 2**j blocks; slot i holds
     bits i*S .. (i+1)*S - 1 of a packed int."""
 
-    passes: tuple[tuple[int, int], ...]  # (mask, shift) per spreading pass
+    passes: tuple[tuple[int, int], ...]  # (mask, shift) per in-unit pass
     ones: int  # 1 in every slot
     low: int  # the low S - L bits of every slot
     add_r: int  # 2**L - r in every slot
@@ -142,7 +145,9 @@ class _Layout(NamedTuple):
 @lru_cache(maxsize=PLAN_MODULI)
 def _layout(r: int) -> _Layout:
     """The packed layout of modulus r, with one plan per power-of-two block
-    count up to GROUP_BLOCKS, each built from the one before by doubling."""
+    count up to GROUP_BLOCKS, each built from the one before by doubling.
+    A plan of up to 8 blocks spreads them with one pass per halving; a
+    larger one repeats the 8-block plan once per 8-block unit."""
     L = r.bit_length()
     bits, width = L - 1, (L + 7) // 8
     S = 16 * width
@@ -150,9 +155,10 @@ def _layout(r: int) -> _Layout:
     plans = [plan]
     for j in range(GROUP_BLOCKS.bit_length() - 1):
         half, at = 1 << j, S << j
-        top = ((1 << half * bits) - 1, half * (S - bits))
-        plan = _Plan((top,) + tuple((m | m << at, s) for m, s in plan.passes),
-                     *(v | v << at for v in plan[1:]))
+        passes = tuple((m | m << at, s) for m, s in plan.passes)
+        if half < 8:  # moves of whole units are left to the bytes
+            passes = (((1 << half * bits) - 1, half * (S - bits)),) + passes
+        plan = _Plan(passes, *(v | v << at for v in plan[1:]))
         plans.append(plan)
     unit = min(width & -width, 8)
     fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
@@ -251,18 +257,22 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
 def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
     """chunk_encrypt GROUP_BLOCKS blocks at a time."""
     lay = _layout(r)
+    width = lay.width
+    gap, unit = bytes(16 * width - bits), f"{bits}s"
     out = [(8 * len(plain)).to_bytes(8, "big")]
     step = GROUP_BLOCKS * bits // 8
     for start in range(0, len(plain), step):
         group = plain[start : start + step]
-        nbits = 8 * len(group)
-        n = -(-nbits // bits)
-        plan = lay.plans[(n - 1).bit_length()]
-        x = int.from_bytes(group, "big") << (n * bits - nbits)
+        n = -(-8 * len(group) // bits)
+        slots = -(-n // 8) * 8  # zero blocks fill the last unit
+        plan = lay.plans[(slots - 1).bit_length()]
+        group += bytes(slots * bits // 8 - len(group))
+        # Each unit, right-aligned in the bytes of its 8 slots.
+        x = int.from_bytes(gap + gap.join([u for u, in struct.iter_unpack(unit, group)]), "big")
         for mask, shift in plan.passes:
             low = x & mask
             x = low | (x ^ low) << shift
-        out.append(_low_halves(_mul_mod(x, k, r, plan), n, lay))
+        out.append(_low_halves(_mul_mod(x, k, r, plan), slots, lay)[: n * width])
     return b"".join(out)
 
 
@@ -272,32 +282,33 @@ def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> b
     lay = _layout(r)
     width = lay.width
     S = 16 * width
+    region = f"{16 * width - bits}x{bits}s"
     nblocks = len(body) // width
-    groups = []
+    units = []
     for start in range(0, nblocks, GROUP_BLOCKS):
         n = min(GROUP_BLOCKS, nblocks - start)
-        plan = lay.plans[(n - 1).bit_length()]
-        c = _to_slots(body[start * width : (start + n) * width], n, lay)
+        slots = -(-n // 8) * 8  # zero blocks fill the last unit
+        plan = lay.plans[(slots - 1).bit_length()]
+        blocks = body[start * width : (start + n) * width] + bytes((slots - n) * width)
+        c = _to_slots(blocks, slots, lay)
         high = (c + plan.add_w >> 8 * width) & plan.ones  # c >= r
         m = _mul_mod(c, k_inv, r, plan)
         bad = high | (m >> bits & plan.ones)  # m >= 2**bits
         if bad:
             slot = (bad.bit_length() - 1) // S
-            i = start + n - 1 - slot
+            i = start + slots - 1 - slot
             if high >> slot * S & 1:
                 raise MalformedPayload(f"block {i} >= r")
             raise MalformedPayload(f"block {i} decrypts out of range")
         for mask, shift in reversed(plan.passes):
             low = m & mask
             m = low | (m ^ low) >> shift
-        groups.append(m)
-    pad = nblocks * bits - nbits
-    last = groups.pop() >> pad
-    full = b"".join(g.to_bytes(GROUP_BLOCKS * bits // 8, "big") for g in groups)
+        # Each unit is the last `bits` bytes of its 8 slots.
+        units += [u for u, in struct.iter_unpack(region, m.to_bytes(slots * 2 * width, "big"))]
+    data = b"".join(units)[: (nbits + 7) // 8]
     if nbits % 8:  # only a crafted header declares a partial byte
-        value = int.from_bytes(full, "big") << n * bits - pad | last
-        return value.to_bytes((nbits + 7) // 8, "big")
-    return full + last.to_bytes((n * bits - pad) // 8, "big")
+        data = (int.from_bytes(data, "big") >> -nbits % 8).to_bytes(len(data), "big")
+    return data
 
 
 def onion_wrap(plain: bytes, keys: list[SessionKey], params: SystemParams) -> bytes:

@@ -251,12 +251,67 @@ class TestChunkCipherAgainstOracle:
         assert outcome(oracle_decrypt, cipher, key, params) == expected
 
 
+class TestLongMessagesAgainstOracle:
+    """Messages of up to about 2.5 GROUP_BLOCKS blocks against the oracle,
+    so that random messages cross group and unit boundaries: same bytes,
+    same errors, with bad blocks beside a group boundary and headers that
+    declare a partial byte. The example count comes from the profile."""
+
+    TOY_PRIMES = TestChunkCipherAgainstOracle.TOY_PRIMES
+    draw_params_and_key = TestChunkCipherAgainstOracle.draw_params_and_key
+
+    def draw_count(self, data, params_64):
+        """Params, a key, a block count and a Random for the block values."""
+        params, key = self.draw_params_and_key(data, params_64)
+        near = [g * GROUP_BLOCKS + d for g in (1, 2) for d in range(-9, 10)]
+        nblocks = data.draw(st.integers(1, 5 * GROUP_BLOCKS // 2) | st.sampled_from(near))
+        return params, key, nblocks, random.Random(data.draw(st.integers(0, 2**32)))
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_encrypt_and_round_trip_match_oracle(self, params_64, data):
+        params, key, nblocks, rng = self.draw_count(data, params_64)
+        length = -(-nblocks * widths(params.r)[0] // 8) + data.draw(st.integers(-1, 1))
+        fill = data.draw(st.sampled_from([None, 0x00, 0xFF]))
+        plain = rng.randbytes(length) if fill is None else bytes([fill]) * length
+        cipher = chunk_encrypt(plain, key, params)
+        assert cipher == oracle_encrypt(plain, key, params)
+        assert chunk_decrypt(cipher, key, params) == plain
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_crafted_ciphertext_matches_oracle(self, params_64, data):
+        params, key, nblocks, rng = self.draw_count(data, params_64)
+        r = params.r
+        bits, width = widths(r)
+        # Any header that matches the block count: most declare a partial byte.
+        nbits = data.draw(st.integers((nblocks - 1) * bits + 1, nblocks * bits))
+        blocks = [rng.randrange(1 << bits) * key.reduced % r for _ in range(nblocks)]
+        boundaries = [g * GROUP_BLOCKS for g in (1, 2) if g * GROUP_BLOCKS < nblocks]
+        bad = st.integers(r, 256**width - 1) \
+            | st.integers(1 << bits, r - 1).map(lambda m: m * key.reduced % r)
+        for _ in range(data.draw(st.integers(0, 2))):
+            if boundaries and data.draw(st.booleans()):
+                at = min(data.draw(st.sampled_from(boundaries)) + data.draw(st.integers(-2, 1)),
+                         nblocks - 1)
+            else:
+                at = data.draw(st.integers(0, nblocks - 1))
+            blocks[at] = data.draw(bad)
+        cipher = crafted(nbits, blocks, width)
+        assert outcome(chunk_decrypt, cipher, key, params) \
+            == outcome(oracle_decrypt, cipher, key, params)
+
+
 class TestPackedPath:
     """Block counts and block values at the edges of the packed layout:
     the dispatch, the power-of-two plans and the group cap."""
 
-    COUNTS = (PACKED_MIN_BLOCKS - 1, PACKED_MIN_BLOCKS, 31, 32, 33, 127, 128, 129,
-              GROUP_BLOCKS - 1, GROUP_BLOCKS, GROUP_BLOCKS + 1, 2 * GROUP_BLOCKS + 1)
+    # 8u - 1 blocks leave one zero block in their last 8-block unit and
+    # 8u + 1 blocks seven; GROUP_BLOCKS + 1 to + 7 put 1 to 7 blocks in a
+    # second group.
+    COUNTS = (PACKED_MIN_BLOCKS - 1, PACKED_MIN_BLOCKS, 17, 23, 25, 31, 32, 33, 127, 128, 129,
+              255, 256, 257, 513, GROUP_BLOCKS - 1, GROUP_BLOCKS,
+              *range(GROUP_BLOCKS + 1, GROUP_BLOCKS + 8), 2 * GROUP_BLOCKS + 1)
 
     @pytest.mark.parametrize("r", [227, 1019] + list(WIDE_PRIMES[:4]),
                              ids=lambda r: f"{r.bit_length()}b")
@@ -314,10 +369,36 @@ class TestPackedPath:
                     assert outcome(chunk_decrypt, cipher, key, params) \
                         == outcome(oracle_decrypt, cipher, key, params)
 
+    @pytest.mark.parametrize("r", WIDE_PRIMES[:4], ids=lambda r: f"{r.bit_length()}b")
+    def test_bad_block_in_padded_unit(self, r):
+        # The last 8-block unit of 8u + 1 blocks holds one block and seven
+        # zero blocks of padding; a bad last block is named by its index.
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        key = key_with_reduced(params, r // 3)
+        for count in (PACKED_MIN_BLOCKS + 1, GROUP_BLOCKS + 1, 2 * GROUP_BLOCKS + 1):
+            blocks = [m * key.reduced % r for m in range(count)]
+            for c, reason in ((r, ">= r"), ((1 << bits) * key.reduced % r, "decrypts out of range")):
+                blocks[-1] = c
+                cipher = crafted(count * bits, blocks, width)
+                expected = (MalformedPayload, f"block {count - 1} {reason}")
+                assert outcome(chunk_decrypt, cipher, key, params) == expected
+                assert outcome(oracle_decrypt, cipher, key, params) == expected
+
 
 class TestPlanStore:
     """The packed layouts are bounded: log2(GROUP_BLOCKS) + 1 plans per
-    modulus, for at most PLAN_MODULI moduli."""
+    modulus, each of a bounded size, for at most PLAN_MODULI moduli."""
+
+    @pytest.mark.parametrize("bits", [64, PACKED_MAX_BITS])
+    def test_plan_bytes_stay_bounded(self, bits):
+        # A plan holds at most 3 pass masks and 4 per-slot constants, each
+        # 2 * width bytes a slot, and plan sizes double up to GROUP_BLOCKS
+        # slots: under 2 * 7 * 2 * width * GROUP_BLOCKS bytes a modulus,
+        # 224 KiB at 64 bits and 672 KiB at 192.
+        lay = _layout(prime_above(1 << bits - 1))
+        ints = [v for plan in lay.plans for v in (*(m for m, _ in plan.passes), *plan[1:])]
+        assert sum((v.bit_length() + 7) // 8 for v in ints) < 28 * lay.width * GROUP_BLOCKS
 
     def test_plans_stay_bounded(self, params_64):
         bits16 = make_params(2, 2, WIDE_PRIMES[0])
