@@ -29,6 +29,7 @@ from onionkep.onioncrypt import (
     encode_relay_frame,
     onion_wrap,
     parse_create_payload,
+    parse_extend_data,
 )
 from onionkep.protocol import (
     DeliverLocal,
@@ -273,6 +274,126 @@ class TestClientStep:
         path = [SimpleNamespace(name="B", public=toy_bob.public)]
         state, actions = client_step(state, created, path, ScriptedRng([]))
         assert state.phase == Phase.READY and actions == []
+
+
+def _ending_world():
+    """Toy client states of circuit 9 in each phase: CREATING toward B,
+    READY through B, EXTENDING toward C through B, and FAILED; with B's
+    CREATED payload and C's answer to the extension, the EXTENDED data."""
+    params = make_params(2, 2, 11)
+    bob = keypair_from_secrets(params, 5, 15)
+    charlie = NodeState(name="C", params=params, keypair=keypair_from_secrets(params, 7, 17))
+    creating, _ = client_create(params, 9, "B", bob.public, ScriptedRng([3, 13]))
+    created = build_created_payload(28, key_digest(reduce_key(params, 36)), 1)
+    ready, _ = client_handle_cell(creating, Cell(9, CellCommand.CREATED, created))
+    extending, extend = client_extend(ready, "C", charlie.keypair.public, ScriptedRng([4, 19]))
+    frame = decode_relay_frame(chunk_decrypt(extend.cell.payload, ready.hops[0].session, params))
+    _, create = parse_extend_data(frame.data, 1)
+    _, [answer] = node_handle_cell(charlie, "B", Cell(1, CellCommand.CREATE, create))
+    failed, _ = client_handle_cell(ready, Cell(9, CellCommand.DESTROY))
+    return SimpleNamespace(states={Phase.CREATING: creating, Phase.READY: ready,
+                                   Phase.EXTENDING: extending, Phase.FAILED: failed},
+                           created=created, extended=answer.cell.payload)
+
+
+ENDING_WORLD = _ending_world()
+
+
+def _created(payload):
+    return lambda state: Cell(9, CellCommand.CREATED, payload)
+
+
+def _relay(subcommand, data, stream_id=0):
+    """A RELAY cell for circuit 9 carrying one frame, layered under every
+    confirmed hop's key as the relays layer it toward the client."""
+    def cell(state):
+        keys = [hop.session for hop in state.hops if hop.confirmed]
+        frame = encode_relay_frame(RelayFrame(subcommand, stream_id, data))
+        return Cell(9, CellCommand.RELAY, onion_wrap(frame, keys[::-1], state.params))
+    return cell
+
+
+def _raw(circ_id, command, payload=b""):
+    return lambda state: Cell(circ_id, command, payload)
+
+
+_V0 = build_created_payload(0, ENDING_WORLD.created[1:], 1)
+_WRONG_DIGEST = ENDING_WORLD.created[:1] + bytes(32)
+_EXT_V0 = build_created_payload(0, ENDING_WORLD.extended[1:], 1)
+_EXT_WRONG_DIGEST = ENDING_WORLD.extended[:1] + bytes(32)
+EXTENDED, DATA, END, EXTEND = (RelaySubcommand.EXTENDED, RelaySubcommand.DATA,
+                               RelaySubcommand.END, RelaySubcommand.EXTEND)
+# (phase fed, cell, ending): "confirmed" (READY with the last hop keyed),
+# "delivered" (DATA 5 b"hi" handed up), "ignored" (state and no action),
+# "destroyed" (DESTROY from the relay), or the reason of an integrity failure.
+CLIENT_ENDINGS = {
+    "created": (Phase.CREATING, _created(ENDING_WORLD.created), "confirmed"),
+    "created-short": (Phase.CREATING, _created(ENDING_WORLD.created[:-1]),
+                      "malformed CREATED payload"),
+    "created-v0": (Phase.CREATING, _created(_V0), "malformed session key"),
+    "created-v0-wrong-digest": (Phase.CREATING, _created(build_created_payload(0, bytes(32), 1)),
+                                "malformed session key"),
+    "created-wrong-digest": (Phase.CREATING, _created(_WRONG_DIGEST), "key digest mismatch"),
+    "creating-relay-junk": (Phase.CREATING, _raw(9, CellCommand.RELAY, b"junk"),
+                            "malformed relay payload"),
+    "creating-extended": (Phase.CREATING, _relay(EXTENDED, ENDING_WORLD.extended), "ignored"),
+    "creating-extended-short": (Phase.CREATING, _relay(EXTENDED, b""), "ignored"),
+    "creating-data": (Phase.CREATING, _relay(DATA, b"hi", 5), "delivered"),
+    "creating-destroy": (Phase.CREATING, _raw(9, CellCommand.DESTROY), "destroyed"),
+    "creating-create": (Phase.CREATING, _raw(9, CellCommand.CREATE, b"junk"), "ignored"),
+    "creating-other-circuit": (Phase.CREATING, _raw(8, CellCommand.DESTROY), "ignored"),
+    "ready-created": (Phase.READY, _created(ENDING_WORLD.created), "ignored"),
+    "ready-created-short": (Phase.READY, _created(b""), "ignored"),
+    "ready-extended": (Phase.READY, _relay(EXTENDED, ENDING_WORLD.extended), "ignored"),
+    "ready-extended-short": (Phase.READY, _relay(EXTENDED, b""), "ignored"),
+    "ready-data": (Phase.READY, _relay(DATA, b"hi", 5), "delivered"),
+    "ready-end": (Phase.READY, _relay(END, b""), "ignored"),
+    "ready-extend": (Phase.READY, _relay(EXTEND, b"\x01C"), "ignored"),
+    "ready-relay-junk": (Phase.READY, _raw(9, CellCommand.RELAY, b"junk"),
+                         "malformed relay payload"),
+    "ready-relay-other-circuit": (Phase.READY, _raw(8, CellCommand.RELAY, b"junk"), "ignored"),
+    "ready-destroy": (Phase.READY, _raw(9, CellCommand.DESTROY), "destroyed"),
+    "extended": (Phase.EXTENDING, _relay(EXTENDED, ENDING_WORLD.extended), "confirmed"),
+    "extended-short": (Phase.EXTENDING, _relay(EXTENDED, ENDING_WORLD.extended[:-1]),
+                       "malformed EXTENDED data"),
+    "extended-v0": (Phase.EXTENDING, _relay(EXTENDED, _EXT_V0), "malformed session key"),
+    "extended-wrong-digest": (Phase.EXTENDING, _relay(EXTENDED, _EXT_WRONG_DIGEST),
+                              "key digest mismatch"),
+    "extending-created": (Phase.EXTENDING, _created(ENDING_WORLD.extended), "ignored"),
+    "extending-data": (Phase.EXTENDING, _relay(DATA, b"hi", 5), "delivered"),
+    "extending-end": (Phase.EXTENDING, _relay(END, b""), "ignored"),
+    "extending-relay-junk": (Phase.EXTENDING, _raw(9, CellCommand.RELAY, b"junk"),
+                             "malformed relay payload"),
+    "extending-destroy": (Phase.EXTENDING, _raw(9, CellCommand.DESTROY), "destroyed"),
+    "failed-created": (Phase.FAILED, _created(ENDING_WORLD.created), "ignored"),
+    "failed-data": (Phase.FAILED, _relay(DATA, b"hi", 5), "ignored"),
+    "failed-relay-junk": (Phase.FAILED, _raw(9, CellCommand.RELAY, b"junk"), "ignored"),
+    "failed-destroy": (Phase.FAILED, _raw(9, CellCommand.DESTROY), "ignored"),
+}
+
+
+class TestClientEndings:
+    # Every way one inbound cell can end for the client machine, in each phase.
+    @pytest.mark.parametrize("phase, make_cell, ending", CLIENT_ENDINGS.values(),
+                             ids=CLIENT_ENDINGS.keys())
+    def test_ending(self, phase, make_cell, ending):
+        state = ENDING_WORLD.states[phase]
+        new, actions = client_handle_cell(state, make_cell(state))
+        if ending == "confirmed":
+            assert (new.phase, new.failure, actions) == (Phase.READY, None, [])
+            assert new.hops[:-1] == state.hops[:-1] and new.hops[-1].confirmed
+            check_hop_keys(new)
+        elif ending == "delivered":
+            assert (new, actions) == (state, [DeliverLocal(5, b"hi")])
+        elif ending == "ignored":
+            assert (new, actions) == (state, [])
+        elif ending == "destroyed":
+            assert (new.phase, new.failure, actions) == (Phase.FAILED, "destroyed by relay", [])
+        else:
+            tagged = f"CircuitIntegrityFailure: {ending}"
+            assert (new.phase, new.failure, actions) == (Phase.FAILED, tagged,
+                                                         [TearDown(9, tagged)])
+            assert new.hops == state.hops
 
 
 class TestDropLink:
