@@ -86,12 +86,13 @@ class Directory:
 
     def __init__(self, params_digest: bytes, snapshot_path: str | None = None):
         self.params_digest = params_digest
-        self.snapshot_path = snapshot_path
+        self.snapshot_path = None  # set once loaded: register must not rewrite the file
         self._descriptors: dict[str, NodeDescriptor] = {}
         if snapshot_path and os.path.exists(snapshot_path):
             with open(snapshot_path, "rb") as fh:
                 for desc in decode_descriptors(fh.read()):
-                    self._descriptors[desc.name] = desc
+                    self.register(desc)
+        self.snapshot_path = snapshot_path
 
     def register(self, desc: NodeDescriptor) -> None:
         if desc.params_digest != self.params_digest:

@@ -41,11 +41,12 @@ Both directions work on packed ints, GROUP_BLOCKS blocks at a time
   loop would.
 - Width and length dispatch. The masks of each power-of-two group size
   up to GROUP_BLOCKS = 1024 blocks are built once per modulus, by
-  doubling, for at most PLAN_MODULI moduli. Moduli wider than
-  PACKED_MAX_BITS (the packed path is the slower there, as at 256 bits)
-  and messages of fewer than PACKED_MIN_BLOCKS blocks, such as EXTEND
-  frames, take the block loop, in bits-byte groups of exactly 8 blocks.
-  Every path gives the same bytes and errors.
+  doubling, for at most PLAN_MODULI moduli. One predicate, ``_packed``,
+  sends moduli wider than PACKED_MAX_BITS (the packed path is the slower
+  there, as at 256 bits) and messages of fewer than PACKED_MIN_BLOCKS
+  blocks, such as EXTEND frames, to the block loop in both directions,
+  in bits-byte groups of exactly 8 blocks. Every path gives the same
+  bytes and errors.
 """
 
 from __future__ import annotations
@@ -117,11 +118,9 @@ GROUP_BLOCKS = 1024
 PLAN_MODULI = 4
 
 
-def _block_bits(params: SystemParams) -> int:
-    bits = params.r.bit_length() - 1
-    if bits < 1:
-        raise MalformedPayload("r too small for chunked encryption")
-    return bits
+def _packed(r: int, nblocks: int) -> bool:
+    """Whether a message of ``nblocks`` blocks under modulus r takes the packed path."""
+    return r.bit_length() <= PACKED_MAX_BITS and nblocks >= PACKED_MIN_BLOCKS
 
 
 class _Plan(NamedTuple):
@@ -202,9 +201,9 @@ def _to_slots(blocks: bytes, n: int, lay: _Layout) -> int:
 
 def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
     """Encrypt a byte string block-by-block under the reduced session key."""
-    bits = _block_bits(params)
     r, k = params.r, key.reduced
-    if r.bit_length() <= PACKED_MAX_BITS and 8 * len(plain) > (PACKED_MIN_BLOCKS - 1) * bits:
+    bits = r.bit_length() - 1
+    if _packed(r, -(-8 * len(plain) // bits)):
         return _packed_encrypt(plain, k, r, bits)
     width = (r.bit_length() + 7) // 8
     mask = (1 << bits) - 1
@@ -222,8 +221,9 @@ def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
 
 def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes:
     """Inverse of chunk_encrypt; truncates to the declared bit length."""
-    bits = _block_bits(params)
-    width = (params.r.bit_length() + 7) // 8
+    r, k_inv = params.r, key.reduced_inv
+    bits = r.bit_length() - 1
+    width = (r.bit_length() + 7) // 8
     if len(cipher) < 8:
         raise MalformedPayload("missing bit-length header")
     nbits = int.from_bytes(cipher[:8], "big")
@@ -233,8 +233,7 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
     nblocks = len(body) // width
     if -(-nbits // bits) != nblocks:
         raise MalformedPayload("block count does not match declared length")
-    r, k_inv = params.r, key.reduced_inv
-    if r.bit_length() <= PACKED_MAX_BITS and nblocks >= PACKED_MIN_BLOCKS:
+    if _packed(r, nblocks):
         return _packed_decrypt(body, nbits, k_inv, r, bits)
     groups = []
     value = 0

@@ -18,8 +18,8 @@ two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
 (prev_link, circ_id), and ``nexts`` by the next hop's side,
 (next_link, next_circ_id), pointing back at the ``entries`` key. A relay
 transition returns a ``NodeDelta`` of entries to put and to forget, which
-one rule applies to both maps, ``node_apply`` on copies and ``Relay`` in
-place, so that a cell costs the same however many circuits a relay holds.
+``Relay`` applies to both maps in place by one rule, so that a cell costs
+the same however many circuits a relay holds.
 A link may carry ids drawn by both of its ends, so their keys are kept
 apart: an EXTEND skips any id its link already has in ``entries``, and a
 CREATE on a key of ``nexts`` is refused with DESTROY; an EXTEND naming the
@@ -174,17 +174,22 @@ def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, l
     if cell.circ_id != state.circ_id or state.phase == Phase.FAILED:
         return state, []
     if cell.command == CellCommand.CREATED:
-        if state.phase != Phase.CREATING:
-            return state, []
-        try:
-            v, digest = parse_created_payload(cell.payload, state.params.residue_width)
-        except OnionKepError:
-            return _fail(state, "malformed CREATED payload")
-        return _confirm_hop(state, v, digest)
-    if cell.command == CellCommand.RELAY:
-        return _client_handle_relay(state, cell)
+        return _confirm_hop(state, Phase.CREATING, cell.payload, "CREATED payload")
     if cell.command == CellCommand.DESTROY:
         return replace(state, phase=Phase.FAILED, failure="destroyed by relay"), []
+    if cell.command != CellCommand.RELAY:
+        return state, []
+    payload = cell.payload
+    try:
+        for key in _layer_keys(state):
+            payload = chunk_decrypt(payload, key, state.params)
+        frame = decode_relay_frame(payload)
+    except OnionKepError:
+        return _fail(state, "malformed relay payload")
+    if frame.subcommand == RelaySubcommand.EXTENDED:
+        return _confirm_hop(state, Phase.EXTENDING, frame.data, "EXTENDED data")
+    if frame.subcommand == RelaySubcommand.DATA:
+        return state, [DeliverLocal(frame.stream_id, frame.data)]
     return state, []
 
 
@@ -198,27 +203,6 @@ def client_step(state: CircuitState, cell: Cell, path,
         state, send = client_extend(state, desc.name, desc.public, rng)
         actions = actions + [send]
     return state, actions
-
-
-def _client_handle_relay(state: CircuitState, cell: Cell) -> tuple[CircuitState, list[Action]]:
-    payload = cell.payload
-    try:
-        for key in _layer_keys(state):
-            payload = chunk_decrypt(payload, key, state.params)
-        frame = decode_relay_frame(payload)
-    except OnionKepError:
-        return _fail(state, "malformed relay payload")
-    if frame.subcommand == RelaySubcommand.EXTENDED:
-        if state.phase != Phase.EXTENDING:
-            return state, []
-        try:
-            v, digest = parse_created_payload(frame.data, state.params.residue_width)
-        except OnionKepError:
-            return _fail(state, "malformed EXTENDED data")
-        return _confirm_hop(state, v, digest)
-    if frame.subcommand == RelaySubcommand.DATA:
-        return state, [DeliverLocal(frame.stream_id, frame.data)]
-    return state, []
 
 
 def _offer(params: SystemParams, node_pub: PublicConstructor,
@@ -237,8 +221,18 @@ def _client_relay(state: CircuitState, subcommand: RelaySubcommand, stream_id: i
     return SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.RELAY, payload))
 
 
-def _confirm_hop(state: CircuitState, v: int, digest: bytes) -> tuple[CircuitState, list[Action]]:
+def _confirm_hop(state: CircuitState, phase: Phase, payload: bytes,
+                 what: str) -> tuple[CircuitState, list[Action]]:
+    """The one hop confirmation, of CREATED and EXTENDED alike: ignored
+    outside ``phase``, else the last hop is keyed from ``payload``'s V' and
+    checked against its key digest, or the circuit fails."""
+    if state.phase != phase:
+        return state, []
     hop = state.hops[-1]
+    try:
+        v, digest = parse_created_payload(payload, state.params.residue_width)
+    except OnionKepError:
+        return _fail(state, f"malformed {what}")
     try:
         session = derive_session_key(state.params, v, hop.own_k)
     except OnionKepError:
@@ -302,11 +296,6 @@ class NodeDelta:
 
 
 _NOOP = NodeDelta()
-
-
-def node_apply(state: NodeState, delta: NodeDelta) -> NodeState:
-    """``state`` with ``delta`` applied, on copies of its maps."""
-    return _apply(replace(state, entries=dict(state.entries), nexts=dict(state.nexts)), delta)
 
 
 def _apply(state: NodeState, delta: NodeDelta) -> NodeState:

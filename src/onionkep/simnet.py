@@ -28,7 +28,6 @@ from .protocol import CircuitState, TamperFn
 @dataclass(frozen=True)
 class TranscriptEntry:
     step: int
-    link: str
     direction: str
     data: bytes
 
@@ -84,9 +83,8 @@ class SimNet:
                 if tampered is None:
                     continue  # scripted drop
                 cell = tampered
-            self.transcript.entries.append(TranscriptEntry(
-                step=self.step, link="-".join(sorted((src, dst))),
-                direction=f"{src}->{dst}", data=encode_cell(cell)))
+            self.transcript.entries.append(
+                TranscriptEntry(self.step, f"{src}->{dst}", encode_cell(cell)))
             for send in self.hosts[dst].handle(src, cell):
                 self.post(dst, send.link, send.cell)
 

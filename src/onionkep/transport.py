@@ -59,7 +59,7 @@ def recv_frame(sock: socket.socket) -> bytes | None:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
+    buf = bytearray()  # grows in place: linear in count however the bytes arrive
     while len(buf) < count:
         chunk = sock.recv(count - len(buf))
         if not chunk:
@@ -67,7 +67,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
                 raise ConnectionError("connection closed mid-read")
             return None
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 def parse_address(address: str) -> tuple[str, int]:

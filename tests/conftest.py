@@ -2,6 +2,7 @@ import contextlib
 import random
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
@@ -14,6 +15,7 @@ from onionkep.onioncrypt import (
     encode_relay_frame,
     onion_wrap,
 )
+from onionkep.protocol import _apply
 from onionkep.transport import recv_frame, send_frame
 
 # Ten times the examples of Hypothesis's default profile, for tests that
@@ -112,8 +114,14 @@ def serialize(transcript) -> bytes:
 
 def on_link(transcript, a: str, b: str) -> list:
     """The transcript entries that crossed the link between ``a`` and ``b``."""
-    link = "-".join(sorted((a, b)))
-    return [e for e in transcript.entries if e.link == link]
+    directions = {f"{a}->{b}", f"{b}->{a}"}
+    return [e for e in transcript.entries if e.direction in directions]
+
+
+def node_apply(state, delta):
+    """``state`` with the relay ``delta`` applied, on copies of its maps: the
+    pure fold that the relay host's in-place updates are checked against."""
+    return _apply(replace(state, entries=dict(state.entries), nexts=dict(state.nexts)), delta)
 
 
 def outcome(fn, *args, **kwargs):

@@ -2,13 +2,15 @@
 
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
 from onionkep import decode_cell, gen_keypair, gen_params, params_digest, tlv
 from onionkep.cli import main
-from onionkep.directory import Directory
-from onionkep.nikep import decode_private_file, decode_public_file, encode_public_file
+from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
+from onionkep.nikep import (PublicConstructor, decode_private_file, decode_public_file,
+                            encode_public_file)
 from onionkep.transport import DirectoryClient, DirectoryServer, NodeServer
 from conftest import MALFORMED_ANSWERS, fake_directory
 
@@ -242,6 +244,32 @@ class TestDirectorySnapshot:
                                  "--snapshot", str(snapshot))
         assert (code, out) == (3, "")
         assert err.startswith("error=")
+
+    @pytest.mark.parametrize("refused, reason", [
+        ("foreign-params", "uses foreign parameters"),
+        ("name-taken", "already registered with a different key"),
+    ])
+    def test_snapshot_record_that_register_refuses_exits_3(self, tmp_path, capsys,
+                                                           monkeypatch, refused, reason):
+        def interrupt(seconds):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("onionkep.cli.time.sleep", interrupt)
+        stem = str(tmp_path / "params")
+        run_cli(capsys, "keygen", "--r-bits", "16", "--seed", "2", "--out", stem)
+        with open(stem + ".pub", "rb") as fh:
+            params, pub = decode_public_file(fh.read())
+        desc = NodeDescriptor("B", "127.0.0.1:1", pub, params_digest(params))
+        if refused == "foreign-params":
+            records = [replace(desc, params_digest=bytes(32))]
+        else:
+            records = [desc, replace(desc, public=PublicConstructor(pub.Q, pub.P))]
+        snapshot = tmp_path / "dir.tlv"
+        snapshot.write_bytes(b"".join(encode_descriptor(d) for d in records))
+        code, out, err = run_cli(capsys, "directory", "--params", stem + ".pub",
+                                 "--snapshot", str(snapshot))
+        assert (code, out) == (3, "")
+        assert err.startswith("error=") and reason in err
 
 
 class TestSim:

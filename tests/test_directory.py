@@ -110,6 +110,34 @@ class TestSnapshot:
         Directory(digest, snapshot_path=str(path))
         assert not path.exists()
 
+    # A snapshot is loaded under the rules of ``register``, and is not
+    # rewritten while it loads.
+    def test_foreign_params_record_is_refused(self, tmp_path, digest, desc_b):
+        path = tmp_path / "dir.tlv"
+        path.write_bytes(encode_descriptor(desc_b))
+        with pytest.raises(ParamsMismatch):
+            Directory(b"\x00" * 32, snapshot_path=str(path))
+        assert path.read_bytes() == encode_descriptor(desc_b)
+
+    def test_name_taken_by_another_key_is_refused(self, tmp_path, toy_alice, digest, desc_b):
+        impostor = NodeDescriptor(name="B", address="10.0.0.1:1",
+                                  public=toy_alice.public, params_digest=digest)
+        path = tmp_path / "dir.tlv"
+        path.write_bytes(encode_descriptor(desc_b) + encode_descriptor(impostor))
+        with pytest.raises(DuplicateName):
+            Directory(digest, snapshot_path=str(path))
+
+    def test_load_does_not_rewrite_the_file(self, tmp_path, digest, desc_b, monkeypatch):
+        moved = NodeDescriptor(name="B", address="127.0.0.1:9100",
+                               public=desc_b.public, params_digest=digest)
+        path = tmp_path / "dir.tlv"
+        path.write_bytes(encode_descriptor(desc_b) + encode_descriptor(moved))
+        def rewrite(src, dst):
+            raise AssertionError(f"{dst} rewritten while it loads")
+
+        monkeypatch.setattr("onionkep.directory.os.replace", rewrite)
+        assert Directory(digest, snapshot_path=str(path)).list() == [moved]
+
 
 class TestRecordReader:
     def test_split_first(self):

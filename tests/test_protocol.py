@@ -43,13 +43,13 @@ from onionkep.protocol import (
     client_handle_cell,
     client_send_data,
     client_step,
-    node_apply,
     node_drop_link,
     node_handle_cell,
     node_reply_data,
 )
 from onionkep.simnet import SimClient, build_simulation, run_build, run_send
-from conftest import ScriptedRng, check_hop_keys, raw_extend_cell, session_keys, tabulate
+from conftest import (ScriptedRng, check_hop_keys, node_apply, raw_extend_cell, session_keys,
+                      tabulate)
 
 
 @pytest.fixture

@@ -176,7 +176,7 @@ class TestUnknownHost:
                                            nodes["C"].state.keypair.public, client.rng)
         sim.post(client.name, send.link, send.cell)
         sim.run()
-        assert not [e for e in sim.transcript.entries if "Z" in e.link]
+        assert not [e for e in sim.transcript.entries if "Z" in e.direction]
         assert [e.prev_link for e in nodes["B"].state.entries.values()] == ["U"]
         run_send(sim, bystander, 1, b"still here")
         assert bystander.received == [(1, b"still here")]

@@ -20,7 +20,7 @@ from onionkep import (
     keypair_from_secrets,
     params_digest,
 )
-from onionkep import nikep, tlv
+from onionkep import nikep, tlv, transport
 from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
 from onionkep.errors import (
     DuplicateName,
@@ -48,6 +48,11 @@ from conftest import (
     raw_extend_cell,
     session_keys,
 )
+
+
+def hang_up(request):
+    """A ``fake_directory`` answer that closes the connection unanswered."""
+    raise ConnectionAbortedError("no answer")
 
 
 def socket_pair():
@@ -107,6 +112,29 @@ class TestFraming:
 
     def test_parse_address(self):
         assert parse_address("127.0.0.1:9001") == ("127.0.0.1", 9001)
+
+    def test_reassembly_cost_is_linear(self):
+        # A peer sending one byte per recv makes the reader take the most
+        # pieces. A frame 8 times longer may cost at most 12 times as much,
+        # best of 5 each; growing an immutable buffer cost about 20 times.
+        class Trickle:
+            def __init__(self, data):
+                self.data, self.at = data, 0
+
+            def recv(self, count):
+                self.at += 1
+                return self.data[self.at - 1 : self.at]
+
+        def cost(size):
+            best = float("inf")
+            for _ in range(5):
+                sock = Trickle(size.to_bytes(4, "big") + bytes(size))
+                start = time.perf_counter()
+                assert recv_frame(sock) == bytes(size)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert cost(70_000) < 12 * cost(8_750)
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +231,11 @@ class TestDirectoryOverTcp:
             t.join()
         assert errors == []
         assert len(DirectoryClient(dir_server.address).list()) == 8
+
+    def test_directory_closing_without_an_answer(self):
+        with fake_directory(hang_up) as address, pytest.raises(
+                ConnectionError, match="directory closed the connection"):
+            DirectoryClient(address).lookup("B")
 
     def test_stopped_servers_refuse_connections(self, toy_world):
         # stop() must end the accept loop: a thread left blocked in accept()
@@ -505,6 +538,43 @@ class TestRelayLinks:
 
 
 class TestLinkFailures:
+    def test_entry_relay_closing_ends_the_build(self, toy_world):
+        # The entry relay reads the CREATE and hangs up: the build fails
+        # with that, not with a wait for a cell.
+        params, digest = toy_world
+        directory = Directory(digest)
+        client = StreamCircuitClient(params, directory, random.Random(1))
+        with fake_directory(hang_up) as address:
+            directory.register(NodeDescriptor("B", address, keypair_from_secrets(
+                params, 3, 13).public, digest))
+            try:
+                with pytest.raises(ConnectionError, match="entry node closed the connection"):
+                    client.build(["B"], timeout=2.0)
+            finally:
+                client.close()
+
+    def test_write_failure_drops_the_link_and_its_circuits(self, live_network, monkeypatch):
+        # B fails to write the echo toward the client: B forgets that link
+        # and its circuit and closes the socket, so the client reads EOF.
+        params, dir_client, nodes, rng = live_network
+        client = StreamCircuitClient(params, dir_client, rng)
+        real_send_frame = transport.send_frame
+
+        def send_frame_from_client_only(sock, data):
+            if sock is not client._sock:
+                raise BrokenPipeError("write failed")
+            real_send_frame(sock, data)
+
+        try:
+            assert client.build(["B"], timeout=2.0).phase == Phase.READY
+            monkeypatch.setattr(transport, "send_frame", send_frame_from_client_only)
+            with pytest.raises(ConnectionError, match="entry node closed the connection"):
+                client.send_data(1, b"echo me")
+            with nodes[0]._lock:
+                assert (nodes[0].state.entries, nodes[0]._links) == ({}, {})
+        finally:
+            client.close()
+
     def _extend_from_c(self, live_network, name: bytes):
         """A bystander circuit B->C->D that echoes, and a second client's
         circuit B->C that C is asked to extend toward ``name``."""
