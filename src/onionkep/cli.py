@@ -2,8 +2,8 @@
 the in-process simulator, the prefix-attack demonstration and the key-size
 benchmark.
 
-Exit codes are a stable contract for scripting: 0 success, 2 usage or
-generation error, 3 protocol/integrity failure. Stdout is line-oriented
+Exit codes are a stable contract for scripting, kept by ``main`` alone: 0
+success, 2 usage, lookup or generation error, 3 protocol/integrity failure. Stdout is line-oriented
 key=value. With --seed every subcommand is byte-deterministic.
 """
 
@@ -128,9 +128,6 @@ def cmd_client(args) -> int:
             response = client.send_data(1, message.encode())
             print(f"response={response.decode(errors='replace')}")
         return code
-    except NotFound as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return 2
     finally:
         client.close()
 
@@ -294,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GenerationFailed, OSError, ValueError) as exc:
+    except (GenerationFailed, NotFound, OSError, ValueError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
     except OnionKepError as exc:

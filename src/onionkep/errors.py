@@ -1,48 +1,20 @@
-"""Exception hierarchy shared by all onionkep modules."""
+"""Exception hierarchy shared by all onionkep modules. No class is a
+ValueError, which the command line reports as a usage error."""
 
 
 class OnionKepError(Exception):
     """Base class for every error raised by this package."""
 
 
-# -- modular arithmetic ------------------------------------------------------
+# -- number layers -----------------------------------------------------------
 
-class InvalidModulus(OnionKepError):
-    """Modulus smaller than 2."""
-
-
-class NonInvertible(OnionKepError):
-    """gcd(a, modulus) != 1, so no multiplicative inverse exists."""
-
-
-class NotPrime(OnionKepError):
-    """An argument required to be prime failed the primality test."""
+class InvalidValue(OnionKepError):
+    """A number modmath or nikep refuses, such as a modulus below 2, a value
+    with no inverse or a composite prime; the message names the check."""
 
 
 class GenerationFailed(OnionKepError):
     """Prime generation exhausted its attempt budget."""
-
-
-class UnsupportedShape(OnionKepError):
-    """Parameters the prefix attack is not stated for: it needs p = q = 2."""
-
-
-# -- key exchange ------------------------------------------------------------
-
-class MalformedSessionKey(OnionKepError):
-    """Raw session key is not divisible by p*q; corrupted or adversarial."""
-
-
-class BlockOutOfRange(OnionKepError):
-    """Cipher block value is >= r."""
-
-
-class MalformedCapture(OnionKepError):
-    """Captured ciphertext is not divisible by p*q as the prefix attack requires."""
-
-
-class DegenerateCapture(OnionKepError):
-    """Captured prefix reduces to 0 mod r and cannot be inverted."""
 
 
 class MalformedKeyFile(OnionKepError):

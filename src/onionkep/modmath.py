@@ -15,11 +15,7 @@ import math
 import random
 from collections import Counter
 
-from .errors import (
-    GenerationFailed,
-    InvalidModulus,
-    NonInvertible,
-)
+from .errors import GenerationFailed, InvalidValue
 
 
 def _sieve(limit: int) -> list[int]:
@@ -51,15 +47,15 @@ MILLER_RABIN_ROUNDS = 64
 def mod_inv(a: int, modulus: int) -> int:
     """Multiplicative inverse of a mod modulus (built-in pow).
 
-    Raises NonInvertible when gcd(a, modulus) != 1. The result is the
-    canonical representative in [1, modulus).
+    Raises InvalidValue when modulus < 2 or gcd(a, modulus) != 1. The
+    result is the canonical representative in [1, modulus).
     """
     if modulus < 2:
-        raise InvalidModulus(f"modulus must be >= 2, got {modulus}")
+        raise InvalidValue(f"modulus must be >= 2, got {modulus}")
     try:
         return pow(a, -1, modulus)
     except ValueError:
-        raise NonInvertible(f"{a} has no inverse modulo {modulus}") from None
+        raise InvalidValue(f"{a} has no inverse modulo {modulus}") from None
 
 
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:

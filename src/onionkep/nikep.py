@@ -49,16 +49,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import tlv
-from .errors import (
-    BlockOutOfRange,
-    DegenerateCapture,
-    MalformedCapture,
-    MalformedKeyFile,
-    MalformedSessionKey,
-    NonInvertible,
-    NotPrime,
-    UnsupportedShape,
-)
+from .errors import InvalidValue, MalformedKeyFile
 from .modmath import gen_prime_with_two_primitive, is_probable_prime, mod_inv, totient
 
 
@@ -191,17 +182,17 @@ def gen_params(r_bits: int, rng: random.Random, max_attempts: int = 500_000) -> 
 
 def make_params(p: int, q: int, r: int) -> SystemParams:
     """Build params from explicit primes (toy instances, loaded key files);
-    raises NotPrime unless all three are prime."""
+    raises InvalidValue unless all three are prime."""
     for v in (p, q, r):
         if not is_probable_prime(v):
-            raise NotPrime(f"{v} is not prime")
+            raise InvalidValue(f"{v} is not prime")
     return SystemParams(p=p, q=q, r=r, n=p * q * r, phi=totient(p, q, r))
 
 
 def keypair_from_secrets(params: SystemParams, x: int, k: int) -> KeyPair:
     """Deterministic keypair from chosen secrets; used by tests and loaders."""
     if math.gcd(k, params.n) != 1:
-        raise NonInvertible(f"k = {k} shares a factor with n")
+        raise InvalidValue(f"k = {k} shares a factor with n")
     y = params.phi - x + 1
     p = params.p
     if p != params.q or not _crt_applies(params, x, y):
@@ -289,15 +280,15 @@ def strip(params: SystemParams, v: int, own_k: int) -> int:
 def reduce_key(params: SystemParams, raw: int) -> SessionKey:
     """Divide the non-invertible raw key by p*q and reduce mod r.
 
-    Raises MalformedSessionKey when raw is not a positive multiple of p*q,
-    which signals a corrupted or adversarial handshake.
+    Raises InvalidValue when raw is not a positive multiple of p*q, or is
+    0 mod r once divided, which signals a corrupted or adversarial handshake.
     """
     pq = params.p * params.q
     if raw <= 0 or raw % pq != 0:
-        raise MalformedSessionKey(f"raw session key {raw} not divisible by {pq}")
+        raise InvalidValue(f"raw session key {raw} not divisible by {pq}")
     reduced = (raw // pq) % params.r
     if reduced == 0:
-        raise MalformedSessionKey("reduced session key is 0 mod r")
+        raise InvalidValue("reduced session key is 0 mod r")
     return SessionKey(raw=raw, reduced=reduced, reduced_inv=mod_inv(reduced, params.r))
 
 
@@ -317,14 +308,14 @@ def derive_session_key(params: SystemParams, v: int, own_k: int) -> SessionKey:
 def encrypt_block(m: int, key: SessionKey, params: SystemParams) -> int:
     """c = m * k_r mod r."""
     if not 0 <= m < params.r:
-        raise BlockOutOfRange(f"plaintext block {m} not in [0, r)")
+        raise InvalidValue(f"plaintext block {m} not in [0, r)")
     return m * key.reduced % params.r
 
 
 def decrypt_block(c: int, key: SessionKey, params: SystemParams) -> int:
     """m = c * k_r**-1 mod r."""
     if not 0 <= c < params.r:
-        raise BlockOutOfRange(f"ciphertext block {c} not in [0, r)")
+        raise InvalidValue(f"ciphertext block {c} not in [0, r)")
     return c * key.reduced_inv % params.r
 
 
@@ -337,12 +328,12 @@ def prefix_recover(params: SystemParams, c1: int, c2: int) -> int:
     key; with the prefix-safe policy (k_n > r) only the residue leaks.
     """
     if params.p != 2 or params.q != 2:
-        raise UnsupportedShape("prefix attack as stated requires p = q = 2")
+        raise InvalidValue("prefix attack as stated requires p = q = 2")
     if c1 % 4 != 0 or c2 % 4 != 0:
-        raise MalformedCapture("captured values must be divisible by 4")
+        raise InvalidValue("captured values must be divisible by 4")
     a = (c1 // 4) % params.r
     if a == 0:
-        raise DegenerateCapture("prefix reduces to 0 mod r")
+        raise InvalidValue("prefix reduces to 0 mod r")
     return mod_inv(a, params.r) * (c2 // 4) % params.r
 
 
