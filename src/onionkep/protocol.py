@@ -32,6 +32,8 @@ already-built prefix, is turned into a CREATE by the current terminal hop,
 and comes back as an EXTENDED relay frame. Every confirmation payload
 carries a digest of the shared key; a mismatch fails the circuit. A client
 hop keeps only its ephemeral secret k until then and its session key after.
+A client that fails a circuit sends DESTROY to its entry hop, and loses the
+circuit with that hop's link.
 
 Two relay-layering modes exist, the ``peel_per_hop`` flag of each machine:
 
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Union
 
-from .errors import NotReady, OnionKepError
+from .errors import NotReady, OnionKepError, ParamsMismatch
 from .nikep import (
     KeyPair,
     PublicConstructor,
@@ -59,6 +61,7 @@ from .nikep import (
     derive_session_key,
     gen_keypair,
     mix,
+    params_digest,
 )
 from .onioncrypt import (
     Cell,
@@ -243,10 +246,20 @@ def _confirm_hop(state: CircuitState, phase: Phase, payload: bytes,
     return replace(state, hops=hops, phase=Phase.READY), []
 
 
+def client_drop_link(state: CircuitState, link: str) -> tuple[CircuitState, list[Action]]:
+    """Losing the entry hop's link fails a live circuit; no other link is its own."""
+    if link != state.hops[0].node_name or state.phase == Phase.FAILED:
+        return state, []
+    lost = "entry link lost"
+    return replace(state, phase=Phase.FAILED, failure=lost), [TearDown(state.circ_id, lost)]
+
+
 def _fail(state: CircuitState, reason: str) -> tuple[CircuitState, list[Action]]:
+    """Fail the circuit for ``reason`` and DESTROY it at the entry hop, which passes it on."""
     tagged = f"{INTEGRITY_FAILURE}: {reason}"
     failed = replace(state, phase=Phase.FAILED, failure=tagged)
-    return failed, [TearDown(state.circ_id, tagged)]
+    destroy = SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.DESTROY))
+    return failed, [TearDown(state.circ_id, tagged), destroy]
 
 
 def _layer_keys(state: CircuitState) -> list[SessionKey]:
@@ -489,14 +502,16 @@ class Relay:
 class Client:
     """The client host of both runtimes: resolves the path through
     ``directory`` (anything with ``lookup(name)``), drives the build through
-    ``client_step`` and keeps its latest deliveries. Each resolved constructor is
-    noted on ``params``, which tabulates it for ``mix`` from the second
-    time on, so every client host sharing ``params`` reads the tables."""
+    ``client_step`` and keeps its latest deliveries. It refuses a descriptor
+    under other parameters, before it draws or sends anything. Each resolved
+    constructor is noted on ``params``, which tabulates it for ``mix`` from
+    the second time on, so every client host sharing ``params`` reads the tables."""
 
     def __init__(self, name: str, params: SystemParams, directory,
                  rng: random.Random, peel_per_hop: bool = True):
         self.name = name
         self.params = params
+        self.params_digest = params_digest(params)
         self.directory = directory
         self.rng = rng
         self.peel_per_hop = peel_per_hop
@@ -505,10 +520,13 @@ class Client:
         self.received: list[tuple[int, bytes]] = []
 
     def start_build(self, circ_id: int, path: list[str]) -> SendCell:
-        self.path = [self.directory.lookup(name) for name in path]
-        for desc in self.path:
+        descs = [self.directory.lookup(name) for name in path]
+        for desc in descs:
+            if desc.params_digest != self.params_digest:
+                raise ParamsMismatch(f"descriptor for {desc.name} uses foreign parameters")
             self.params.note_resolved(desc.public)
-        entry = self.path[0]
+        self.path = descs
+        entry = descs[0]
         self.state, send = client_create(self.params, circ_id, entry.name,
                                          entry.public, self.rng, self.peel_per_hop)
         return send
@@ -518,3 +536,6 @@ class Client:
         self.received += [(a.stream_id, a.data) for a in actions if isinstance(a, DeliverLocal)]
         del self.received[:-_RECORDS_KEPT]
         return [a for a in actions if isinstance(a, SendCell)]
+
+    def drop_link(self, link: str) -> None:
+        self.state, _ = client_drop_link(self.state, link)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from onionkep import decode_cell, gen_keypair, gen_params, params_digest, tlv
+from onionkep import cli, decode_cell, errors, gen_keypair, gen_params, params_digest, tlv
 from onionkep.cli import main
 from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
 from onionkep.nikep import (PublicConstructor, decode_private_file, decode_public_file,
@@ -184,6 +184,14 @@ class TestClientTcp:
         assert out == ""
         assert err == "error=directory returned status 1\n"
 
+    def test_descriptor_under_other_parameters_exits_3(self, tmp_path, capsys, tcp_relays):
+        address, _ = tcp_relays
+        stem = str(tmp_path / "other")
+        run_cli(capsys, "keygen", "--r-bits", "16", "--seed", "2", "--out", stem)
+        code, out, err = run_cli(capsys, "client", "build", "--hops", "B,C,D",
+                                 "--dir", address, "--params", stem + ".pub")
+        assert (code, out, err) == (3, "", "error=descriptor for B uses foreign parameters\n")
+
     def test_corrupt_created_exits_3(self, capsys, tcp_relays):
         address, params_file = tcp_relays
         code, out, _ = run_cli(capsys, "client", "build", "--hops", "B,C,D",
@@ -219,6 +227,24 @@ class TestClientTcp:
         assert code == 2
         assert out == ""
         assert err.startswith("error=") and "--dir" in err and "ONIONKEP_DIR" in err
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, errors.OnionKepError)
+                 and c is not errors.OnionKepError]
+
+
+class TestExitCodes:
+    # The scripting contract: a usage, lookup or generation error exits 2,
+    # any other error of this package 3, each with its message on stderr.
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class(self, capsys, monkeypatch, error):
+        def fail(args):
+            raise error("stubbed failure")
+        monkeypatch.setattr(cli, "cmd_sim", fail)
+        code, out, err = run_cli(capsys, "sim")
+        expected = 2 if error in (errors.GenerationFailed, errors.NotFound) else 3
+        assert (code, out, err) == (expected, "", "error=stubbed failure\n")
 
 
 class TestDirectorySnapshot:

@@ -39,6 +39,7 @@ from onionkep.protocol import (
     SendCell,
     TearDown,
     client_create,
+    client_drop_link,
     client_extend,
     client_handle_cell,
     client_send_data,
@@ -389,11 +390,28 @@ class TestClientEndings:
             assert (new, actions) == (state, [])
         elif ending == "destroyed":
             assert (new.phase, new.failure, actions) == (Phase.FAILED, "destroyed by relay", [])
-        else:
+        else:  # an integrity failure, which the client DESTROYs at its entry hop
             tagged = f"CircuitIntegrityFailure: {ending}"
+            destroy = SendCell("B", Cell(9, CellCommand.DESTROY))
             assert (new.phase, new.failure, actions) == (Phase.FAILED, tagged,
-                                                         [TearDown(9, tagged)])
+                                                         [TearDown(9, tagged), destroy])
             assert new.hops == state.hops
+
+
+class TestClientDropLink:
+    @pytest.mark.parametrize("phase", [Phase.CREATING, Phase.READY, Phase.EXTENDING])
+    def test_losing_the_entry_link_fails_the_circuit(self, phase):
+        state = ENDING_WORLD.states[phase]
+        new, actions = client_drop_link(state, "B")
+        assert (new.phase, new.failure, actions) == (Phase.FAILED, "entry link lost",
+                                                     [TearDown(9, "entry link lost")])
+        assert new.hops == state.hops
+
+    @pytest.mark.parametrize("phase, link", [(Phase.EXTENDING, "C"), (Phase.READY, "Z"),
+                                             (Phase.FAILED, "B")])
+    def test_another_link_or_a_failed_circuit_changes_nothing(self, phase, link):
+        state = ENDING_WORLD.states[phase]
+        assert client_drop_link(state, link) == (state, [])
 
 
 class TestDropLink:
@@ -760,7 +778,11 @@ class TestMalformedInputNeverRaises:
         new, actions = client_handle_cell(state, Cell(circ_id, command, payload))
         check_hop_keys(new)
         teardowns = [a for a in actions if isinstance(a, TearDown)]
-        assert all(isinstance(a, (TearDown, DeliverLocal)) for a in actions)
+        # The one cell a client sends on an inbound cell: DESTROY to its
+        # entry hop, when that cell fails the circuit.
+        sends = [a for a in actions if not isinstance(a, (TearDown, DeliverLocal))]
+        destroy = SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.DESTROY))
+        assert sends == ([destroy] if teardowns else [])
         if teardowns:
             assert new.phase == Phase.FAILED
             assert [a.reason for a in teardowns] == [new.failure]

@@ -195,6 +195,15 @@ class TestUnknownHost:
         assert {name: len(node.state.entries) for name, node in nodes.items()} == \
             {"B": 0, "C": 1, "D": 1}
 
+    def test_client_that_loses_its_entry_link_fails_its_circuit(self):
+        # B has left: the client cannot send to it, so it loses that link
+        # and the circuit on it.
+        sim, client, _ = build_simulation(32, 5)
+        assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+        del sim.hosts["B"]
+        run_send(sim, client, 1, b"lost")
+        assert (client.state.phase, client.state.failure) == (Phase.FAILED, "entry link lost")
+
 
 class TestLinkModel:
     # One link carries circuit ids drawn by both of its ends, and a relay
@@ -240,10 +249,12 @@ class TestLinkModel:
 
 class SimNetLinkModel(RuleBasedStateMachine):
     """Clients build circuits over relays B, C and D in any order, repeats
-    included, then use, destroy, corrupt or misdirect them. Every step runs
-    the net until it is quiet, so after it every circuit has an outcome and
-    every relay's maps agree. Cells are never dropped and links never lost:
-    the simulator has no timeouts, so a lost cell stalls by design."""
+    included, then use, destroy, corrupt or misdirect them, or have a reply
+    toward them corrupted. Every step runs the net until it is quiet, so
+    after it every circuit has an outcome, every relay's maps agree and the
+    relays hold exactly the circuits their clients still hold open. Cells
+    are never dropped and links never lost: the simulator has no timeouts,
+    so a lost cell stalls by design."""
 
     clients = Bundle("clients")
 
@@ -251,6 +262,7 @@ class SimNetLinkModel(RuleBasedStateMachine):
         super().__init__()
         self.sim, self.first, self.nodes = build_simulation(16, 3)
         self.built: list[SimClient] = []
+        self.destroyed: set[str] = set()  # clients whose circuit the ``destroy`` rule ended
         self.checked = 0
 
     @rule(target=clients, path=st.lists(st.sampled_from("BCD"), min_size=1, max_size=3),
@@ -276,6 +288,7 @@ class SimNetLinkModel(RuleBasedStateMachine):
 
     @rule(client=clients)
     def destroy(self, client):
+        self.destroyed.add(client.name)
         self.post(client, Cell(client.state.circ_id, CellCommand.DESTROY))
 
     @rule(client=clients, index=st.integers(0, 255), mask=st.integers(1, 255))
@@ -284,6 +297,22 @@ class SimNetLinkModel(RuleBasedStateMachine):
                             if client.state.phase == Phase.READY else b"junk")
         payload[index % len(payload)] ^= mask
         self.post(client, Cell(client.state.circ_id, CellCommand.RELAY, bytes(payload)))
+
+    @rule(client=clients, index=st.integers(0, 255), mask=st.integers(1, 255))
+    def corrupt_reply(self, client, index, mask):
+        # Flip bits of the first RELAY cell toward the client: its echo.
+        def tamper(src, dst, cell):
+            if dst != client.name or cell.command != CellCommand.RELAY:
+                return cell
+            self.sim.tamper = None
+            payload = bytearray(cell.payload)
+            payload[index % len(payload)] ^= mask
+            return Cell(cell.circ_id, cell.command, bytes(payload))
+
+        if client.state.phase == Phase.READY:
+            self.sim.tamper = tamper
+            run_send(self.sim, client, 1, b"probe")
+            self.sim.tamper = None
 
     @rule(client=clients, name=st.sampled_from(["A", "U0", "U1", "Z"]))
     def extend_to_non_relay(self, client, name):
@@ -306,6 +335,14 @@ class SimNetLinkModel(RuleBasedStateMachine):
             assert not entries.keys() & nexts.keys()
             assert nexts == {(e.next_link, e.next_circ_id): key
                              for key, e in entries.items() if e.next_link is not None}
+
+    @invariant()
+    def relays_hold_exactly_the_open_circuits(self):
+        # One entry per hop of each circuit its client holds READY and the
+        # ``destroy`` rule has not ended; a failed circuit leaves none.
+        open_hops = sum(len(c.state.hops) for c in self.built
+                        if c.state.phase == Phase.READY and c.name not in self.destroyed)
+        assert sum(len(node.state.entries) for node in self.nodes.values()) == open_hops
 
     @invariant()
     def creates_reach_only_other_relays(self):

@@ -55,6 +55,26 @@ def hang_up(request):
     raise ConnectionAbortedError("no answer")
 
 
+def corrupt_first_created():
+    """A fresh tamper hook that flips one bit of the first CREATED cell."""
+    done = []
+
+    def tamper(src, dst, cell):
+        if done or cell.command != CellCommand.CREATED:
+            return cell
+        done.append(cell)
+        return Cell(cell.circ_id, cell.command,
+                    bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:])
+    return tamper
+
+
+def wait_until_empty(nodes, seconds=5.0):
+    """Wait until no relay of ``nodes`` holds an entry, or ``seconds`` pass."""
+    deadline = time.monotonic() + seconds
+    while any(node.state.entries for node in nodes) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 def socket_pair():
     server = socket.create_server(("127.0.0.1", 0))
     client = socket.create_connection(server.getsockname())
@@ -282,7 +302,7 @@ class TestLiveCircuit:
             client.close()
 
     def test_corrupted_created_fails_closed(self, live_network):
-        params, dir_client, _, rng = live_network
+        params, dir_client, nodes, rng = live_network
         seen = []
 
         def tamper(src, dst, cell):
@@ -299,6 +319,24 @@ class TestLiveCircuit:
             assert state.phase == Phase.FAILED
             assert "CircuitIntegrityFailure" in (state.failure or "")
             assert seen == [("B", "A", CellCommand.CREATED)]
+            # The client's DESTROY, not its closing socket, frees B.
+            wait_until_empty(nodes[:1])
+            assert not nodes[0].state.entries
+        finally:
+            client.close()
+
+    def test_descriptor_under_other_parameters_is_refused(self, live_network):
+        # The relays run other parameters than the client: it must refuse B's
+        # descriptor before it draws a key or opens a connection.
+        _, dir_client, _, _ = live_network
+        rng = random.Random(1)
+        client = StreamCircuitClient(gen_params(32, random.Random(2)), dir_client, rng)
+        state = rng.getstate()
+        try:
+            with pytest.raises(ParamsMismatch,
+                               match="^descriptor for B uses foreign parameters$"):
+                client.build(["B", "C", "D"], timeout=2.0)
+            assert (rng.getstate(), client._sock, client.state) == (state, None, None)
         finally:
             client.close()
 
@@ -367,6 +405,19 @@ class TestRuntimesAgree:
             assert client.send_data(1, b"same bytes") == sim_client.received[-1][1]
             for name, node in nodes.items():
                 assert session_keys(node) == session_keys(sim_nodes[name])
+
+    def test_corrupted_created_fails_both_and_frees_every_relay(self):
+        sim, sim_client, sim_nodes = build_simulation(32, 11)
+        rng_state = sim_client.rng.getstate()
+        sim.tamper = corrupt_first_created()
+        sim_state = run_build(sim, sim_client, ["B", "C", "D"])
+        assert sim_state.phase == Phase.FAILED
+        assert [len(node.state.entries) for node in sim_nodes.values()] == [0, 0, 0]
+        with self.tcp_twin(sim_client, sim_nodes, rng_state) as (client, nodes):
+            assert client.build(["B", "C", "D"], timeout=10.0,
+                                tamper=corrupt_first_created()) == sim_state
+            wait_until_empty(nodes.values())
+            assert [len(node.state.entries) for node in nodes.values()] == [0, 0, 0]
 
     def test_relay_extending_to_itself_fails_on_both(self):
         # B refuses [B, B] on both runtimes; over TCP it neither keeps an
