@@ -2,9 +2,9 @@
 the in-process simulator, the prefix-attack demonstration and the key-size
 benchmark.
 
-Exit codes are a stable contract for scripting, kept by ``main`` alone: 0
-success, 2 usage, lookup or generation error, 3 protocol/integrity failure. Stdout is line-oriented
-key=value. With --seed every subcommand is byte-deterministic.
+Exit codes are a stable contract for scripting: 0 success, 2 usage,
+lookup or generation error, 3 protocol/integrity failure. Stdout is
+line-oriented key=value. With --seed every subcommand is byte-deterministic.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from onionkep import (
     params_digest,
 )
 from onionkep import nikep, tlv, transport
+from onionkep.cli import _corrupt_first_created
 from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
 from onionkep.errors import (
     DuplicateName,
@@ -53,19 +54,6 @@ from conftest import (
 def hang_up(request):
     """A ``fake_directory`` answer that closes the connection unanswered."""
     raise ConnectionAbortedError("no answer")
-
-
-def corrupt_first_created():
-    """A fresh tamper hook that flips one bit of the first CREATED cell."""
-    done = []
-
-    def tamper(src, dst, cell):
-        if done or cell.command != CellCommand.CREATED:
-            return cell
-        done.append(cell)
-        return Cell(cell.circ_id, cell.command,
-                    bytes([cell.payload[0] ^ 0x01]) + cell.payload[1:])
-    return tamper
 
 
 def wait_until_empty(nodes, seconds=5.0):
@@ -407,15 +395,17 @@ class TestRuntimesAgree:
                 assert session_keys(node) == session_keys(sim_nodes[name])
 
     def test_corrupted_created_fails_both_and_frees_every_relay(self):
+        # The hook of ``client --corrupt-created``: the client fails the
+        # build and DESTROYs it at B, so no relay keeps an entry.
         sim, sim_client, sim_nodes = build_simulation(32, 11)
         rng_state = sim_client.rng.getstate()
-        sim.tamper = corrupt_first_created()
+        sim.tamper = _corrupt_first_created()
         sim_state = run_build(sim, sim_client, ["B", "C", "D"])
         assert sim_state.phase == Phase.FAILED
         assert [len(node.state.entries) for node in sim_nodes.values()] == [0, 0, 0]
         with self.tcp_twin(sim_client, sim_nodes, rng_state) as (client, nodes):
             assert client.build(["B", "C", "D"], timeout=10.0,
-                                tamper=corrupt_first_created()) == sim_state
+                                tamper=_corrupt_first_created()) == sim_state
             wait_until_empty(nodes.values())
             assert [len(node.state.entries) for node in nodes.values()] == [0, 0, 0]
 
