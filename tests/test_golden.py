@@ -47,6 +47,9 @@ def test_cli_stdout(argv, code, digest):
      "4001d9d72e44334e933d42616fa896817e0916da3de97a0531c638fb02111648"),
     (256, 4, 107128558915183414504377713930624297715974816180318003287687794719899289677283,
      "9786de452e8fd0a3a1663a4b8491d92897f5acf577048a82f2821c95183be9ff"),
+    (512, 1, int("11413104428663351862682051652586738130346279359843354611828466009881630425828"
+                 "864595422362487856969239466536146959644060781223518248886723464473033415045339"),
+     "d73b8039f978c30fe7bee04e1e406cf48987d757897ff13e41412e660c6e0b65"),
 ])
 def test_generated_params(bits, seed, r, state_digest):
     # The parameters and the rng state after them; the other goldens only

@@ -178,6 +178,18 @@ class TestAgainstOracle:
                        max_attempts=max_attempts)
         assert rng.getstate() == oracle_rng.getstate()
 
+    @pytest.mark.parametrize("bits", range(3, 13))
+    def test_every_seed_of_a_narrow_width(self, bits):
+        # Seeds 0-199 at each width. Widths 3 and 5 have no such prime, so
+        # there every search ends in GenerationFailed after 3000 attempts.
+        for seed in range(200):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            got = outcome(gen_prime_with_two_primitive, bits, rng, max_attempts=3000)
+            want = outcome(prime_oracle.gen_prime_with_two_primitive, bits, oracle_rng,
+                           max_attempts=3000)
+            assert (seed, got) == (seed, want)
+            assert rng.getstate() == oracle_rng.getstate(), seed
+
     @given(st.integers(-5, 10**6) | st.integers(0, 2**80), st.integers(0, 2**32))
     @settings(max_examples=300)
     def test_probable_prime_same_answer_and_rng_state(self, n, seed):
