@@ -5,6 +5,9 @@ so 2048-bit moduli and multi-thousand-bit exponents need no special handling.
 All functions are pure; the only stateful object is the caller-supplied
 ``random.Random`` instance, which makes generation reproducible under a seed.
 
+The safe-prime search screens candidates with a wheel mod 4620 that drops
+exactly what its trial division would (Wiener, ePrint 2003/186).
+
 These routines are not constant-time and make no attempt to resist
 side-channel observation.
 """
@@ -32,6 +35,11 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = frozenset(_sieve(2000))
 _PRODUCT_BELOW_100 = math.prod(p for p in _SMALL_PRIMES if p < 100)
 _PRODUCT_100_TO_2000 = math.prod(p for p in _SMALL_PRIMES if p > 100)
+
+# 1 at s % _WHEEL where s == 1 (mod 4) and none of 3, 5, 7, 11 divides s or 2s+1.
+_WHEEL = 4 * 3 * 5 * 7 * 11
+_WHEEL_OPEN = bytes(t % 4 == 1 and math.gcd(t * (2 * t + 1), _WHEEL) == 1
+                    for t in range(_WHEEL))
 
 
 def _passes_trial_division(n: int) -> bool:
@@ -116,8 +124,8 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
     budget is exhausted.
 
     Only Miller-Rabin draws from ``rng``, so the cheaper tests run first,
-    and two are left out as implied: a seed yields the same r, and leaves
-    ``rng`` in the same state, with them or without them.
+    and three shortcuts rest on what they imply: a seed yields the same r,
+    and leaves ``rng`` in the same state, with them or without them.
 
     - s == 3 (mod 4) is rejected before any test. Then r == 7 (mod 8), so
       the Jacobi symbol (2|r) is 1. 2**s == -1 with s = (r-1)/2 odd makes
@@ -126,12 +134,18 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
       Selfridge and Wagstaff, 1980), as a prime is by Euler's criterion.
       Either way 2**s == (2|r) == 1, never -1.
     - No Fermat test on r: 2**s == -1 squares to 2**(r-1) == 1.
+    - From 6 bits on, s and r exceed 11, so trial division rejects s when 3,
+      5, 7 or 11 divides s or r: one lookup at s % 4620 in the wheel
+      ``_WHEEL_OPEN`` drops those and s == 3 (mod 4). Widths 3 to 5 keep only
+      that skip, since s may be such a prime (4 bits give r = 11 from s = 5).
     """
     if bits < 3:
         raise ValueError("bits must be >= 3")
+    draw, width, fixed = rng.getrandbits, bits - 1, 1 << (bits - 2) | 1
+    wheel, spokes = (_WHEEL_OPEN, _WHEEL) if bits >= 6 else (b"\0\1\0\0", 4)
     for _ in range(max_attempts):
-        s = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1
-        if s & 3 == 3:
+        s = draw(width) | fixed
+        if not wheel[s % spokes]:
             continue
         r = 2 * s + 1
         if not (_passes_trial_division(s) and _passes_trial_division(r)):

@@ -23,8 +23,9 @@ from onionkep.transport import recv_frame, send_frame
 # model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
 # and the malformed-input and relay-delta tests of the machines
 # (tests/test_protocol.py), of the cell-format decoders and of long
-# chunk-cipher messages against their oracle (tests/test_onioncrypt.py) and
-# of the session-key derivation against its oracle (tests/test_nikep.py).
+# chunk-cipher messages against their oracle (tests/test_onioncrypt.py), of
+# the session-key derivation against its oracle (tests/test_nikep.py) and of
+# the safe-prime search against its oracle (tests/test_modmath.py).
 settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.

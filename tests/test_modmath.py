@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onionkep import modmath
 from onionkep.errors import GenerationFailed, InvalidValue
 from onionkep.modmath import (
     gen_prime_with_two_primitive,
@@ -170,7 +171,7 @@ class TestAgainstOracle:
 
     @given(st.integers(3, 96), st.integers(0, 2**32),
            st.integers(1, 50) | st.integers(10_000, 20_000))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=2 * settings.default.max_examples, deadline=None)  # 200, or 2000 under ``thorough``
     def test_same_prime_and_rng_state(self, bits, seed, max_attempts):
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         assert outcome(gen_prime_with_two_primitive, bits, rng, max_attempts=max_attempts) \
@@ -207,6 +208,13 @@ class TestAgainstOracle:
             assert not is_probable_prime(p * p, rng=rng)
             assert not is_probable_prime(p * 2003, rng=rng)
         assert rng.getstate() == state
+
+    def test_wheel_is_its_definition(self):
+        # The differential tests cannot see a wheel that admits s == 3
+        # (mod 4): the search rejects such s later, before any draw.
+        assert modmath._WHEEL_OPEN == bytes(
+            t % 4 == 1 and all(t % p and (2 * t + 1) % p for p in (3, 5, 7, 11))
+            for t in range(4620))
 
     def test_three_mod_four_never_passes(self):
         # Why the search skips s == 3 (mod 4) before any test: then
