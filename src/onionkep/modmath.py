@@ -6,7 +6,7 @@ All functions are pure; the only stateful object is the caller-supplied
 ``random.Random`` instance, which makes generation reproducible under a seed.
 
 The safe-prime search screens candidates with a wheel mod 4620 that drops
-exactly what its trial division would (Wiener, ePrint 2003/186).
+only what it would reject anyway before any draw (Wiener, ePrint 2003/186).
 
 These routines are not constant-time and make no attempt to resist
 side-channel observation.
@@ -124,8 +124,8 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
     budget is exhausted.
 
     Only Miller-Rabin draws from ``rng``, so the cheaper tests run first,
-    and three shortcuts rest on what they imply: a seed yields the same r,
-    and leaves ``rng`` in the same state, with them or without them.
+    and the shortcuts below are exact: a seed yields the same r, and
+    leaves ``rng`` in the same state, with them or without them.
 
     - s == 3 (mod 4) is rejected before any test. Then r == 7 (mod 8), so
       the Jacobi symbol (2|r) is 1. 2**s == -1 with s = (r-1)/2 odd makes

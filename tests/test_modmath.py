@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onionkep import modmath
 from onionkep.errors import GenerationFailed, InvalidValue
 from onionkep.modmath import (
+    _WHEEL_OPEN,
     gen_prime_with_two_primitive,
     is_probable_prime,
     mod_inv,
@@ -212,7 +212,7 @@ class TestAgainstOracle:
     def test_wheel_is_its_definition(self):
         # The differential tests cannot see a wheel that admits s == 3
         # (mod 4): the search rejects such s later, before any draw.
-        assert modmath._WHEEL_OPEN == bytes(
+        assert _WHEEL_OPEN == bytes(
             t % 4 == 1 and all(t % p and (2 * t + 1) % p for p in (3, 5, 7, 11))
             for t in range(4620))
 
