@@ -2,8 +2,11 @@
 
 Clients resolve node names here and never accept a constructor supplied by
 a relay, which is what makes the published keys the trust anchor of the
-handshake. State is optionally snapshotted to a TLV file on every
-mutation so demos can restart without a database.
+handshake. State is optionally kept in a TLV snapshot file so demos can
+restart without a database: each registration that changes a descriptor
+appends that descriptor's records in one write, and loading replays the file
+through ``register``, so a later record of a name wins. A tail torn by an
+interrupted write fails the load with ``MalformedKeyFile``.
 
 The wire protocol is here too: ``Directory.answer`` turns a REGISTER, LOOKUP
 or LIST request into a STATUS record and the descriptors asked for, and
@@ -86,7 +89,7 @@ class Directory:
 
     def __init__(self, params_digest: bytes, snapshot_path: str | None = None):
         self.params_digest = params_digest
-        self.snapshot_path = None  # set once loaded: register must not rewrite the file
+        self.snapshot_path = None  # set once loaded: replay must not append to the file
         self._descriptors: dict[str, NodeDescriptor] = {}
         if snapshot_path and os.path.exists(snapshot_path):
             with open(snapshot_path, "rb") as fh:
@@ -95,13 +98,19 @@ class Directory:
         self.snapshot_path = snapshot_path
 
     def register(self, desc: NodeDescriptor) -> None:
+        """Add or update a descriptor; unless it is already registered as
+        is, append its records to the snapshot file in one write."""
         if desc.params_digest != self.params_digest:
             raise ParamsMismatch(f"descriptor for {desc.name} uses foreign parameters")
         existing = self._descriptors.get(desc.name)
         if existing is not None and existing.public != desc.public:
             raise DuplicateName(f"{desc.name} already registered with a different key")
+        if existing == desc:
+            return
         self._descriptors[desc.name] = desc
-        self._snapshot()
+        if self.snapshot_path:
+            with open(self.snapshot_path, "ab") as fh:
+                fh.write(encode_descriptor(desc))
 
     def lookup(self, name: str) -> NodeDescriptor:
         try:
@@ -131,15 +140,6 @@ class Directory:
                            if isinstance(exc, error)), 255)
             return tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
         return tlv.encode_record(tlv.TAG_STATUS, bytes([_STATUS_OK])) + payload
-
-    def _snapshot(self) -> None:
-        if not self.snapshot_path:
-            return
-        blob = b"".join(encode_descriptor(d) for d in self.list())
-        tmp = self.snapshot_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, self.snapshot_path)
 
 
 def read_answer(answer: bytes) -> bytes:

@@ -8,6 +8,13 @@ All functions are pure; the only stateful object is the caller-supplied
 The safe-prime search screens candidates with a wheel mod 4620 that drops
 only what it would reject anyway before any draw (Wiener, ePrint 2003/186).
 
+Below psi_13 = 3317044064679887385961981, the smallest strong pseudoprime
+to the first 13 prime bases (Sorenson and Webster, Math. Comp. 2017), strong
+tests to those bases prove primality. There ``is_probable_prime`` proves a
+prime and then only draws the Miller-Rabin witnesses, without testing them:
+a prime passes every round, so the answer and the rng state are those of
+the full test. A composite takes the full rounds, as before.
+
 These routines are not constant-time and make no attempt to resist
 side-channel observation.
 """
@@ -51,6 +58,11 @@ def _passes_trial_division(n: int) -> bool:
 # Error probability <= 4**-64 per call; documented as acceptable.
 MILLER_RABIN_ROUNDS = 64
 
+# Strong tests to these bases decide primality below psi_13, which passes
+# all of them and is composite, so the bound is exclusive.
+_PROOF_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PROVEN_BELOW = 3317044064679887385961981
+
 
 def mod_inv(a: int, modulus: int) -> int:
     """Multiplicative inverse of a mod modulus (built-in pow).
@@ -69,32 +81,50 @@ def mod_inv(a: int, modulus: int) -> int:
 def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
     """Miller-Rabin primality test with trial division pre-screening.
 
-    Without an rng the witnesses come from a Random seeded with n, so the
-    answer is reproducible and the module-level random stream is untouched.
+    Below ``_PROVEN_BELOW`` strong tests to ``_PROOF_BASES`` decide. A prime
+    they prove still draws its witnesses from ``rng``, and a composite takes
+    the random rounds, so ``rng`` ends where the full test leaves it. From
+    the bound on, without an rng the witnesses come from a Random seeded
+    with n, so the answer is reproducible and the module-level random
+    stream is untouched.
     """
     if n < 2 or not _passes_trial_division(n):
         return False
     if n < 2000:
         return True
-    if rng is None:
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    if n < _PROVEN_BELOW:
+        proven = all(_strong_test(n, a, d, s) for a in _PROOF_BASES)
+        if rng is None:
+            return proven
+        if proven:
+            _draw_witnesses(n, rng)
+            return True
+    elif rng is None:
         rng = random.Random(n)
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(MILLER_RABIN_ROUNDS):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_strong_test(n, rng.randrange(2, n - 1), d, s)
+               for _ in range(MILLER_RABIN_ROUNDS))
+
+
+def _strong_test(n: int, a: int, d: int, s: int) -> bool:
+    """True when n is a strong probable prime to base a, n - 1 = d * 2**s."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = (x * x) % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _draw_witnesses(n: int, rng: random.Random) -> None:
+    """Draw what ``is_probable_prime(n, rng)`` draws for a prime n."""
+    if n >= 2000:
+        randrange = rng.randrange
+        for _ in range(MILLER_RABIN_ROUNDS):
+            randrange(2, n - 1)
 
 
 def totient(p: int, q: int, r: int) -> int:
@@ -138,6 +168,13 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
       5, 7 or 11 divides s or r: one lookup at s % 4620 in the wheel
       ``_WHEEL_OPEN`` drops those and s == 3 (mod 4). Widths 3 to 5 keep only
       that skip, since s may be such a prime (4 bits give r = 11 from s = 5).
+    - Below ``_PROVEN_BELOW`` (81 bits and a little more), ``is_probable_prime``
+      proves s by its fixed bases and draws s's witnesses untested, and r is
+      not tested at all: with s prime, 2**s == -1 (mod r) proves r prime
+      (Pocklington; the order of 2 modulo a prime factor p of r is 2s, as
+      3 does not divide r, so p >= 2s + 1 = r). r's witnesses are drawn
+      untested too. Miller-Rabin passes every round on a prime, so it would
+      have drawn just these, and returned True.
     """
     if bits < 3:
         raise ValueError("bits must be >= 3")
@@ -152,6 +189,11 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
             continue
         if pow(2, s, r) != r - 1 or pow(2, s - 1, s) != 1:
             continue
-        if is_probable_prime(s, rng=rng) and is_probable_prime(r, rng=rng):
+        if not is_probable_prime(s, rng=rng):
+            continue
+        if r < _PROVEN_BELOW:  # s is proven prime, and so r is: replay r's draws
+            _draw_witnesses(r, rng)
+            return r
+        if is_probable_prime(r, rng=rng):
             return r
     raise GenerationFailed(f"no suitable {bits}-bit prime in {max_attempts} attempts")

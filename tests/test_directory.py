@@ -127,16 +127,67 @@ class TestSnapshot:
         with pytest.raises(DuplicateName):
             Directory(digest, snapshot_path=str(path))
 
-    def test_load_does_not_rewrite_the_file(self, tmp_path, digest, desc_b, monkeypatch):
+    def test_load_does_not_rewrite_the_file(self, tmp_path, digest, desc_b):
         moved = NodeDescriptor(name="B", address="127.0.0.1:9100",
                                public=desc_b.public, params_digest=digest)
         path = tmp_path / "dir.tlv"
-        path.write_bytes(encode_descriptor(desc_b) + encode_descriptor(moved))
-        def rewrite(src, dst):
-            raise AssertionError(f"{dst} rewritten while it loads")
-
-        monkeypatch.setattr("onionkep.directory.os.replace", rewrite)
+        blob = encode_descriptor(desc_b) + encode_descriptor(moved)
+        path.write_bytes(blob)
         assert Directory(digest, snapshot_path=str(path)).list() == [moved]
+        assert path.read_bytes() == blob
+
+    def test_a_registration_writes_only_its_own_record(self, tmp_path, digest, desc_b,
+                                                         monkeypatch):
+        # Rewriting the whole snapshot made n registrations cost O(n**2).
+        writes = []
+        real_open = open
+
+        class CountingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                return self.fh.write(data)
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return fh if "r" in mode else CountingFile(fh)
+
+        monkeypatch.setattr("onionkep.directory.open", counting_open, raising=False)
+        path = str(tmp_path / "dir.tlv")
+        directory = Directory(digest, snapshot_path=path)
+        descs = [NodeDescriptor(name=f"N{i:03}", address="127.0.0.1:1",
+                                public=desc_b.public, params_digest=digest)
+                 for i in range(40)]
+        for desc in descs:
+            directory.register(desc)
+        assert writes == [len(encode_descriptor(descs[0]))] * 40
+        directory.register(descs[7])  # identical: nothing to write
+        assert len(writes) == 40
+        assert Directory(digest, snapshot_path=path).list() == descs
+
+    def test_later_record_wins_after_restart(self, tmp_path, digest, desc_b):
+        moved = NodeDescriptor(name="B", address="127.0.0.1:9100",
+                               public=desc_b.public, params_digest=digest)
+        path = str(tmp_path / "dir.tlv")
+        directory = Directory(digest, snapshot_path=path)
+        for desc in (desc_b, moved):
+            directory.register(desc)
+        assert Directory(digest, snapshot_path=path).list() == [moved]
+
+    def test_torn_tail_fails_the_load(self, tmp_path, digest, desc_b):
+        path = tmp_path / "dir.tlv"
+        Directory(digest, snapshot_path=str(path)).register(desc_b)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(MalformedKeyFile):
+            Directory(digest, snapshot_path=str(path))
 
 
 class TestRecordReader:

@@ -2,11 +2,13 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onionkep import gen_params, modmath
 from onionkep.errors import GenerationFailed, InvalidValue
 from onionkep.modmath import (
     _WHEEL_OPEN,
@@ -239,3 +241,122 @@ class TestProbablePrime:
         assert is_probable_prime(2**61 - 1) is True
         assert is_probable_prime((2**31 - 1) * (2**61 - 1)) is False
         assert random.getstate() == state
+
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the smallest strong pseudoprime to the first k prime bases (OEIS
+# A014233), with the largest k it is that for: psi_7 = psi_8, psi_9 = psi_11.
+PSI = [(2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4), (2152302898747, 5),
+       (3474749660383, 6), (341550071728321, 8), (3825123056546413051, 11),
+       (318665857834031151167461, 12), (3317044064679887385961981, 13)]
+PSI_13 = PSI[-1][0]
+# Carmichael numbers with their prime factors: three with factors below 2000,
+# which trial division rejects, then Chernick's
+# (6k+1)(12k+1)(18k+1) for k = 370, 1000051 and 13000130.
+CARMICHAEL = [(561, (3, 11, 17)), (1729, (7, 13, 19)), (41041, (7, 11, 13, 41)),
+              (65700513721, (2221, 4441, 6661)),
+              (1296198694153288947529, (6000307, 12000613, 18000919)),
+              (2847397487139535402009081, (78000781, 156001561, 234002341))]
+LARGEST_PRIMES_BELOW_PSI_13 = [3317044064679887385961813, 3317044064679887385961801,
+                               3317044064679887385961783]
+
+
+def strong_probable_prime(n, base):
+    """Oracle: n - 1 = d * 2**s with d odd; base**d == 1, or some
+    base**(d * 2**i) == -1 with i < s."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return (pow(base, d, n) == 1
+            or any(pow(base, d << i, n) == n - 1 for i in range(s)))
+
+
+class CountingRandom(random.Random):
+    """Counts the Miller-Rabin witnesses drawn from it."""
+
+    def __init__(self, seed):
+        self.witnesses = 0
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.witnesses += 1
+        return super().randrange(*args)
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Every pow call modmath makes, by its arguments."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(modmath, "pow", counting_pow, raising=False)
+    return calls
+
+
+class TestProofBelowPsi13:
+    """Below psi_13 the first 13 prime bases prove a prime, which then only
+    draws its witnesses; everything else draws what the former test drew."""
+
+    @pytest.mark.parametrize("n,k", PSI)
+    def test_psi_passes_exactly_its_leading_bases(self, n, k):
+        assert not prime_oracle.is_probable_prime(n)
+        assert all(strong_probable_prime(n, a) for a in PRIME_BASES[:k])
+        assert k == 13 or not strong_probable_prime(n, PRIME_BASES[k])
+
+    @pytest.mark.parametrize("n,factors", CARMICHAEL)
+    def test_carmichael_meets_korselt(self, n, factors):
+        assert math.prod(factors) == n and len(set(factors)) == len(factors)
+        assert all(prime_oracle.is_probable_prime(p) and (n - 1) % (p - 1) == 0
+                   for p in factors)
+
+    @pytest.mark.parametrize("n", [n for n, _ in PSI] + [n for n, _ in CARMICHAEL]
+                             + [PSI_13 + 2] + LARGEST_PRIMES_BELOW_PSI_13)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_answer_and_rng_state(self, n, seed):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        expected = n in LARGEST_PRIMES_BELOW_PSI_13
+        assert prime_oracle.is_probable_prime(n, rng=oracle_rng) is expected
+        assert is_probable_prime(n, rng=rng) is expected
+        assert rng.getstate() == oracle_rng.getstate()
+        assert is_probable_prime(n) is expected
+
+    @pytest.mark.parametrize("n", [2003, 2**61 - 1, 2**79 - 67,
+                                   LARGEST_PRIMES_BELOW_PSI_13[0]])
+    def test_proven_prime_draws_its_witnesses_untested(self, pow_calls, n):
+        rng = CountingRandom(7)
+        assert is_probable_prime(n, rng=rng)
+        assert len(pow_calls) <= len(PRIME_BASES)
+        assert rng.witnesses == modmath.MILLER_RABIN_ROUNDS
+
+    def test_prime_at_the_bound_takes_the_random_rounds(self, pow_calls):
+        # The first prime above psi_13 gets no proof: 13 tests to fixed
+        # bases would not show psi_13 composite.
+        n = next(n for n in range(PSI_13 + 2, PSI_13 + 2000, 2)
+                 if prime_oracle.is_probable_prime(n))
+        rng = CountingRandom(7)
+        assert is_probable_prime(n, rng=rng)
+        assert len(pow_calls) == rng.witnesses == modmath.MILLER_RABIN_ROUNDS
+
+    def test_no_rng_below_the_bound_builds_no_random(self, monkeypatch):
+        built = []
+
+        def spy(seed):
+            built.append(seed)
+            return random.Random(seed)
+
+        monkeypatch.setattr(modmath, "random", SimpleNamespace(Random=spy))
+        for n in [2**61 - 1, LARGEST_PRIMES_BELOW_PSI_13[0]]:
+            assert is_probable_prime(n) is True
+        for n, _ in PSI[:-1] + CARMICHAEL:
+            assert is_probable_prime(n) is False
+        assert built == []
+        assert is_probable_prime(PSI_13) is False
+        assert built == [PSI_13]
+
+    def test_search_proves_its_pair(self, pow_calls):
+        # 166 pow calls before the proof: 64 Miller-Rabin rounds on s and r.
+        assert gen_params(64, random.Random(4)).r == 12202940967589715219
+        assert len(pow_calls) <= 64
