@@ -5,8 +5,13 @@ a relay, which is what makes the published keys the trust anchor of the
 handshake. State is optionally kept in a TLV snapshot file so demos can
 restart without a database: each registration that changes a descriptor
 appends that descriptor's records in one write, and loading replays the file
-through ``register``, so a later record of a name wins. A tail torn by an
-interrupted write fails the load with ``MalformedKeyFile``.
+through ``register``, so a later record of a name wins. Once superseded
+records would outnumber the live ones, the file is rewritten whole through a
+temporary file and ``os.replace`` instead, so it holds at most two records
+per name and n registrations cost O(n) writes in all. A write that fails
+with ``OSError`` leaves the registry as it was and has the next registration
+rewrite the file; a tail torn by a killed process fails the load with
+``MalformedKeyFile``.
 
 The wire protocol is here too: ``Directory.answer`` turns a REGISTER, LOOKUP
 or LIST request into a STATUS record and the descriptors asked for, and
@@ -91,15 +96,18 @@ class Directory:
         self.params_digest = params_digest
         self.snapshot_path = None  # set once loaded: replay must not append to the file
         self._descriptors: dict[str, NodeDescriptor] = {}
+        self._records: int | None = 0  # in the file, superseded ones too; None: rewrite it
         if snapshot_path and os.path.exists(snapshot_path):
             with open(snapshot_path, "rb") as fh:
-                for desc in decode_descriptors(fh.read()):
-                    self.register(desc)
+                records = decode_descriptors(fh.read())
+            for desc in records:
+                self.register(desc)
+            self._records = len(records)
         self.snapshot_path = snapshot_path
 
     def register(self, desc: NodeDescriptor) -> None:
-        """Add or update a descriptor; unless it is already registered as
-        is, append its records to the snapshot file in one write."""
+        """Add or update a descriptor and save it, unless it is already
+        registered as is; on OSError the registry is left as it was."""
         if desc.params_digest != self.params_digest:
             raise ParamsMismatch(f"descriptor for {desc.name} uses foreign parameters")
         existing = self._descriptors.get(desc.name)
@@ -108,9 +116,17 @@ class Directory:
         if existing == desc:
             return
         self._descriptors[desc.name] = desc
-        if self.snapshot_path:
-            with open(self.snapshot_path, "ab") as fh:
-                fh.write(encode_descriptor(desc))
+        if not self.snapshot_path:
+            return
+        try:
+            self._save(desc)
+        except OSError:
+            self._records = None  # the file may end in a torn record
+            if existing is None:
+                del self._descriptors[desc.name]
+            else:
+                self._descriptors[desc.name] = existing
+            raise
 
     def lookup(self, name: str) -> NodeDescriptor:
         try:
@@ -140,6 +156,20 @@ class Directory:
                            if isinstance(exc, error)), 255)
             return tlv.encode_record(tlv.TAG_STATUS, bytes([status]))
         return tlv.encode_record(tlv.TAG_STATUS, bytes([_STATUS_OK])) + payload
+
+    def _save(self, desc: NodeDescriptor) -> None:
+        """Append desc's records in one write, or rewrite the whole file when
+        superseded records would outnumber live ones, or it may be torn."""
+        if self._records is not None and self._records < 2 * len(self._descriptors):
+            with open(self.snapshot_path, "ab") as fh:
+                fh.write(encode_descriptor(desc))
+            self._records += 1
+            return
+        tmp = self.snapshot_path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(encode_descriptor(d) for d in self.list()))
+        os.replace(tmp, self.snapshot_path)
+        self._records = len(self._descriptors)
 
 
 def read_answer(answer: bytes) -> bytes:

@@ -99,7 +99,8 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
         if rng is None:
             return proven
         if proven:
-            _draw_witnesses(n, rng)
+            for _ in range(MILLER_RABIN_ROUNDS):
+                rng.randrange(2, n - 1)
             return True
     elif rng is None:
         rng = random.Random(n)
@@ -117,14 +118,6 @@ def _strong_test(n: int, a: int, d: int, s: int) -> bool:
         if x == n - 1:
             return True
     return False
-
-
-def _draw_witnesses(n: int, rng: random.Random) -> None:
-    """Draw what ``is_probable_prime(n, rng)`` draws for a prime n."""
-    if n >= 2000:
-        randrange = rng.randrange
-        for _ in range(MILLER_RABIN_ROUNDS):
-            randrange(2, n - 1)
 
 
 def totient(p: int, q: int, r: int) -> int:
@@ -169,12 +162,9 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
       ``_WHEEL_OPEN`` drops those and s == 3 (mod 4). Widths 3 to 5 keep only
       that skip, since s may be such a prime (4 bits give r = 11 from s = 5).
     - Below ``_PROVEN_BELOW`` (81 bits and a little more), ``is_probable_prime``
-      proves s by its fixed bases and draws s's witnesses untested, and r is
-      not tested at all: with s prime, 2**s == -1 (mod r) proves r prime
-      (Pocklington; the order of 2 modulo a prime factor p of r is 2s, as
-      3 does not divide r, so p >= 2s + 1 = r). r's witnesses are drawn
-      untested too. Miller-Rabin passes every round on a prime, so it would
-      have drawn just these, and returned True.
+      proves s and r by its fixed bases and draws their witnesses untested.
+      Miller-Rabin passes every round on a prime, so it would have drawn
+      just these, and returned True.
     """
     if bits < 3:
         raise ValueError("bits must be >= 3")
@@ -189,11 +179,6 @@ def gen_prime_with_two_primitive(bits: int, rng: random.Random,
             continue
         if pow(2, s, r) != r - 1 or pow(2, s - 1, s) != 1:
             continue
-        if not is_probable_prime(s, rng=rng):
-            continue
-        if r < _PROVEN_BELOW:  # s is proven prime, and so r is: replay r's draws
-            _draw_witnesses(r, rng)
-            return r
-        if is_probable_prime(r, rng=rng):
+        if is_probable_prime(s, rng=rng) and is_probable_prime(r, rng=rng):
             return r
     raise GenerationFailed(f"no suitable {bits}-bit prime in {max_attempts} attempts")

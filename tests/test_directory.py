@@ -1,6 +1,9 @@
 """Directory registry: registration rules, lookup, snapshot persistence,
 and its wire protocol: requests, answers and the TLV record reader."""
 
+import errno
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +35,42 @@ def digest(toy_params):
 def desc_b(toy_params, toy_bob, digest):
     return NodeDescriptor(name="B", address="127.0.0.1:9001",
                           public=toy_bob.public, params_digest=digest)
+
+
+class LoggedFile:
+    """A file the directory opened for writing; logs or tears its writes."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.log.tear_next:
+            self.log.tear_next = False
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.log.lengths.append(len(data))
+        return self.fh.write(data)
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The lengths of the directory's writes; set tear_next to have the
+    next write stop halfway and raise ENOSPC."""
+    log = SimpleNamespace(lengths=[], tear_next=False)
+    real_open = open
+
+    def logged_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return fh if "r" in mode else LoggedFile(fh, log)
+
+    monkeypatch.setattr("onionkep.directory.open", logged_open, raising=False)
+    return log
 
 
 class TestDescriptorCodec:
@@ -137,30 +176,8 @@ class TestSnapshot:
         assert path.read_bytes() == blob
 
     def test_a_registration_writes_only_its_own_record(self, tmp_path, digest, desc_b,
-                                                         monkeypatch):
+                                                         writes):
         # Rewriting the whole snapshot made n registrations cost O(n**2).
-        writes = []
-        real_open = open
-
-        class CountingFile:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                writes.append(len(data))
-                return self.fh.write(data)
-
-        def counting_open(path, mode="r", *args, **kwargs):
-            fh = real_open(path, mode, *args, **kwargs)
-            return fh if "r" in mode else CountingFile(fh)
-
-        monkeypatch.setattr("onionkep.directory.open", counting_open, raising=False)
         path = str(tmp_path / "dir.tlv")
         directory = Directory(digest, snapshot_path=path)
         descs = [NodeDescriptor(name=f"N{i:03}", address="127.0.0.1:1",
@@ -168,10 +185,45 @@ class TestSnapshot:
                  for i in range(40)]
         for desc in descs:
             directory.register(desc)
-        assert writes == [len(encode_descriptor(descs[0]))] * 40
+        assert writes.lengths == [len(encode_descriptor(descs[0]))] * 40
         directory.register(descs[7])  # identical: nothing to write
-        assert len(writes) == 40
+        assert len(writes.lengths) == 40
         assert Directory(digest, snapshot_path=path).list() == descs
+
+    def test_superseded_records_are_compacted(self, tmp_path, digest, desc_b, writes):
+        # A node that re-registers from a new port on every restart must not
+        # grow the file with its history.
+        path = tmp_path / "dir.tlv"
+        directory = Directory(digest, snapshot_path=str(path))
+        others = [NodeDescriptor(name=f"N{i}", address="127.0.0.1:1",
+                                 public=desc_b.public, params_digest=digest)
+                  for i in range(3)]
+        for desc in others:
+            directory.register(desc)
+        for port in range(9000, 9100):
+            directory.register(NodeDescriptor(name="B", address=f"127.0.0.1:{port}",
+                                              public=desc_b.public, params_digest=digest))
+            assert len(decode_descriptors(path.read_bytes())) <= 2 * len(directory.list())
+        assert sum(writes.lengths) <= 3 * 103 * len(encode_descriptor(others[0]))
+        assert Directory(digest, snapshot_path=str(path)).list() == directory.list()
+
+    @pytest.mark.parametrize("name", ["B", "C"])
+    def test_failed_write_is_undone_and_rewritten(self, tmp_path, digest, desc_b, writes,
+                                                  name):
+        path = str(tmp_path / "dir.tlv")
+        directory = Directory(digest, snapshot_path=path)
+        directory.register(desc_b)
+        failed = NodeDescriptor(name=name, address="127.0.0.1:9100",
+                                public=desc_b.public, params_digest=digest)
+        writes.tear_next = True
+        with pytest.raises(OSError):
+            directory.register(failed)
+        assert directory.list() == [desc_b]
+        with pytest.raises(MalformedKeyFile):
+            Directory(digest, snapshot_path=path)
+        directory.register(failed)  # rewrites the torn file whole
+        assert failed in directory.list()
+        assert Directory(digest, snapshot_path=path).list() == directory.list()
 
     def test_later_record_wins_after_restart(self, tmp_path, digest, desc_b):
         moved = NodeDescriptor(name="B", address="127.0.0.1:9100",
