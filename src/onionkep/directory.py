@@ -13,9 +13,9 @@ with ``OSError`` leaves the registry as it was and has the next registration
 rewrite the file; a tail torn by a killed process fails the load with
 ``MalformedKeyFile``.
 
-The wire protocol is here too: ``Directory.answer`` turns a REGISTER, LOOKUP
-or LIST request into a STATUS record and the descriptors asked for, and
-``read_answer`` turns an answer into those descriptors' bytes or the status's
+The wire protocol is here too: ``Directory.answer`` turns a REGISTER or
+LOOKUP request into a STATUS record and the descriptor asked for, and
+``read_answer`` turns an answer into that descriptor's bytes or the status's
 error. Every decoder here fails with a subclass of ``OnionKepError``.
 """
 
@@ -139,7 +139,7 @@ class Directory:
 
     def answer(self, request: bytes) -> bytes:
         """A STATUS record answering the leading request record of ``request``,
-        then on success the descriptors asked for; never raises OnionKepError."""
+        then on success the descriptor a LOOKUP asked for; never raises OnionKepError."""
         try:
             tag, value, _ = tlv.split_first(request)
             if tag == tlv.TAG_DIR_REGISTER:
@@ -147,8 +147,6 @@ class Directory:
                 payload = b""
             elif tag == tlv.TAG_DIR_LOOKUP:
                 payload = encode_descriptor(self.lookup(tlv.decode_text(value)))
-            elif tag == tlv.TAG_DIR_LIST:
-                payload = b"".join(encode_descriptor(d) for d in self.list())
             else:
                 raise NotFound(f"unknown request tag {tag:#04x}")
         except OnionKepError as exc:

@@ -92,6 +92,8 @@ class SimNet:
 def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
                      peel_per_hop: bool = True) -> tuple[SimNet, SimClient, dict[str, SimNode]]:
     """Seeded world: parameters, registered echoing relays and one client host 'A'."""
+    if "A" in node_names:
+        raise ValueError("relay name 'A' clashes with the client host 'A'")
     rng = random.Random(seed)
     params = gen_params(r_bits, rng)
     digest = params_digest(params)

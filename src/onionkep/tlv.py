@@ -24,7 +24,6 @@ TAG_PUB_Q = 0x08
 # Directory protocol / snapshot tags.
 TAG_DIR_REGISTER = 0x10
 TAG_DIR_LOOKUP = 0x11
-TAG_DIR_LIST = 0x12
 TAG_NAME = 0x20
 TAG_ADDRESS = 0x21
 TAG_PARAMS_DIGEST = 0x22

@@ -10,12 +10,12 @@ directory server answers each request frame with ``Directory.answer``,
 sequentially per connection and concurrently across connections.
 
 A relay feeds cells to its state machine behind one lock, which also
-guards its link table and is held to open a link. Cells are written
-outside it, under the link's own write lock: frames on one link never
-interleave, and a write that blocks on a full socket never holds the relay
-lock, so two relays writing to each other cannot deadlock on it. The relay
-server is ``protocol.Relay`` and the circuit client ``protocol.Client``,
-the hosts of the simulator too.
+guards its link table; a link is opened with no lock held, while the cells
+for it queue. Cells are written outside it, under the link's own write
+lock: frames on one link never interleave, and a write that blocks on a
+full socket never holds the relay lock, so two relays writing to each
+other cannot deadlock on it. The relay server is ``protocol.Relay`` and
+the circuit client ``protocol.Client``, the hosts of the simulator too.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import threading
 from typing import Callable
 
 from . import protocol, tlv
-from .directory import (Directory, NodeDescriptor, decode_descriptor, decode_descriptors,
-                        encode_descriptor, read_answer)
+from .directory import Directory, NodeDescriptor, decode_descriptor, encode_descriptor, read_answer
 from .errors import FrameTooLarge, NotReady, OnionKepError
 from .nikep import KeyPair, SystemParams, params_digest
 from .onioncrypt import Cell, CellCommand, decode_cell, encode_cell
@@ -103,7 +102,7 @@ def _close(sock: socket.socket) -> None:
 # -- directory over TCP ------------------------------------------------------
 
 class DirectoryServer:
-    """Serves register/lookup/list requests over the TLV record grammar."""
+    """Serves register and lookup requests over the TLV record grammar."""
 
     def __init__(self, directory: Directory, host: str = "127.0.0.1", port: int = 0):
         self.directory = directory
@@ -127,17 +126,28 @@ class DirectoryServer:
 
 
 class DirectoryClient:
+    """Remembers each descriptor it found; ``connect`` refetches one whose address fails."""
+
     def __init__(self, address: str):
         self.address = address
+        self._resolved: dict[str, NodeDescriptor] = {}
 
     def register(self, desc: NodeDescriptor) -> None:
         self._request(tlv.TAG_DIR_REGISTER, encode_descriptor(desc))
 
     def lookup(self, name: str) -> NodeDescriptor:
-        return decode_descriptor(self._request(tlv.TAG_DIR_LOOKUP, name.encode()))
+        desc = self._resolved.get(name) or decode_descriptor(
+            self._request(tlv.TAG_DIR_LOOKUP, name.encode()))
+        return self._resolved.setdefault(name, desc)  # threads racing store equal values
 
-    def list(self) -> list[NodeDescriptor]:
-        return decode_descriptors(self._request(tlv.TAG_DIR_LIST, b""))
+    def connect(self, name: str, timeout: float) -> socket.socket:
+        """A connection to relay ``name``, looked up again if its remembered address fails."""
+        desc = self._resolved.get(name)
+        if desc is not None:
+            with contextlib.suppress(OSError, ValueError):
+                return socket.create_connection(parse_address(desc.address), timeout=timeout)
+            self._resolved.pop(name, None)
+        return socket.create_connection(parse_address(self.lookup(name).address), timeout=timeout)
 
     def _request(self, tag: int, value: bytes) -> bytes:
         with socket.create_connection(parse_address(self.address), timeout=10) as sock:
@@ -160,10 +170,12 @@ class NodeServer(protocol.Relay):
     blocking sockets once connected, like the inbound ones. Each link has
     a reader thread that feeds its cells to the relay and sends the
     answers. ``_lock`` guards the relay state, whose maps change in place
-    (other threads read them under it or only through ``len()``), and
-    the link table, and is held to open a link (lookup, connect, store,
-    start its reader), so concurrent sends toward one relay open one
-    connection. Cells are written outside it, under the link's write lock.
+    (other threads read them under it or only through ``len()``), the
+    link table and the names being opened. The first send toward a name
+    marks it as opening and connects with no lock held; later sends queue
+    their cells, which the opening thread writes in order. So concurrent
+    sends toward one relay open one connection, and no other link waits
+    for a connect. Cells are written outside it, under the link's write lock.
     A failed open (lookup, address or connect) feeds the relay DESTROY from
     that link, which fails the circuit back toward its client. A link dies
     only for its own socket (EOF, a read, decode or write error) and forgets
@@ -178,6 +190,7 @@ class NodeServer(protocol.Relay):
         self._listener = socket.create_server((host, port))
         self.address = "%s:%d" % self._listener.getsockname()[:2]
         self._links: dict[int | str, tuple[socket.socket, threading.Lock]] = {}
+        self._opening: dict[str, list[Cell]] = {}  # the cells queued for links being opened
         self._lock = threading.Lock()
 
     def start(self) -> "NodeServer":
@@ -210,28 +223,57 @@ class NodeServer(protocol.Relay):
         self._drop_link(link, sock)
 
     def _send(self, link: int | str, cell: Cell) -> None:
-        refused: list[protocol.SendCell] = []
         with self._lock:
-            if link not in self._links and isinstance(link, str):  # a lost inbound link stays lost
-                try:
-                    desc = self.dir_client.lookup(link)
-                    sock = socket.create_connection(parse_address(desc.address), timeout=10)
-                    sock.setblocking(True)
-                except (OSError, ValueError, OnionKepError):  # as if the next hop refused
-                    refused = self.handle(link, Cell(cell.circ_id, CellCommand.DESTROY))
-                else:
-                    self._links[link] = (sock, threading.Lock())
-                    _spawn(self._reader, link, sock)
+            if link in self._opening:  # the thread opening it writes the cell
+                self._opening[link].append(cell)
+                return
             sock, write_lock = self._links.get(link, (None, None))
+            if sock is None and isinstance(link, str):  # a lost inbound link stays lost
+                self._opening[link] = [cell]
+        if sock is not None:
+            write_lock.acquire()
+            self._write(link, sock, write_lock, [cell])
+        elif isinstance(link, str):
+            self._open(link)
+
+    def _open(self, name: str) -> None:
+        """Connect to relay ``name`` with no lock held, then write the cells
+        queued for it in order, or feed the relay DESTROY for each of them."""
+        try:
+            sock = self.dir_client.connect(name, timeout=10)
+            sock.setblocking(True)
+        except (OSError, ValueError, OnionKepError):  # as if the next hop refused
+            sock = None
+        write_lock = threading.Lock()
+        with self._lock:
+            cells = self._opening.pop(name)
+            if sock is not None and self._listener.fileno() == -1:  # stopped meanwhile
+                sock.close()
+                sock = None
+            if sock is None:
+                refused = [send for cell in cells
+                           for send in self.handle(name, Cell(cell.circ_id, CellCommand.DESTROY))]
+            else:
+                write_lock.acquire()  # a later cell waits for the queued ones
+                self._links[name] = (sock, write_lock)
+                _spawn(self._reader, name, sock)
+        if sock is not None:
+            self._write(name, sock, write_lock, cells)
+            return
         for send in refused:
             self._send(send.link, send.cell)
-        if sock is None:
-            return
+
+    def _write(self, link: int | str, sock: socket.socket, write_lock: threading.Lock,
+               cells: list[Cell]) -> None:
+        """Write ``cells`` on ``link`` and release its write lock, which the caller
+        holds; no thread waits for one under the relay lock, so a failure may drop the link."""
         try:
-            with write_lock:
+            for cell in cells:
                 send_frame(sock, encode_cell(cell))
         except (OSError, OnionKepError):
             self._drop_link(link, sock)
+        finally:
+            write_lock.release()
 
     def _drop_link(self, link: int | str, sock: socket.socket) -> None:
         """Close ``sock``; forget ``link`` and its circuits if ``sock`` is still its socket."""
@@ -245,7 +287,7 @@ class NodeServer(protocol.Relay):
 # -- circuit client over TCP -------------------------------------------------
 
 class StreamCircuitClient(protocol.Client):
-    """The client host, with its cells carried over the entry node's socket."""
+    """The client host; its cells ride the entry node's socket, opened by ``dir_client.connect``."""
 
     def __init__(self, params: SystemParams, dir_client: DirectoryClient,
                  rng: random.Random):
@@ -260,8 +302,7 @@ class StreamCircuitClient(protocol.Client):
         sends = [self.start_build(circ_id, path)]
         entry = self.path[0].name
         self.close()
-        self._sock = socket.create_connection(parse_address(self.path[0].address),
-                                              timeout=timeout)
+        self._sock = self.directory.connect(entry, timeout)
         while True:
             self._send(sends)
             if self.state.phase in (Phase.READY, Phase.FAILED):

@@ -24,8 +24,9 @@ from onionkep.transport import recv_frame, send_frame
 # and the malformed-input and relay-delta tests of the machines
 # (tests/test_protocol.py), of the cell-format decoders and of long
 # chunk-cipher messages against their oracle (tests/test_onioncrypt.py), of
-# the session-key derivation against its oracle (tests/test_nikep.py) and of
-# the safe-prime search against its oracle (tests/test_modmath.py).
+# the session-key derivation against its oracle (tests/test_nikep.py), of
+# the safe-prime search against its oracle (tests/test_modmath.py) and of
+# malformed directory requests and answers (tests/test_directory.py).
 settings.register_profile("thorough", max_examples=10 * settings.get_profile("default").max_examples)
 
 # Directory answers that no well-formed request may get back, by name.

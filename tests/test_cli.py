@@ -141,6 +141,14 @@ class TestClientSim:
         assert [l.split()[1] for l in out.splitlines()[:3]] == ["name=B", "name=C", "name=B"]
         assert "response stream=1 data=hi" in out
 
+    @pytest.mark.parametrize("hops", ["A", "B,A,D"])
+    def test_relay_named_like_the_client_exits_2(self, capsys, hops):
+        # The simulated client host is "A", so no simulated relay may be.
+        code, out, err = run_cli(capsys, "client", "build", "--sim", "--hops", hops,
+                                 "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error=relay name 'A' clashes with the client host 'A'\n"
+
     def test_seeded_output_deterministic(self, capsys):
         outs = [run_cli(capsys, "client", "send", "msg", "--sim",
                         "--hops", "B,C,D", "--seed", "12")[1] for _ in range(2)]

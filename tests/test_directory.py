@@ -277,19 +277,24 @@ class TestWireProtocol:
         directory.register(desc_b)
         return directory
 
-    def test_answers_round_trip(self, digest, desc_b):
+    def test_answers_round_trip(self, toy_alice, digest, desc_b):
         directory = self._directory(digest, desc_b)
         lookup = directory.answer(tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
         assert decode_descriptor(read_answer(lookup)) == desc_b
-        listing = directory.answer(tlv.encode_record(tlv.TAG_DIR_LIST, b""))
-        assert decode_descriptors(read_answer(listing)) == [desc_b]
         register = directory.answer(tlv.encode_record(tlv.TAG_DIR_REGISTER,
                                                       encode_descriptor(desc_b)))
         assert read_answer(register) == b""
+        # A descriptor registered over the wire is looked up over the wire.
+        desc_c = NodeDescriptor(name="C", address="c", public=toy_alice.public,
+                                params_digest=digest)
+        directory.answer(tlv.encode_record(tlv.TAG_DIR_REGISTER, encode_descriptor(desc_c)))
+        lookup = directory.answer(tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"C"))
+        assert decode_descriptor(read_answer(lookup)) == desc_c
 
     @pytest.mark.parametrize("request_, status, error", [
         (tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"ghost"), 1, NotFound),
         (tlv.encode_record(0x55, b""), 1, NotFound),
+        (tlv.encode_record(0x12, b""), 1, NotFound),
         (b"", 255, OnionKepError),
         (tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"\xff"), 255, OnionKepError),
     ])
@@ -319,8 +324,8 @@ class TestWireProtocol:
                 decode_descriptor(blob * count)
 
     def test_name_longer_than_255_bytes_is_refused(self, digest, desc_b):
-        # It could be registered, but not encoded again: every later LIST
-        # would fail. The decoder refuses it as the encoder does.
+        # It could be registered, but not encoded again: every later lookup
+        # of it, and the snapshot, would fail. The decoder refuses it as the encoder does.
         blob = encode_descriptor(desc_b).replace(
             tlv.encode_record(tlv.TAG_NAME, b"B"), tlv.encode_record(tlv.TAG_NAME, b"x" * 256))
         with pytest.raises(MalformedKeyFile):
@@ -370,18 +375,19 @@ RECORDS = st.builds(
 WIRE = st.tuples(
     st.binary(max_size=64) | st.lists(RECORDS | DESCRIPTORS, max_size=6).map(b"".join),
     st.integers(0, 8)).map(lambda cut: cut[0][:max(0, len(cut[0]) - cut[1])])
+UNSERVED_TAG = 0x12  # the tag after REGISTER's and LOOKUP's, which serves no request
 REQUESTS = st.one_of(
     WIRE,
     st.builds(tlv.encode_record,
-              st.sampled_from([tlv.TAG_DIR_REGISTER, tlv.TAG_DIR_LOOKUP, tlv.TAG_DIR_LIST]),
+              st.sampled_from([tlv.TAG_DIR_REGISTER, tlv.TAG_DIR_LOOKUP, UNSERVED_TAG]),
               WIRE | DESCRIPTORS | NAMES),
     st.builds(tlv.encode_record, st.just(tlv.TAG_DIR_REGISTER), TOY_DESCRIPTORS),
     st.builds(tlv.encode_record, st.just(tlv.TAG_DIR_LOOKUP), NAMES),
-    st.just(tlv.encode_record(tlv.TAG_DIR_LIST, b"")))
+    st.just(tlv.encode_record(UNSERVED_TAG, b"")))
 
 
 class TestMalformedWireBytes:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)  # 400, or 4000 under ``thorough``
     @given(st.lists(REQUESTS, min_size=1, max_size=6))
     def test_answer_is_exactly_one_status_record(self, requests):
         directory = Directory(TOY_DIGEST)
@@ -398,7 +404,7 @@ class TestMalformedWireBytes:
                 assert read_answer(answer) == rest
                 decode_descriptors(rest)
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)  # 400, or 4000 under ``thorough``
     @given(WIRE | st.builds(lambda status, rest: tlv.encode_record(tlv.TAG_STATUS, status) + rest,
                             st.binary(max_size=2), WIRE))
     def test_read_answer_raises_only_onionkep_errors(self, answer):
@@ -407,7 +413,7 @@ class TestMalformedWireBytes:
         except OnionKepError:
             pass
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=4 * settings.default.max_examples, deadline=None)  # 400, or 4000 under ``thorough``
     @given(WIRE)
     def test_decode_descriptors_raises_only_onionkep_errors(self, data):
         try:

@@ -40,6 +40,21 @@ def test_cli_stdout(argv, code, digest):
     assert sha256(buf.getvalue().encode()) == digest
 
 
+@pytest.mark.parametrize("flags,digest", [
+    (["--allow-small-k"], "bb135027a8a41852b68f0c5c20de3e19fb83ac36e91824af6508d4bd70d1eb07"),
+    ([], "b35ca8d870a23cfa474af72cd92f01761274f684c49ce307f80ecb4537fd59b1"),
+], ids=["allow-small-k", "prefix-safe"])
+def test_keygen_stdout_and_key_files(tmp_path, monkeypatch, flags, digest):
+    # Each draw range of k is pinned: k from [1, n) with --allow-small-k,
+    # from (r, n) without it.
+    monkeypatch.chdir(tmp_path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["keygen", "--r-bits", "16", "--seed", "6", "--out", "alice"] + flags) == 0
+    files = (tmp_path / "alice.pub").read_bytes() + (tmp_path / "alice.priv").read_bytes()
+    assert sha256(buf.getvalue().encode() + files) == digest
+
+
 @pytest.mark.parametrize("bits,seed,r,state_digest", [
     (64, 4, 12202940967589715219,
      "16705e63efd652eff8d4b70e716fc033a87a2a0320fa5001d21aac70b00b5bdc"),

@@ -218,6 +218,39 @@ class TestAgainstOracle:
             t % 4 == 1 and all(t % p and (2 * t + 1) % p for p in (3, 5, 7, 11))
             for t in range(4620))
 
+    def test_base_2_pseudoprime_candidate(self):
+        # s = 3391 * 23279 * 1868569: three factors of 2**113 - 1, each
+        # 1 (mod 113), so 2**(s-1) == 1 (mod s) although s is composite.
+        # It passes the wheel and trial division, r = 2s + 1 is prime and
+        # 2**s == -1 (mod r), so s reaches the search's Fermat test, whose
+        # base 2 lets it through to draw Miller-Rabin witnesses. Base 3
+        # would reject it before any draw.
+        s = 3391 * 23279 * 1868569
+        r = 2 * s + 1
+        assert pow(2, s - 1, s) == 1 and pow(3, s - 1, s) != 1
+        assert _WHEEL_OPEN[s % 4620] and prime_oracle.is_probable_prime(r)
+        assert pow(2, s, r) == r - 1
+
+        class FirstDrawIsS(random.Random):
+            first = s
+
+            def getrandbits(self, k):
+                if self.first is None:
+                    return super().getrandbits(k)
+                drawn, self.first = self.first, None
+                return drawn
+
+        # Every draw here takes two words of the stream, so a search that
+        # skipped the witnesses would fall back in step a candidate later:
+        # one attempt shows the state it leaves, the second the whole search.
+        bits = r.bit_length()
+        for max_attempts in (1, 10_000):
+            rng, oracle_rng = FirstDrawIsS(3), FirstDrawIsS(3)
+            assert outcome(gen_prime_with_two_primitive, bits, rng, max_attempts=max_attempts) \
+                == outcome(prime_oracle.gen_prime_with_two_primitive, bits, oracle_rng,
+                           max_attempts=max_attempts)
+            assert rng.getstate() == oracle_rng.getstate()
+
     def test_three_mod_four_never_passes(self):
         # Why the search skips s == 3 (mod 4) before any test: then
         # r = 2s + 1 == 7 (mod 8) and 2**s == -1 (mod r) never holds.
@@ -355,6 +388,11 @@ class TestProofBelowPsi13:
         assert built == []
         assert is_probable_prime(PSI_13) is False
         assert built == [PSI_13]
+
+    def test_proof_bases_are_the_first_13_primes(self):
+        # The bound psi_13 holds for these bases alone (Sorenson and Webster).
+        primes = [n for n in range(2, 100) if all(n % d for d in range(2, n))]
+        assert modmath._PROOF_BASES == tuple(primes[:13])
 
     def test_search_proves_its_pair(self, pow_calls):
         # 166 pow calls before the proof: 64 Miller-Rabin rounds on s and r.

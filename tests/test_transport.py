@@ -161,15 +161,17 @@ def dir_server(toy_world):
 
 class TestDirectoryOverTcp:
     def test_register_lookup_list(self, toy_world, dir_server):
+        # A name not found is not remembered: it resolves once registered.
         params, digest = toy_world
         client = DirectoryClient(dir_server.address)
-        assert client.list() == []
+        with pytest.raises(NotFound):
+            client.lookup("B")
         pair = keypair_from_secrets(params, 3, 13)
         desc = NodeDescriptor(name="B", address="127.0.0.1:9001",
                               public=pair.public, params_digest=digest)
-        client.register(desc)
+        DirectoryClient(dir_server.address).register(desc)
         assert client.lookup("B") == desc
-        assert client.list() == [desc]
+        assert dir_server.directory.list() == [desc]
 
     def test_lookup_missing_maps_status(self, dir_server):
         with pytest.raises(NotFound):
@@ -238,7 +240,8 @@ class TestDirectoryOverTcp:
         for t in threads:
             t.join()
         assert errors == []
-        assert len(DirectoryClient(dir_server.address).list()) == 8
+        client = DirectoryClient(dir_server.address)
+        assert [client.lookup(f"N{i}").address for i in range(8)] == [f"a{i}" for i in range(8)]
 
     def test_directory_closing_without_an_answer(self):
         with fake_directory(hang_up) as address, pytest.raises(
@@ -453,9 +456,11 @@ class TestMixTables:
         assert all(any(rows is t for t in tables.values()) for rows in reads)
         assert built_tables(params).keys() == relay_keys
         assert all(built_tables(params)[pub] is rows for pub, rows in tables.items())
-        # The directory client decodes new descriptors on every lookup.
-        assert paths[2][0].public == paths[3][0].public
-        assert paths[2][0].public is not paths[3][0].public
+        # Tables are keyed by value: an equal constructor that a second
+        # directory client decodes reads the same table.
+        fresh = DirectoryClient(dir_client.address).lookup("B").public
+        assert fresh == paths[3][0].public and fresh is not paths[3][0].public
+        assert built_tables(params)[fresh] is tables[paths[3][0].public]
 
     def test_concurrent_clients_build_equal_tables(self, live_network, monkeypatch):
         params, dir_client, nodes, _ = live_network
@@ -504,6 +509,57 @@ class TestMixTables:
             assert rows == build_table(pub.P * pow(pub.Q, -1, r) % r, r)
 
 
+class TestRememberedDescriptors:
+    PATH = ["B", "C", "D"]
+
+    def test_each_further_build_opens_only_its_entry_link(self, live_network, monkeypatch):
+        # The client and the relays share one directory client. After the
+        # first build, the descriptors come from its memory and the relay
+        # links stand, so a build connects once, to its entry relay.
+        params, dir_client, nodes, rng = live_network
+        real_connect = socket.create_connection
+        opened = []
+
+        def counting_connect(address, *args, **kwargs):
+            opened.append("%s:%d" % address[:2])
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting_connect)
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert client.build(self.PATH, timeout=2.0).phase == Phase.READY
+            for _ in range(3):
+                opened.clear()
+                assert client.build(self.PATH, timeout=2.0).phase == Phase.READY
+                assert opened == [nodes[0].address]
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("moved", [0, 2], ids=["entry", "next-hop"])
+    def test_relay_restarted_on_a_new_port_is_reached(self, live_network, moved):
+        # B or D restarts under its key on a new port. The directory client
+        # remembers its old address, which refuses: the client (for B) or C
+        # (for D) looks the name up once more, and the next build succeeds.
+        params, dir_client, nodes, rng = live_network
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert client.build(self.PATH, timeout=2.0).phase == Phase.READY
+            old = nodes[moved]
+            old.stop()
+            deadline = time.monotonic() + 5.0
+            while any(old.name in node._links for node in nodes) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            new = NodeServer(old.name, params, old.state.keypair, dir_client).start()
+            nodes.append(new)
+            assert new.address != old.address
+            assert dir_client.lookup(old.name).address == old.address
+            assert client.build(self.PATH, timeout=2.0).phase == Phase.READY
+            assert client.send_data(1, b"moved") == b"moved"
+            assert dir_client.lookup(old.name).address == new.address
+        finally:
+            client.close()
+
+
 class TestRelayLinks:
     def test_concurrent_sends_open_one_connection(self, live_network, monkeypatch):
         # Eight cells for C leave B at once. Each connect toward C waits up
@@ -540,6 +596,114 @@ class TestRelayLinks:
         assert not any(t.is_alive() for t in senders)
         assert len(opened) == 1
         assert list(b._links) == ["C"]
+
+    def test_an_open_stalls_no_other_circuit(self, live_network, monkeypatch):
+        # B's connect toward E is held for 2 s. An echo on a READY circuit
+        # through B must still come back within 1 s: B holds no lock while
+        # it connects.
+        params, dir_client, nodes, rng = live_network
+        nodes.append(NodeServer("E", params, gen_keypair(params, rng), dir_client).start())
+        e_address = nodes[-1].address
+        real_connect = socket.create_connection
+        connecting = threading.Event()
+
+        def slow_connect(address, *args, **kwargs):
+            if "%s:%d" % address[:2] == e_address:
+                connecting.set()
+                time.sleep(2.0)
+            return real_connect(address, *args, **kwargs)
+
+        bystander = StreamCircuitClient(params, dir_client, rng)
+        client = StreamCircuitClient(params, dir_client, rng)
+        phases = []
+        builder = threading.Thread(
+            target=lambda: phases.append(client.build(["B", "E"], timeout=5.0).phase))
+        try:
+            assert bystander.build(["B", "C", "D"], timeout=5.0).phase == Phase.READY
+            monkeypatch.setattr(socket, "create_connection", slow_connect)
+            builder.start()
+            try:
+                assert connecting.wait(timeout=5.0)
+                start = time.monotonic()
+                assert bystander.send_data(1, b"not stalled") == b"not stalled"
+                elapsed = time.monotonic() - start
+            finally:
+                builder.join(timeout=10)
+            assert elapsed < 1.0
+            assert phases == [Phase.READY]
+        finally:
+            bystander.close()
+            client.close()
+
+    def test_cells_sent_during_an_open_arrive_in_order(self, live_network, monkeypatch):
+        # B's connect toward X is held while seven more cells for X are
+        # sent. Each send returns at once, and X then reads all eight in
+        # the order sent, then a cell sent after the open.
+        params, dir_client, nodes, _ = live_network
+        b = nodes[0]
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5.0)
+        address = "%s:%d" % listener.getsockname()[:2]
+        dir_client.register(NodeDescriptor(name="X", address=address,
+                                           public=gen_keypair(params, random.Random(5)).public,
+                                           params_digest=params_digest(params)))
+        real_connect = socket.create_connection
+        connecting, release = threading.Event(), threading.Event()
+
+        def held_connect(to, *args, **kwargs):
+            if "%s:%d" % to[:2] == address:
+                connecting.set()
+                release.wait(timeout=5.0)
+            return real_connect(to, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", held_connect)
+        cells = [Cell(i, CellCommand.RELAY, bytes([i])) for i in range(9)]
+        opener = threading.Thread(target=b._send, args=("X", cells[0]))
+        opener.start()
+        try:
+            assert connecting.wait(timeout=5.0)
+            start = time.monotonic()
+            for cell in cells[1:8]:
+                b._send("X", cell)
+            assert time.monotonic() - start < 1.0
+            release.set()
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                b._send("X", cells[8])
+                got = [decode_cell(recv_frame(conn)) for _ in cells]
+        finally:
+            release.set()
+            opener.join(timeout=10)
+            listener.close()
+        assert not opener.is_alive()
+        assert got == cells
+
+    def test_stop_during_an_open_keeps_no_link(self, live_network, monkeypatch):
+        # B is stopped while its connect toward C is held: the connection
+        # that then succeeds must be closed, not kept as a link of B.
+        _, _, nodes, _ = live_network
+        b, c = nodes[0], nodes[1]
+        real_connect = socket.create_connection
+        connecting, release = threading.Event(), threading.Event()
+
+        def held_connect(address, *args, **kwargs):
+            if "%s:%d" % address[:2] == c.address:
+                connecting.set()
+                release.wait(timeout=5.0)
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", held_connect)
+        sender = threading.Thread(target=b._send, args=("C", Cell(9, CellCommand.DESTROY)))
+        sender.start()
+        try:
+            assert connecting.wait(timeout=5.0)
+            b.stop()
+        finally:
+            release.set()
+            sender.join(timeout=10)
+        assert not sender.is_alive()
+        assert "C" not in b._links
 
     def test_concurrent_large_sends_arrive_whole(self, live_network, monkeypatch):
         # Eight threads send 60 KB cells on one link through a 4 KB send
@@ -579,14 +743,14 @@ class TestRelayLinks:
 
 
 class TestLinkFailures:
-    def test_entry_relay_closing_ends_the_build(self, toy_world):
+    def test_entry_relay_closing_ends_the_build(self, toy_world, dir_server):
         # The entry relay reads the CREATE and hangs up: the build fails
         # with that, not with a wait for a cell.
         params, digest = toy_world
-        directory = Directory(digest)
-        client = StreamCircuitClient(params, directory, random.Random(1))
+        dir_client = DirectoryClient(dir_server.address)
+        client = StreamCircuitClient(params, dir_client, random.Random(1))
         with fake_directory(hang_up) as address:
-            directory.register(NodeDescriptor("B", address, keypair_from_secrets(
+            dir_client.register(NodeDescriptor("B", address, keypair_from_secrets(
                 params, 3, 13).public, digest))
             try:
                 with pytest.raises(ConnectionError, match="entry node closed the connection"):
