@@ -22,25 +22,32 @@ chunked cipher, innermost key first.
 Both directions work on packed ints, GROUP_BLOCKS blocks at a time
 (Kronecker substitution; Harvey, J. Symbolic Comput. 2009):
 
-- Slot layout. Block i of a group sits in slot N - 1 - i, bits
-  [S*(N-1-i), S*(N-i)) of one int, with S = 16 * width: twice a block's
-  bytes, so a slot holds m * k < r**2. N is the block count rounded up
-  to whole units of 8 blocks with zero blocks. A unit is ``bits`` bytes
-  of the bit stream and 16 * width bytes of slots, so units move as bytes,
-  as width-byte blocks do; three mask-and-shift passes per group move
-  the blocks within each unit.
+- Dense layout. Block i of a group sits in field N - 1 - i, bits
+  [W*(N-1-i), W*(N-i)) of one int, with W = 8 * width: the ciphertext's own
+  wire layout. N is the block count rounded up to whole units of 8 blocks
+  with zero blocks. A unit is ``bits`` bytes of the bit stream and
+  8 * width bytes of fields, so units move as bytes, as width-byte blocks
+  do; two mask-and-shift passes per group move the blocks within each unit
+  and leave them in pairs. One mask and one shift split a group into two
+  ints, its even blocks and its odd blocks, each block in a slot of
+  S = 16 * width bits: the block and a free width-byte field above it, so
+  a slot holds m * k < r**2. One shift and an OR join the halves back.
 - Barrett bound. With L = bitlen(r) and mu = k * 2**L // r, the quotient
   q = m * mu >> L is floor(m * k / r) or one less for m < 2**L (Barrett,
-  CRYPTO '86), so m * k - q * r < 2r, and adding 2**L - r to every slot
-  flags in its bit L the slots that take one more r. Each of these is one
-  multiply or add over the whole group; no slot carries into the next.
-- Error order. Decrypt flags c >= r by adding 2**(8 * width) - r to every
-  slot, and m >= 2**bits by bit ``bits`` of the decrypted slot. The
-  highest flagged slot is the first bad block in stream order, and in it
-  ">= r" is reported before "decrypts out of range", as a block-by-block
-  loop would.
-- Width and length dispatch. The masks of each power-of-two group size
-  up to GROUP_BLOCKS = 1024 blocks are built once per modulus, by
+  CRYPTO '86), so m * k - q * r < 2r: three multiplies per half. Adding
+  2**L - r to every slot flags in its bit L the slots that take one more
+  r; those slots take that sum, and since a remainder may lie in
+  [2**L, 2r), every slot then keeps only its low L bits. Each of these is
+  one multiply, add or mask over a half; no slot carries into the next.
+- Error order. Decrypt reads a group with one int.from_bytes. In each
+  half it flags c >= r in bit 8 * width of every slot + 2**(8 * width) - r,
+  and m >= 2**bits in bit ``bits`` of the decrypted slot, with adds and
+  ANDs. With the halves joined, block j of the dense layout is flagged at
+  bit (j + 1) * W for c >= r and at bit j * W + bits for m, so the highest
+  flag names the first bad block in stream order, and in it ">= r" is
+  reported before "decrypts out of range", as a block-by-block loop would.
+- Width and length dispatch. The masks of each power-of-two number of
+  units up to GROUP_BLOCKS = 1024 blocks are built once per modulus, by
   doubling, for at most PLAN_MODULI moduli. One predicate, ``_packed``,
   sends moduli wider than PACKED_MAX_BITS (the packed path is the slower
   there, as at 256 bits) and messages of fewer than PACKED_MIN_BLOCKS
@@ -112,7 +119,7 @@ PACKED_MIN_BLOCKS = 16
 # Blocks per packed group, and the largest plan: longer messages are
 # taken in groups of this many blocks. A multiple of 8, so that a full
 # group is whole bytes of the bit stream. The passes per group do not grow
-# with it; the plans do, to 28 * width * GROUP_BLOCKS bytes a modulus.
+# with it; the plans do, to 22 * width * GROUP_BLOCKS bytes a modulus.
 GROUP_BLOCKS = 1024
 # Moduli whose plans are kept; the least recently used one is dropped.
 PLAN_MODULI = 4
@@ -124,79 +131,60 @@ def _packed(r: int, nblocks: int) -> bool:
 
 
 class _Plan(NamedTuple):
-    """The constants of a packed group of up to 2**j blocks; slot i holds
-    bits i*S .. (i+1)*S - 1 of a packed int."""
+    """The constants of a packed group of up to 2**j units of 8 blocks.
+    The passes act on the dense int, one block per 8*width-bit field; the
+    rest act on each half, one block per 16*width-bit slot."""
 
     passes: tuple[tuple[int, int], ...]  # (mask, shift) per in-unit pass
-    ones: int  # 1 in every slot
-    low: int  # the low S - L bits of every slot
+    pair: int  # the low ``bits`` bits of every slot
+    split: int  # the low 8*width bits of every slot
+    low: int  # the low 16*width - L bits of every slot
     add_r: int  # 2**L - r in every slot
+    flag_r: int  # bit L of every slot
+    low_l: int  # the low L bits of every slot
     add_w: int  # 2**(8*width) - r in every slot
-
-
-class _Layout(NamedTuple):
-    width: int
-    fmt: str  # memoryview format of the largest unit dividing width
-    units: int  # such units per block
-    plans: tuple[_Plan, ...]  # plans[j] takes up to 2**j blocks
+    flag_w: int  # bit 8*width of every slot
+    flag_m: int  # bit ``bits`` of every slot
 
 
 @lru_cache(maxsize=PLAN_MODULI)
-def _layout(r: int) -> _Layout:
-    """The packed layout of modulus r, with one plan per power-of-two block
-    count up to GROUP_BLOCKS, each built from the one before by doubling.
-    A plan of up to 8 blocks spreads them with one pass per halving; a
-    larger one repeats the 8-block plan once per 8-block unit."""
+def _layout(r: int) -> tuple[_Plan, ...]:
+    """The packed layout of modulus r: one plan per power-of-two unit
+    count up to GROUP_BLOCKS / 8, plan j for up to 2**j units, each built
+    from the one before by doubling. A unit's two passes leave its blocks
+    in pairs, one pair per slot; the even block of a pair is its low
+    ``bits`` bits."""
     L = r.bit_length()
     bits, width = L - 1, (L + 7) // 8
-    S = 16 * width
-    plan = _Plan((), 1, (1 << (S - L)) - 1, (1 << L) - r, (1 << 8 * width) - r)
+    W = 8 * width
+    ones = sum(1 << i * 2 * W for i in range(4))  # 1 in each slot of a unit
+    plan = _Plan((((1 << 4 * bits) - 1, 4 * (W - bits)),
+                  (((1 << 2 * bits) - 1) * (1 | 1 << 4 * W), 2 * (W - bits))),
+                 *(v * ones for v in ((1 << bits) - 1, (1 << W) - 1, (1 << 2 * W - L) - 1,
+                                      (1 << L) - r, 1 << L, (1 << L) - 1, (1 << W) - r,
+                                      1 << W, 1 << bits)))
     plans = [plan]
-    for j in range(GROUP_BLOCKS.bit_length() - 1):
-        half, at = 1 << j, S << j
-        passes = tuple((m | m << at, s) for m, s in plan.passes)
-        if half < 8:  # moves of whole units are left to the bytes
-            passes = (((1 << half * bits) - 1, half * (S - bits)),) + passes
-        plan = _Plan(passes, *(v | v << at for v in plan[1:]))
+    for j in range((GROUP_BLOCKS // 8).bit_length() - 1):
+        at = 8 * W << j
+        plan = _Plan(tuple((m | m << at, s) for m, s in plan.passes),
+                     *(v | v << at for v in plan[1:]))
         plans.append(plan)
-    unit = min(width & -width, 8)
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[unit]
-    return _Layout(width, fmt, width // unit, tuple(plans))
+    return tuple(plans)
 
 
-def _mul_mod(x: int, k: int, r: int, plan: _Plan) -> int:
+def _mul_mod(x: int, k: int, mu: int, r: int, plan: _Plan) -> int:
     """Every slot v < 2**L of x taken to v*k mod r, with mu = k*2**L // r:
     q = v*mu >> L is floor(v*k/r) or one less (Barrett, 1986), so v*k - q*r
-    is below 2r, and a flag in bit L of each slot + 2**L - r marks the ones
-    that take one more r. A slot v < 2**(8*width), as decrypt may pass,
-    gets a value of no use, but no slot carries into the next: q*r never
-    exceeds v*k, and v*k < 2**(8*width) * r <= 2**S."""
+    is below 2r, and bit L of each slot + 2**L - r flags the ones that take
+    one more r. A remainder may lie in [2**L, 2r), so the flagged slots
+    take that sum and every slot keeps only its low L bits. A slot
+    v < 2**(8*width), as decrypt may pass, gets a value of no use, but no
+    slot carries into the next: q*r never exceeds v*k, and
+    v*k < 2**(8*width) * r <= 2**(16*width)."""
     L = r.bit_length()
-    mu = (k << L) // r
     x = x * k - ((x * mu >> L) & plan.low) * r
-    return x - ((x + plan.add_r >> L) & plan.ones) * r
-
-
-def _low_halves(x: int, n: int, lay: _Layout) -> bytes:
-    """The low ``width`` bytes of each of the n slots of x, top slot first."""
-    words = memoryview(x.to_bytes(n * 2 * lay.width, "big")).cast(lay.fmt)
-    out = bytearray(n * lay.width)
-    view = memoryview(out).cast(lay.fmt)
-    u = lay.units
-    for j in range(u):
-        view[j::u] = words[u + j :: 2 * u]
-    return bytes(out)
-
-
-def _to_slots(blocks: bytes, n: int, lay: _Layout) -> int:
-    """Inverse of _low_halves: n ``width``-byte blocks, one per slot."""
-    out = bytearray(n * 2 * lay.width)
-    view = memoryview(out).cast(lay.fmt)
-    words = memoryview(blocks).cast(lay.fmt)
-    u = lay.units
-    for j in range(u):
-        view[u + j :: 2 * u] = words[j::u]
-    return int.from_bytes(out, "big")
+    flag = (x + plan.add_r) & plan.flag_r
+    return (x + (plan.add_r & flag - (flag >> L))) & plan.low_l
 
 
 def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
@@ -255,56 +243,62 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
 
 def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
     """chunk_encrypt GROUP_BLOCKS blocks at a time."""
-    lay = _layout(r)
-    width = lay.width
-    gap, unit = bytes(16 * width - bits), f"{bits}s"
+    plans, width = _layout(r), (bits + 8) // 8
+    W, mu = 8 * width, (k << bits + 1) // r
+    unit, gapped = f"{bits}s", f"{W - bits}x{bits}s"
     out = [(8 * len(plain)).to_bytes(8, "big")]
     step = GROUP_BLOCKS * bits // 8
     for start in range(0, len(plain), step):
         group = plain[start : start + step]
         n = -(-8 * len(group) // bits)
-        slots = -(-n // 8) * 8  # zero blocks fill the last unit
-        plan = lay.plans[(slots - 1).bit_length()]
-        group += bytes(slots * bits // 8 - len(group))
-        # Each unit, right-aligned in the bytes of its 8 slots.
-        x = int.from_bytes(gap + gap.join([u for u, in struct.iter_unpack(unit, group)]), "big")
+        units = -(-n // 8)  # zero blocks fill the last unit
+        plan = plans[(units - 1).bit_length()]
+        group += bytes(units * bits - len(group))
+        # Each unit, right-aligned in the bytes of its 8 fields.
+        x = int.from_bytes(struct.pack(gapped * units, *struct.unpack(unit * units, group)), "big")
         for mask, shift in plan.passes:
             low = x & mask
             x = low | (x ^ low) << shift
-        out.append(_low_halves(_mul_mod(x, k, r, plan), slots, lay)[: n * width])
+        even = _mul_mod(x & plan.pair, k, mu, r, plan)
+        odd = _mul_mod(x >> bits & plan.pair, k, mu, r, plan)
+        out.append((even | odd << W).to_bytes(8 * units * width, "big")[: n * width])
     return b"".join(out)
 
 
 def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> bytes:
     """chunk_decrypt GROUP_BLOCKS blocks at a time, for a checked header
     and body."""
-    lay = _layout(r)
-    width = lay.width
-    S = 16 * width
-    region = f"{16 * width - bits}x{bits}s"
+    plans, width = _layout(r), (bits + 8) // 8
+    W, mu = 8 * width, (k_inv << bits + 1) // r
+    region = f"{W - bits}x{bits}s"
     nblocks = len(body) // width
-    units = []
+    pieces = []
     for start in range(0, nblocks, GROUP_BLOCKS):
         n = min(GROUP_BLOCKS, nblocks - start)
-        slots = -(-n // 8) * 8  # zero blocks fill the last unit
-        plan = lay.plans[(slots - 1).bit_length()]
-        blocks = body[start * width : (start + n) * width] + bytes((slots - n) * width)
-        c = _to_slots(blocks, slots, lay)
-        high = (c + plan.add_w >> 8 * width) & plan.ones  # c >= r
-        m = _mul_mod(c, k_inv, r, plan)
-        bad = high | (m >> bits & plan.ones)  # m >= 2**bits
-        if bad:
-            slot = (bad.bit_length() - 1) // S
-            i = start + slots - 1 - slot
-            if high >> slot * S & 1:
+        units = -(-n // 8)  # zero blocks fill the last unit
+        plan = plans[(units - 1).bit_length()]
+        c = int.from_bytes(body[start * width : (start + n) * width], "big") << (8 * units - n) * W
+        c_even, c_odd = c & plan.split, c >> W & plan.split
+        even = _mul_mod(c_even, k_inv, mu, r, plan)
+        odd = _mul_mod(c_odd, k_inv, mu, r, plan)
+        if (c_even + plan.add_w | c_odd + plan.add_w) & plan.flag_w or (even | odd) & plan.flag_m:
+            # Block j of the dense layout is flagged at bit (j + 1) * W if
+            # c >= r and at bit j * W + bits if m >= 2**bits: the top flag
+            # is the first bad block, and in it c >= r comes first.
+            bad_even = (c_even + plan.add_w) & plan.flag_w | even & plan.flag_m
+            bad_odd = (c_odd + plan.add_w) & plan.flag_w | odd & plan.flag_m
+            top = (bad_even | bad_odd << W).bit_length() - 1
+            i = start + 8 * units - 1 - (top - 1) // W
+            if top % W == 0:
                 raise MalformedPayload(f"block {i} >= r")
             raise MalformedPayload(f"block {i} decrypts out of range")
+        m = even | odd << bits
         for mask, shift in reversed(plan.passes):
             low = m & mask
             m = low | (m ^ low) >> shift
-        # Each unit is the last `bits` bytes of its 8 slots.
-        units += [u for u, in struct.iter_unpack(region, m.to_bytes(slots * 2 * width, "big"))]
-    data = b"".join(units)[: (nbits + 7) // 8]
+        # Each unit is the last `bits` bytes of its 8 fields.
+        pieces += struct.unpack(region * units, m.to_bytes(8 * units * width, "big"))
+    data = b"".join(pieces)[: (nbits + 7) // 8]
     if nbits % 8:  # only a crafted header declares a partial byte
         data = (int.from_bytes(data, "big") >> -nbits % 8).to_bytes(len(data), "big")
     return data

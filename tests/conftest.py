@@ -23,7 +23,8 @@ from onionkep.transport import recv_frame, send_frame
 # model: pytest --hypothesis-profile=thorough tests/test_simnet.py -k LinkModel
 # and the malformed-input and relay-delta tests of the machines
 # (tests/test_protocol.py), of the cell-format decoders and of long
-# chunk-cipher messages against their oracle (tests/test_onioncrypt.py), of
+# chunk-cipher messages and its dense layout at every gap width against
+# their oracle (tests/test_onioncrypt.py), of
 # the session-key derivation against its oracle (tests/test_nikep.py), of
 # the safe-prime search against its oracle (tests/test_modmath.py) and of
 # malformed directory requests and answers (tests/test_directory.py).

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -62,6 +63,13 @@ def prime_above(n):
     n += 1 + n % 2
     while not is_probable_prime(n):
         n += 2
+    return n
+
+
+def prime_below(n):
+    n -= 1 + n % 2
+    while not is_probable_prime(n):
+        n -= 2
     return n
 
 
@@ -302,6 +310,95 @@ class TestLongMessagesAgainstOracle:
             == outcome(oracle_decrypt, cipher, key, params)
 
 
+class TestDenseLayoutAgainstOracle:
+    """Packed messages under moduli whose gap 8 * width - bits, the free
+    bits above each block in its field and the bytes after each unit,
+    takes every value from 1 to 8, at 2, 9 and 24 bytes a block, against
+    the oracle: same bytes, same errors, at lengths around the group
+    boundaries. Bad blocks sit in both halves, at even and odd indices,
+    and in padded units. The example count comes from the profile."""
+
+    # The smallest and the largest prime of each bit length 8 * width - gap + 1.
+    PRIMES = tuple(p for width in (2, 9, 24) for gap in range(1, 9)
+                   for p in (prime_above(1 << 8 * width - gap),
+                             prime_below(1 << 8 * width - gap + 1)))
+
+    def draw_count(self, data):
+        """Params, a key, a block count and a Random for the block values."""
+        r = data.draw(st.sampled_from(self.PRIMES))
+        params = make_params(2, 2, r)
+        key = key_with_reduced(params, data.draw(st.integers(1, r - 1)))
+        near = [g * GROUP_BLOCKS + d for g in (1, 2) for d in range(-9, 10)]
+        nblocks = data.draw(st.sampled_from(near) | st.integers(PACKED_MIN_BLOCKS, 8 * PACKED_MIN_BLOCKS)
+                            | st.integers(PACKED_MIN_BLOCKS, 5 * GROUP_BLOCKS // 2))
+        return params, key, nblocks, random.Random(data.draw(st.integers(0, 2**32)))
+
+    def test_gaps_cover_one_to_eight(self):
+        gaps = {8 * width - bits for bits, width in map(widths, self.PRIMES)}
+        assert gaps == set(range(1, 9))
+        assert max(self.PRIMES).bit_length() <= PACKED_MAX_BITS
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_encrypt_and_round_trip_match_oracle(self, data):
+        params, key, nblocks, rng = self.draw_count(data)
+        length = -(-nblocks * widths(params.r)[0] // 8) + data.draw(st.integers(-1, 1))
+        fill = data.draw(st.sampled_from([None, 0x00, 0xFF]))
+        plain = rng.randbytes(length) if fill is None else bytes([fill]) * length
+        cipher = chunk_encrypt(plain, key, params)
+        assert cipher == oracle_encrypt(plain, key, params)
+        assert chunk_decrypt(cipher, key, params) == plain
+
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_crafted_ciphertext_matches_oracle(self, data):
+        params, key, nblocks, rng = self.draw_count(data)
+        r = params.r
+        bits, width = widths(r)
+        nbits = data.draw(st.integers((nblocks - 1) * bits + 1, nblocks * bits))
+        blocks = [rng.randrange(1 << bits) * key.reduced % r for _ in range(nblocks)]
+        # The last unit holds nblocks % 8 blocks and zero blocks of padding.
+        padded = range(nblocks - nblocks % 8, nblocks) or range(nblocks - 8, nblocks)
+        boundaries = [g * GROUP_BLOCKS + d for g in (1, 2) for d in (-2, -1, 0, 1)
+                      if g * GROUP_BLOCKS + d < nblocks]
+        at = st.sampled_from(padded) | st.integers(0, nblocks - 1)
+        if boundaries:
+            at |= st.sampled_from(boundaries)
+        # >= r, decrypts out of range, or both where r + c fits in width bytes.
+        out_of_range = st.integers(1 << bits, r - 1).map(lambda m: m * key.reduced % r)
+        kinds = st.integers(r, 256**width - 1) | out_of_range \
+            | out_of_range.map(lambda c: c + r if c + r < 256**width else c)
+        for first in data.draw(st.lists(at, max_size=3)):
+            # At times its neighbour too, which lies in the other half.
+            for i in {first, *data.draw(st.sampled_from([(), (first - 1,), (first + 1,)]))}:
+                if 0 <= i < nblocks:
+                    blocks[i] = data.draw(kinds)
+        cipher = crafted(nbits, blocks, width)
+        assert outcome(chunk_decrypt, cipher, key, params) \
+            == outcome(oracle_decrypt, cipher, key, params)
+
+
+class TestBarrettCorrection:
+    """Every key and every plaintext block value through the packed path,
+    against m * k mod r, at r = 227 and r = 1019. There a Barrett remainder
+    can lie in [2**L, 2r), so a correction that kept bit L of a slot
+    would give a wrong block."""
+
+    @pytest.mark.parametrize("r", [227, 1019])
+    def test_every_key_and_block_value(self, r):
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        count = 1 << bits  # one block of each value: 128 or 512 blocks
+        plain = sum(m << (count - 1 - m) * bits for m in range(count)).to_bytes(count * bits // 8, "big")
+        for k in range(1, r):
+            key = key_with_reduced(params, k)
+            cipher = chunk_encrypt(plain, key, params)
+            body = cipher[8:]
+            assert [int.from_bytes(body[i : i + width], "big") for i in range(0, len(body), width)] \
+                == [m * k % r for m in range(count)]
+            assert chunk_decrypt(cipher, key, params) == plain
+
+
 class TestPackedPath:
     """Block counts and block values at the edges of the packed layout:
     the dispatch, the power-of-two plans and the group cap."""
@@ -369,6 +466,24 @@ class TestPackedPath:
                     assert outcome(chunk_decrypt, cipher, key, params) \
                         == outcome(oracle_decrypt, cipher, key, params)
 
+    @pytest.mark.parametrize("L, nblocks, packed", [
+        (192, 16, True), (192, 15, False), (193, 16, False), (193, 1024, False)])
+    def test_dispatch_boundaries(self, L, nblocks, packed):
+        # Only the packed path builds a layout, in either direction. The
+        # boundaries are PACKED_MAX_BITS and PACKED_MIN_BLOCKS as measured
+        # (ROADMAP item 0b), written out so that a changed threshold fails.
+        r = prime_above(1 << L - 1)
+        params = make_params(2, 2, r)
+        key = key_with_reduced(params, r // 3)
+        plain = (bytes(range(256)) * nblocks)[: nblocks * widths(r)[0] // 8]
+        _layout.cache_clear()
+        cipher = chunk_encrypt(plain, key, params)
+        assert len(cipher[8:]) // widths(r)[1] == nblocks
+        assert (_layout.cache_info().misses == 1) == packed
+        _layout.cache_clear()
+        assert chunk_decrypt(cipher, key, params) == plain
+        assert (_layout.cache_info().misses == 1) == packed
+
     @pytest.mark.parametrize("r", WIDE_PRIMES[:4], ids=lambda r: f"{r.bit_length()}b")
     def test_bad_block_in_padded_unit(self, r):
         # The last 8-block unit of 8u + 1 blocks holds one block and seven
@@ -387,18 +502,18 @@ class TestPackedPath:
 
 
 class TestPlanStore:
-    """The packed layouts are bounded: log2(GROUP_BLOCKS) + 1 plans per
-    modulus, each of a bounded size, for at most PLAN_MODULI moduli."""
+    """The packed layouts are bounded: log2(GROUP_BLOCKS / 8) + 1 plans
+    per modulus, each of a bounded size, for at most PLAN_MODULI moduli."""
 
     @pytest.mark.parametrize("bits", [64, PACKED_MAX_BITS])
     def test_plan_bytes_stay_bounded(self, bits):
-        # A plan holds at most 3 pass masks and 4 per-slot constants, each
-        # 2 * width bytes a slot, and plan sizes double up to GROUP_BLOCKS
-        # slots: under 2 * 7 * 2 * width * GROUP_BLOCKS bytes a modulus,
-        # 224 KiB at 64 bits and 672 KiB at 192.
-        lay = _layout(prime_above(1 << bits - 1))
-        ints = [v for plan in lay.plans for v in (*(m for m, _ in plan.passes), *plan[1:])]
-        assert sum((v.bit_length() + 7) // 8 for v in ints) < 28 * lay.width * GROUP_BLOCKS
+        # A plan holds 2 pass masks and 9 per-slot constants, each width
+        # bytes a block, and plan sizes double up to GROUP_BLOCKS blocks:
+        # under 2 * 11 * width * GROUP_BLOCKS bytes a modulus, 176 KiB at
+        # 64 bits and 528 KiB at 192.
+        r = prime_above(1 << bits - 1)
+        ints = [v for plan in _layout(r) for v in (*(m for m, _ in plan.passes), *plan[1:])]
+        assert sum((v.bit_length() + 7) // 8 for v in ints) < 22 * widths(r)[1] * GROUP_BLOCKS
 
     def test_plans_stay_bounded(self, params_64):
         bits16 = make_params(2, 2, WIDE_PRIMES[0])
@@ -412,22 +527,24 @@ class TestPlanStore:
             for length in sorted(lengths):
                 plain = bytes(range(256)) * (length // 256) + bytes(length % 256)
                 assert chunk_decrypt(chunk_encrypt(plain, key, params), key, params) == plain
-            assert len(_layout(params.r).plans) == GROUP_BLOCKS.bit_length()
+            assert len(_layout(params.r)) == (GROUP_BLOCKS // 8).bit_length()
             assert _layout.cache_info().currsize <= PLAN_MODULI
 
     def test_new_modulus_evicts(self):
+        # The plans of PLAN_MODULI = 4 moduli are kept, written out so that
+        # a larger store fails: at most 4 * 528 KiB at 192 bits.
         _layout.cache_clear()
-        moduli = [prime_above(1 << b) for b in range(20, 21 + PLAN_MODULI)]
+        moduli = [prime_above(1 << b) for b in range(20, 25)]
         for r in moduli:
             params = make_params(2, 2, r)
             plain = bytes(4 * PACKED_MIN_BLOCKS * widths(r)[0] // 8)
             chunk_encrypt(plain, key_with_reduced(params, 2), params)
         info = _layout.cache_info()
-        assert (info.currsize, info.misses) == (PLAN_MODULI, PLAN_MODULI + 1)
+        assert (info.currsize, info.misses) == (4, 5)
         _layout(moduli[-1])
-        assert _layout.cache_info().misses == PLAN_MODULI + 1
+        assert _layout.cache_info().misses == 5
         _layout(moduli[0])
-        assert _layout.cache_info().misses == PLAN_MODULI + 2
+        assert _layout.cache_info().misses == 6
 
 
 class TestChunkGroupBoundaries:
@@ -447,6 +564,26 @@ class TestChunkGroupBoundaries:
         cipher = chunk_encrypt(plain, key, params)
         assert len(cipher) == 8 + -(-8 * length // bits) * width
         assert chunk_decrypt(cipher, key, params) == plain
+
+    def test_block_loop_cost_is_linear(self):
+        # Above PACKED_MAX_BITS every length takes the block loop. A message
+        # 8 times longer may cost at most 12 times as much, best of 3 in
+        # this thread's CPU time; an int grown by every block costs more.
+        r = WIDE_PRIMES[-1]
+        params = make_params(2, 2, r)
+        key = key_with_reduced(params, r // 3)
+
+        def cost(nblocks):
+            plain = (bytes(range(1, 256)) * nblocks)[: nblocks * widths(r)[0] // 8]
+            cipher = chunk_encrypt(plain, key, params)
+            best = float("inf")
+            for _ in range(3):
+                start = time.thread_time()
+                chunk_decrypt(cipher, key, params)
+                best = min(best, time.thread_time() - start)
+            return best
+
+        assert cost(16_384) < 12 * cost(2_048)
 
     @pytest.mark.parametrize("params_name", ["toy_params", "params_64"])
     def test_block_error_in_second_group(self, request, params_name):
@@ -509,6 +646,12 @@ class TestKeyDigest:
         key = reduce_key(toy_params, 36)
         assert key_digest(key) == hashlib.sha256(bytes.fromhex("0000000124")).digest()
 
+    @pytest.mark.parametrize("raw_hex", ["80", "ff00", "0123456789abcdef01"])
+    def test_raw_key_in_minimal_bytes(self, raw_hex):
+        key = SessionKey(raw=int(raw_hex, 16), reduced=1, reduced_inv=1)
+        raw = bytes.fromhex(raw_hex)
+        assert key_digest(key) == hashlib.sha256(len(raw).to_bytes(4, "big") + raw).digest()
+
     def test_deterministic(self, toy_params):
         key = reduce_key(toy_params, 36)
         assert key_digest(key) == key_digest(reduce_key(toy_params, 36))
@@ -520,6 +663,12 @@ class TestKeyDigest:
 
 
 class TestCellCodec:
+    def test_wire_values(self):
+        assert {c.name: c.value for c in CellCommand} \
+            == {"CREATE": 1, "CREATED": 2, "RELAY": 3, "DESTROY": 4}
+        assert {c.name: c.value for c in RelaySubcommand} \
+            == {"EXTEND": 1, "EXTENDED": 2, "DATA": 3, "END": 5}
+
     def test_worked_layout(self):
         cell = Cell(1, CellCommand.CREATE, b"")
         assert encode_cell(cell) == bytes.fromhex("00000001010000")
@@ -580,6 +729,12 @@ class TestStructuredPayloads:
         assert data == bytes([12, 40, 28])
         assert parse_create_payload(data, 1) == (12, 40, 28)
 
+    def test_created_payload_round_trip(self):
+        digest = bytes(range(32))
+        data = build_created_payload(300, digest, 2)
+        assert data == b"\x01\x2c" + digest
+        assert parse_created_payload(data, 2) == (300, digest)
+
     def test_extend_data_round_trip(self):
         create = build_create_payload(12, 40, 28, 1)
         assert parse_extend_data(build_extend_data("C", create), 1) == ("C", create)
@@ -591,6 +746,12 @@ class TestStructuredPayloads:
     def test_extend_data_bad_length(self):
         with pytest.raises(MalformedCell, match="EXTEND data does not match declared layout"):
             parse_extend_data(build_extend_data("C", bytes([12, 40])), 1)
+
+    @pytest.mark.parametrize("data, reason", [
+        (b"", "empty EXTEND data"), (b"\x00", "EXTEND data does not match declared layout")])
+    def test_extend_data_shorter_than_its_layout(self, data, reason):
+        with pytest.raises(MalformedCell, match=f"^{reason}$"):
+            parse_extend_data(data, 1)
 
     def test_extend_data_name_not_utf8(self):
         with pytest.raises(MalformedCell, match="EXTEND node name is not UTF-8"):
