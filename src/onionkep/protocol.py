@@ -470,8 +470,8 @@ def _refuse(link: str, circ_id: int, reason: str) -> tuple[NodeDelta, list[Actio
 class Relay:
     """The relay host of both runtimes: owns one NodeState, keeps its latest
     exit deliveries and, unless ``echo_data`` is false, echoes each one back.
-    It changes ``state.entries`` and ``state.nexts`` in place, so a threaded
-    host calls it, and reads them beyond ``len()``, under one lock."""
+    It changes ``state.entries`` and ``state.nexts`` in place, so a TCP relay
+    calls it, and reads them beyond ``len()``, on its loop thread alone."""
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
                  peel_per_hop: bool = True, echo_data: bool = True):

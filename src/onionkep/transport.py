@@ -3,20 +3,11 @@ directory service and relay servers. It only moves frames; what a cell or
 a directory message means, and what its malformed bytes raise, is decided
 by ``onioncrypt``, ``protocol`` and ``directory``.
 
-Frame layout: 4-byte big-endian length || payload, capped at FRAME_MAX.
-Both servers share one accept loop, which serves each connection on its
-own daemon thread; a serving thread ends quietly on any socket error. The
-directory server answers each request frame with ``Directory.answer``,
-sequentially per connection and concurrently across connections.
-
-A relay feeds cells to its state machine behind one lock, which also
-guards its link table; a link is opened with no lock held, while the cells
-for it queue. Cells are written outside it, under the link's own write
-lock: frames on one link never interleave, and a write that blocks on a
-full socket never holds the relay lock, so two relays writing to each
-other cannot deadlock on it. The relay server is ``protocol.Relay`` and
-the circuit client ``protocol.Client``, the hosts of the simulator too.
-"""
+Frame layout: 4-byte big-endian length || payload, capped at FRAME_MAX;
+``FrameReader`` is the one rule that cuts frames from a stream. Each server
+runs one ``selectors`` loop on one thread, which alone touches its state, so
+no lock guards it; an error on one connection closes that connection alone.
+The relay and the blocking client are the hosts of the simulator too."""
 
 from __future__ import annotations
 
@@ -25,7 +16,7 @@ import itertools
 import random
 import socket
 import threading
-from typing import Callable
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 
 from . import protocol, tlv
 from .directory import Directory, NodeDescriptor, decode_descriptor, encode_descriptor, read_answer
@@ -37,36 +28,47 @@ from .protocol import CircuitState, Phase, TamperFn
 FRAME_MAX = 70_000
 
 
-def send_frame(sock: socket.socket, data: bytes) -> None:
+def send_frame(sock, data: bytes) -> None:
+    """Write one frame with ``sock.sendall``; a server's ``_Link`` queues it."""
     if len(data) > FRAME_MAX:
         raise FrameTooLarge(f"frame of {len(data)} bytes exceeds {FRAME_MAX}")
     sock.sendall(len(data).to_bytes(4, "big") + data)
 
 
+class FrameReader:
+    """Cuts frames from a stream fed in chunks of any size, in time linear in its length."""
+
+    def __init__(self):
+        self.buffer = bytearray()  # dropping a prefix of a bytearray costs O(1)
+
+    def wanted(self) -> int:
+        """The bytes the next frame, or first its header, lacks: 0 or less once whole;
+        raises FrameTooLarge as soon as a header announces more than FRAME_MAX."""
+        length = int.from_bytes(self.buffer[:4], "big") if len(self.buffer) >= 4 else 0
+        if length > FRAME_MAX:
+            raise FrameTooLarge(f"peer announced a {length}-byte frame")
+        return 4 + length - len(self.buffer)
+
+    def feed(self, data: bytes) -> list[bytes]:  # the frames data completes, in order
+        self.buffer += data
+        frames = []
+        while (missing := self.wanted()) <= 0:
+            end = len(self.buffer) + missing
+            frames.append(bytes(self.buffer[4:end]))
+            del self.buffer[:end]
+        return frames
+
+
 def recv_frame(sock: socket.socket) -> bytes | None:
-    """Read one frame; returns None on clean EOF."""
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    length = int.from_bytes(header, "big")
-    if length > FRAME_MAX:
-        raise FrameTooLarge(f"peer announced a {length}-byte frame")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise ConnectionError("connection closed mid-frame")
-    return body
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = bytearray()  # grows in place: linear in count however the bytes arrive
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
+    """Read one frame, and no byte past it; returns None on clean EOF."""
+    reader = FrameReader()
+    while not (frames := reader.feed(chunk := sock.recv(reader.wanted()))):
         if not chunk:
-            if buf:
-                raise ConnectionError("connection closed mid-read")
-            return None
-        buf += chunk
-    return bytes(buf)
+            if not reader.buffer:
+                return None
+            raise ConnectionError("connection closed mid-frame" if len(reader.buffer) == 4
+                                  else "connection closed mid-read")
+    return frames[0]
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -74,55 +76,131 @@ def parse_address(address: str) -> tuple[str, int]:
     return host, int(port)
 
 
-# -- serving ----------------------------------------------------------------
+class _Link:
+    """A connection: its socket (None while a relay opens it), reader and unwritten bytes."""
 
-def _spawn(target: Callable, *args) -> None:
-    threading.Thread(target=target, args=args, daemon=True).start()
+    def __init__(self, name: int | str):
+        self.name, self.sock, self.reader, self.out = name, None, FrameReader(), bytearray()
 
-
-def _accept_loop(listener: socket.socket,
-                 serve: Callable[[int, socket.socket], None]) -> None:
-    """Serve each accepted connection on its own daemon thread with its
-    accept number N = 1, 2, ..., until ``listener`` is closed."""
-    for seq in itertools.count(1):
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        _spawn(serve, seq, conn)
+    def sendall(self, data: bytes) -> None:  # so that send_frame queues its frame here
+        self.out += data
 
 
-def _close(sock: socket.socket) -> None:
-    """Close ``sock`` and wake a thread blocked on it, as close() alone does not."""
-    with contextlib.suppress(OSError):
-        sock.shutdown(socket.SHUT_RDWR)
-    sock.close()
+class _Server:
+    """One ``selectors`` loop on one thread: accepts connections, keyed 1, 2, ...,
+    feeds their frames to ``_frame(link, frame)`` and writes what they queue."""
 
-
-# -- directory over TCP ------------------------------------------------------
-
-class DirectoryServer:
-    """Serves register and lookup requests over the TLV record grammar."""
-
-    def __init__(self, directory: Directory, host: str = "127.0.0.1", port: int = 0):
-        self.directory = directory
+    def __init__(self, host: str, port: int):
         self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
         self.address = "%s:%d" % self._listener.getsockname()[:2]
-        self._lock = threading.Lock()
+        self._links: dict[int | str, _Link] = {}
+        self._accepted = itertools.count(1)
+        self._wake, self._waker = socket.socketpair()
+        self._selector = DefaultSelector()
+        for sock in (self._listener, self._wake):
+            self._selector.register(sock, EVENT_READ)
+        self._inbox, self._inbox_lock = [], threading.Lock()
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def start(self) -> "DirectoryServer":
-        _spawn(_accept_loop, self._listener, self._serve)
+    def start(self):
+        self._thread.start()
         return self
 
     def stop(self) -> None:
-        _close(self._listener)
+        """End the loop, started or not; returns once it has closed every socket."""
+        with self._inbox_lock:
+            self._waker.close()  # the loop reads EOF on _wake
+        if self._thread.ident is None:
+            self._thread.start()
+        self._thread.join()
 
-    def _serve(self, seq: int, conn: socket.socket) -> None:
-        with conn, contextlib.suppress(OSError, OnionKepError):
-            while (request := recv_frame(conn)) is not None:
-                with self._lock:
-                    answer = self.directory.answer(request)
-                send_frame(conn, answer)
+    def _call(self, fn, *args) -> bool:
+        """Have the loop run ``fn(*args)``, from any thread; False once stopped."""
+        with self._inbox_lock:
+            if live := self._waker.fileno() >= 0:
+                self._inbox.append((fn, args))
+                self._waker.send(b"\0")
+        return live
+
+    def drop_link(self, link: int | str) -> None:
+        """Forget what rode on a lost connection: nothing, unless a relay."""
+
+    def _run(self) -> None:
+        try:
+            while True:
+                for key, events in self._selector.select():
+                    if key.data is not None:
+                        self._serve(key.data, events)
+                    elif key.fileobj is self._listener:
+                        with contextlib.suppress(OSError):  # the peer gave up, or fds ran out
+                            self._add(_Link(next(self._accepted)), self._listener.accept()[0])
+                    elif not self._wake.recv(FRAME_MAX):  # EOF: stop() closed the waker
+                        return
+                    else:
+                        with self._inbox_lock:
+                            calls, self._inbox = self._inbox, []
+                        for fn, args in calls:
+                            fn(*args)
+        finally:
+            for sock in [self._waker, *(key.fileobj for key in self._selector.get_map().values())]:
+                sock.close()
+            self._selector.close()
+
+    def _add(self, link: _Link, sock: socket.socket) -> None:
+        """Serve ``link`` on ``sock``, and write what it has queued."""
+        sock.setblocking(False)
+        link.sock, self._links[link.name] = sock, link
+        self._selector.register(sock, EVENT_READ, link)
+        self._flush(link)
+
+    def _serve(self, link: _Link, events: int) -> None:
+        """Write what ``link``'s socket takes, or serve the frames it carries."""
+        if events & EVENT_WRITE:
+            return self._flush(link, watched=True)  # a waiting read is served on the next select
+        try:
+            if not (data := link.sock.recv(FRAME_MAX)):
+                return self._drop(link)  # EOF
+            for frame in link.reader.feed(data):
+                if self._links.get(link.name) is not link:  # dropped by an earlier frame
+                    return
+                self._frame(link, frame)
+        except (OSError, OnionKepError):
+            self._drop(link)
+
+    def _flush(self, link: _Link, data: bytes | None = None, watched: bool = False) -> None:
+        """Queue a frame of ``data``, if any; write what fits; watch for room while any is left."""
+        if data is not None:
+            send_frame(link, data)
+        if link.sock is None:
+            return
+        try:
+            del link.out[:link.sock.send(link.out)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            return self._drop(link)
+        if link.out or watched:  # start watching for room, or stop once it is not needed
+            self._selector.modify(link.sock, EVENT_READ | EVENT_WRITE * bool(link.out), link)
+
+    def _drop(self, link: _Link) -> None:
+        """Close ``link``'s socket and forget the link, once."""
+        if self._links.get(link.name) is link:
+            del self._links[link.name]
+            self._selector.unregister(link.sock)
+            link.sock.close()
+            self.drop_link(link.name)
+
+
+class DirectoryServer(_Server):
+    """Answers register and lookup request frames with ``Directory.answer``."""
+
+    def __init__(self, directory: Directory, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
+        self.directory = directory
+
+    def _frame(self, link: _Link, request: bytes) -> None:
+        self._flush(link, self.directory.answer(request))
 
 
 class DirectoryClient:
@@ -159,135 +237,57 @@ class DirectoryClient:
 
 
 # -- relay server ------------------------------------------------------------
-
-class NodeServer(protocol.Relay):
-    """One relay process: registers itself, then serves circuit traffic.
-
-    Inbound connections become links keyed by their accept number, an int,
-    so that no EXTEND name, a str, can reach one and a lost one is never
-    reopened; outbound links to other relays are named by node name and
-    resolved through the directory, one connection per name, and are
-    blocking sockets once connected, like the inbound ones. Each link has
-    a reader thread that feeds its cells to the relay and sends the
-    answers. ``_lock`` guards the relay state, whose maps change in place
-    (other threads read them under it or only through ``len()``), the
-    link table and the names being opened. The first send toward a name
-    marks it as opening and connects with no lock held; later sends queue
-    their cells, which the opening thread writes in order. So concurrent
-    sends toward one relay open one connection, and no other link waits
-    for a connect. Cells are written outside it, under the link's write lock.
-    A failed open (lookup, address or connect) feeds the relay DESTROY from
-    that link, which fails the circuit back toward its client. A link dies
-    only for its own socket (EOF, a read, decode or write error) and forgets
-    every circuit riding on it here only: no DESTROY goes to the circuit's
-    other neighbour, so relays further along keep it.
-    """
+class NodeServer(protocol.Relay, _Server):
+    """One relay process: registers itself, then serves circuit traffic. Its
+    inbound links are keyed by accept number, an int, which no EXTEND name can
+    reach. A link to a relay opens on a short-lived thread, stalling no other
+    circuit, while its buffer queues the cells sent; a failed open feeds the
+    relay DESTROY from it for each. A lost link's circuits are forgotten here only."""
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
                  dir_client: DirectoryClient, host: str = "127.0.0.1", port: int = 0):
-        super().__init__(name, params, keypair)
+        protocol.Relay.__init__(self, name, params, keypair)
+        _Server.__init__(self, host, port)
         self.dir_client = dir_client
-        self._listener = socket.create_server((host, port))
-        self.address = "%s:%d" % self._listener.getsockname()[:2]
-        self._links: dict[int | str, tuple[socket.socket, threading.Lock]] = {}
-        self._opening: dict[str, list[Cell]] = {}  # the cells queued for links being opened
-        self._lock = threading.Lock()
 
     def start(self) -> "NodeServer":
-        self.dir_client.register(NodeDescriptor(
-            name=self.name, address=self.address,
-            public=self.state.keypair.public,
-            params_digest=params_digest(self.state.params)))
-        _spawn(_accept_loop, self._listener, self._serve)
-        return self
+        self.dir_client.register(NodeDescriptor(self.name, self.address, self.state.keypair.public,
+                                                params_digest(self.state.params)))
+        return super().start()
 
-    def stop(self) -> None:
-        _close(self._listener)
-        with self._lock:
-            for sock, _ in self._links.values():
-                _close(sock)
+    def _frame(self, link: _Link, frame: bytes) -> None:
+        self._send(self.handle(link.name, decode_cell(frame)))
 
-    def _serve(self, link: int, sock: socket.socket) -> None:
-        with self._lock:
-            self._links[link] = (sock, threading.Lock())
-        self._reader(link, sock)
-
-    def _reader(self, link: int | str, sock: socket.socket) -> None:
-        with contextlib.suppress(OSError, OnionKepError):
-            while (frame := recv_frame(sock)) is not None:
-                cell = decode_cell(frame)
-                with self._lock:
-                    sends = self.handle(link, cell)
-                for send in sends:
-                    self._send(send.link, send.cell)
-        self._drop_link(link, sock)
-
-    def _send(self, link: int | str, cell: Cell) -> None:
-        with self._lock:
-            if link in self._opening:  # the thread opening it writes the cell
-                self._opening[link].append(cell)
-                return
-            sock, write_lock = self._links.get(link, (None, None))
-            if sock is None and isinstance(link, str):  # a lost inbound link stays lost
-                self._opening[link] = [cell]
-        if sock is not None:
-            write_lock.acquire()
-            self._write(link, sock, write_lock, [cell])
-        elif isinstance(link, str):
-            self._open(link)
+    def _send(self, sends: list[protocol.SendCell]) -> None:
+        """Queue each cell on its link, first opening a link to a relay where none stands."""
+        for send in sends:
+            link = self._links.get(send.link)
+            if link is None and isinstance(send.link, str):  # a lost inbound link stays lost
+                link = self._links[send.link] = _Link(send.link)
+                threading.Thread(target=self._open, args=(send.link,), daemon=True).start()
+            if link is not None:
+                self._flush(link, encode_cell(send.cell))
 
     def _open(self, name: str) -> None:
-        """Connect to relay ``name`` with no lock held, then write the cells
-        queued for it in order, or feed the relay DESTROY for each of them."""
+        """Connect to relay ``name``, off the loop, and hand the loop the socket or None."""
         try:
             sock = self.dir_client.connect(name, timeout=10)
-            sock.setblocking(True)
         except (OSError, ValueError, OnionKepError):  # as if the next hop refused
             sock = None
-        write_lock = threading.Lock()
-        with self._lock:
-            cells = self._opening.pop(name)
-            if sock is not None and self._listener.fileno() == -1:  # stopped meanwhile
-                sock.close()
-                sock = None
-            if sock is None:
-                refused = [send for cell in cells
-                           for send in self.handle(name, Cell(cell.circ_id, CellCommand.DESTROY))]
-            else:
-                write_lock.acquire()  # a later cell waits for the queued ones
-                self._links[name] = (sock, write_lock)
-                _spawn(self._reader, name, sock)
+        if not self._call(self._opened, name, sock) and sock is not None:
+            sock.close()  # stopped meanwhile
+
+    def _opened(self, name: str, sock: socket.socket | None) -> None:
+        """Give link ``name`` its socket, or fail each cell queued on it."""
         if sock is not None:
-            self._write(name, sock, write_lock, cells)
-            return
-        for send in refused:
-            self._send(send.link, send.cell)
-
-    def _write(self, link: int | str, sock: socket.socket, write_lock: threading.Lock,
-               cells: list[Cell]) -> None:
-        """Write ``cells`` on ``link`` and release its write lock, which the caller
-        holds; no thread waits for one under the relay lock, so a failure may drop the link."""
-        try:
-            for cell in cells:
-                send_frame(sock, encode_cell(cell))
-        except (OSError, OnionKepError):
-            self._drop_link(link, sock)
-        finally:
-            write_lock.release()
-
-    def _drop_link(self, link: int | str, sock: socket.socket) -> None:
-        """Close ``sock``; forget ``link`` and its circuits if ``sock`` is still its socket."""
-        with self._lock:
-            if link in self._links and self._links[link][0] is sock:
-                del self._links[link]
-                self.drop_link(link)
-        _close(sock)
+            return self._add(self._links[name], sock)
+        for frame in FrameReader().feed(self._links.pop(name).out):
+            self._send(self.handle(name, Cell(decode_cell(frame).circ_id, CellCommand.DESTROY)))
 
 
 # -- circuit client over TCP -------------------------------------------------
-
 class StreamCircuitClient(protocol.Client):
-    """The client host; its cells ride the entry node's socket, opened by ``dir_client.connect``."""
+    """The blocking client host; its cells ride the socket ``dir_client.connect`` opens."""
 
     def __init__(self, params: SystemParams, dir_client: DirectoryClient,
                  rng: random.Random):

@@ -1,8 +1,11 @@
 import contextlib
+import errno
+import queue
 import random
 import socket
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -102,11 +105,21 @@ def fake_directory(answer):
         listener.close()
 
 
+def on_loop(server, fn):
+    """``fn()`` run on the loop thread of a TCP server, the one thread that
+    changes its maps, after every call posted to it before; its result."""
+    box = queue.SimpleQueue()
+    assert server._call(lambda: box.put(fn()))
+    return box.get(timeout=5)
+
+
 def session_keys(relay) -> list[int]:
-    """The raw session keys of ``relay``'s circuits, in entry order, read
-    under the lock of a TCP relay, whose reader threads change its maps."""
-    with getattr(relay, "_lock", contextlib.nullcontext()):
+    """The raw session keys of ``relay``'s circuits, in entry order, read on
+    the loop thread of a TCP relay."""
+    def keys():
         return [entry.session.raw for entry in relay.state.entries.values()]
+
+    return on_loop(relay, keys) if hasattr(relay, "_call") else keys()
 
 
 def serialize(transcript) -> bytes:
@@ -145,6 +158,42 @@ def tabulate(params, pub) -> None:
 def built_tables(params) -> dict:
     """The fixed-base tables ``params`` holds for ``mix``, by constructor."""
     return {pub: rows for pub, rows in params._mix_tables.items() if rows is not None}
+
+
+class LoggedFile:
+    """A file the directory opened for writing; logs or tears its writes."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if self.log.tear_next:
+            self.log.tear_next = False
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.log.lengths.append(len(data))
+        return self.fh.write(data)
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The lengths of the directory's writes; set tear_next to have the
+    next write stop halfway and raise ENOSPC."""
+    log = SimpleNamespace(lengths=[], tear_next=False)
+    real_open = open
+
+    def logged_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return fh if "r" in mode else LoggedFile(fh, log)
+
+    monkeypatch.setattr("onionkep.directory.open", logged_open, raising=False)
+    return log
 
 
 @pytest.fixture

@@ -1,9 +1,6 @@
 """Directory registry: registration rules, lookup, snapshot persistence,
 and its wire protocol: requests, answers and the TLV record reader."""
 
-import errno
-from types import SimpleNamespace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,42 +32,6 @@ def digest(toy_params):
 def desc_b(toy_params, toy_bob, digest):
     return NodeDescriptor(name="B", address="127.0.0.1:9001",
                           public=toy_bob.public, params_digest=digest)
-
-
-class LoggedFile:
-    """A file the directory opened for writing; logs or tears its writes."""
-
-    def __init__(self, fh, log):
-        self.fh, self.log = fh, log
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        if self.log.tear_next:
-            self.log.tear_next = False
-            self.fh.write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self.log.lengths.append(len(data))
-        return self.fh.write(data)
-
-
-@pytest.fixture
-def writes(monkeypatch):
-    """The lengths of the directory's writes; set tear_next to have the
-    next write stop halfway and raise ENOSPC."""
-    log = SimpleNamespace(lengths=[], tear_next=False)
-    real_open = open
-
-    def logged_open(path, mode="r", *args, **kwargs):
-        fh = real_open(path, mode, *args, **kwargs)
-        return fh if "r" in mode else LoggedFile(fh, log)
-
-    monkeypatch.setattr("onionkep.directory.open", logged_open, raising=False)
-    return log
 
 
 class TestDescriptorCodec:

@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from onionkep import (
     Cell,
@@ -20,7 +22,7 @@ from onionkep import (
     keypair_from_secrets,
     params_digest,
 )
-from onionkep import nikep, tlv, transport
+from onionkep import nikep, tlv
 from onionkep.cli import _corrupt_first_created
 from onionkep.directory import Directory, NodeDescriptor, encode_descriptor
 from onionkep.errors import (
@@ -31,11 +33,13 @@ from onionkep.errors import (
     NotReady,
     ParamsMismatch,
 )
-from onionkep.protocol import Phase
+from onionkep.protocol import Phase, SendCell
 from onionkep.simnet import build_simulation, run_build, run_send
 from onionkep.transport import (
+    FRAME_MAX,
     DirectoryClient,
     DirectoryServer,
+    FrameReader,
     NodeServer,
     StreamCircuitClient,
     parse_address,
@@ -46,6 +50,7 @@ from conftest import (
     MALFORMED_ANSWERS,
     built_tables,
     fake_directory,
+    on_loop,
     raw_extend_cell,
     session_keys,
 )
@@ -56,17 +61,35 @@ def hang_up(request):
     raise ConnectionAbortedError("no answer")
 
 
+def eventually(predicate, seconds=5.0):
+    """Poll ``predicate`` until it holds or ``seconds`` pass; its last value."""
+    deadline = time.monotonic() + seconds
+    while not (value := predicate()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return value
+
+
 def wait_until_empty(nodes, seconds=5.0):
     """Wait until no relay of ``nodes`` holds an entry, or ``seconds`` pass."""
-    deadline = time.monotonic() + seconds
-    while any(node.state.entries for node in nodes) and time.monotonic() < deadline:
-        time.sleep(0.01)
+    eventually(lambda: not any(node.state.entries for node in nodes), seconds)
+
+
+def send_from(relay, link, cell) -> None:
+    """Have ``relay``'s loop send ``cell`` on ``link``, from any thread."""
+    assert relay._call(relay._send, [SendCell(link, cell)])
+
+
+def framed(frames) -> bytes:
+    return b"".join(len(frame).to_bytes(4, "big") + frame for frame in frames)
 
 
 def socket_pair():
+    """Two connected TCP sockets whose reads give up after 2 s, so that a
+    reader waiting for bytes that never come fails instead of hanging."""
     server = socket.create_server(("127.0.0.1", 0))
-    client = socket.create_connection(server.getsockname())
+    client = socket.create_connection(server.getsockname(), timeout=2.0)
     peer, _ = server.accept()
+    peer.settimeout(2.0)
     server.close()
     return client, peer
 
@@ -147,6 +170,54 @@ class TestFraming:
         assert cost(70_000) < 12 * cost(8_750)
 
 
+FRAMES = st.lists(st.binary(max_size=300), max_size=8)
+
+
+class TestFrameReader:
+    @given(frames=FRAMES, data=st.data())
+    def test_any_split_yields_the_frames_of_one_feed(self, frames, data):
+        stream = framed(frames)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+        reader = FrameReader()
+        got = [frame for start, end in zip([0, *cuts], [*cuts, len(stream)])
+               for frame in reader.feed(stream[start:end])]
+        assert got == FrameReader().feed(stream) == frames
+        assert reader.buffer == b"" and reader.wanted() == 4
+
+    @given(frames=FRAMES, length=st.integers(FRAME_MAX + 1, 2**32 - 1))
+    def test_oversize_announcement_raises_when_its_header_is_whole(self, frames, length):
+        # Every frame before it is returned; the header's fourth byte raises,
+        # with no payload byte awaited.
+        stream = framed(frames) + length.to_bytes(4, "big")
+        reader = FrameReader()
+        assert reader.feed(stream[:-1]) == frames
+        with pytest.raises(FrameTooLarge, match=f"peer announced a {length}-byte frame"):
+            reader.feed(stream[-1:])
+
+    def test_frame_max_is_accepted(self):
+        reader = FrameReader()
+        assert reader.feed(FRAME_MAX.to_bytes(4, "big")) == []
+        assert reader.wanted() == FRAME_MAX
+        assert reader.feed(bytes(FRAME_MAX)) == [bytes(FRAME_MAX)]
+
+    @given(frames=FRAMES, sizes=st.lists(st.integers(1, 40)))
+    def test_recv_frame_over_a_trickling_socket(self, frames, sizes):
+        # recv hands out at most the drawn sizes, one byte once they run out;
+        # recv_frame returns each frame and never reads into the next one.
+        class Trickle:
+            def __init__(self, data):
+                self.data, self.at = data, 0
+
+            def recv(self, count):
+                size = min(count, sizes.pop(0) if sizes else 1)
+                self.at += size
+                return self.data[self.at - size:self.at]
+
+        sock = Trickle(framed(frames))
+        assert [recv_frame(sock) for _ in frames] == frames
+        assert recv_frame(sock) is None
+
+
 @pytest.fixture(scope="module")
 def toy_world():
     params = gen_params(4, random.Random(1))  # r = 11
@@ -162,6 +233,31 @@ def dir_server(toy_world):
 
 
 class TestDirectoryOverTcp:
+    def test_stop_returns_once_every_socket_is_closed(self, toy_world):
+        # stop() ends the loop and returns once it has closed the listener
+        # and every connection. It runs on a daemon thread here, so that a
+        # stop that never returns fails this test instead of hanging it.
+        server = DirectoryServer(Directory(toy_world[1])).start()
+        with socket.create_connection(parse_address(server.address), timeout=5) as conn:
+            send_frame(conn, tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
+            assert recv_frame(conn) == tlv.encode_record(tlv.TAG_STATUS, bytes([1]))
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=5)
+            assert not stopper.is_alive()
+            assert conn.recv(1) == b""
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(parse_address(server.address), timeout=2).close()
+
+    def test_servers_take_a_free_port_by_default(self, toy_world, dir_server):
+        # Port 0 asks the system for a free port, so two servers listen side
+        # by side. A server stopped before it started closes its sockets too.
+        other = DirectoryServer(Directory(toy_world[1]))
+        try:
+            assert other.address != dir_server.address
+        finally:
+            other.stop()
+
     def test_register_lookup_list(self, toy_world, dir_server):
         # A name not found is not remembered: it resolves once registered.
         params, digest = toy_world
@@ -585,7 +681,7 @@ class TestRelayLinks:
 
         monkeypatch.setattr(socket, "create_connection", slow_connect)
         cell = Cell(9, CellCommand.DESTROY)
-        senders = [threading.Thread(target=b._send, args=("C", cell)) for _ in range(8)]
+        senders = [threading.Thread(target=send_from, args=(b, "C", cell)) for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -596,8 +692,9 @@ class TestRelayLinks:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in senders)
+        assert eventually(lambda: on_loop(b, lambda: b._links["C"].sock is not None))
         assert len(opened) == 1
-        assert list(b._links) == ["C"]
+        assert on_loop(b, lambda: list(b._links)) == ["C"]
 
     def test_an_open_stalls_no_other_circuit(self, live_network, monkeypatch):
         # B's connect toward E is held for 2 s. An echo on a READY circuit
@@ -639,7 +736,7 @@ class TestRelayLinks:
 
     def test_cells_sent_during_an_open_arrive_in_order(self, live_network, monkeypatch):
         # B's connect toward X is held while seven more cells for X are
-        # sent. Each send returns at once, and X then reads all eight in
+        # sent. B's loop queues each at once, and X then reads all eight in
         # the order sent, then a cell sent after the open.
         params, dir_client, nodes, _ = live_network
         b = nodes[0]
@@ -660,25 +757,23 @@ class TestRelayLinks:
 
         monkeypatch.setattr(socket, "create_connection", held_connect)
         cells = [Cell(i, CellCommand.RELAY, bytes([i])) for i in range(9)]
-        opener = threading.Thread(target=b._send, args=("X", cells[0]))
-        opener.start()
+        send_from(b, "X", cells[0])
         try:
             assert connecting.wait(timeout=5.0)
             start = time.monotonic()
             for cell in cells[1:8]:
-                b._send("X", cell)
+                send_from(b, "X", cell)
+            assert on_loop(b, lambda: b._links["X"].sock) is None
             assert time.monotonic() - start < 1.0
             release.set()
             conn, _ = listener.accept()
             with conn:
                 conn.settimeout(5.0)
-                b._send("X", cells[8])
+                send_from(b, "X", cells[8])
                 got = [decode_cell(recv_frame(conn)) for _ in cells]
         finally:
             release.set()
-            opener.join(timeout=10)
             listener.close()
-        assert not opener.is_alive()
         assert got == cells
 
     def test_stop_during_an_open_keeps_no_link(self, live_network, monkeypatch):
@@ -688,24 +783,25 @@ class TestRelayLinks:
         b, c = nodes[0], nodes[1]
         real_connect = socket.create_connection
         connecting, release = threading.Event(), threading.Event()
+        made = []
 
         def held_connect(address, *args, **kwargs):
-            if "%s:%d" % address[:2] == c.address:
-                connecting.set()
-                release.wait(timeout=5.0)
-            return real_connect(address, *args, **kwargs)
+            if "%s:%d" % address[:2] != c.address:
+                return real_connect(address, *args, **kwargs)
+            connecting.set()
+            release.wait(timeout=5.0)
+            made.append(real_connect(address, *args, **kwargs))
+            return made[-1]
 
         monkeypatch.setattr(socket, "create_connection", held_connect)
-        sender = threading.Thread(target=b._send, args=("C", Cell(9, CellCommand.DESTROY)))
-        sender.start()
+        send_from(b, "C", Cell(9, CellCommand.DESTROY))
         try:
             assert connecting.wait(timeout=5.0)
             b.stop()
         finally:
             release.set()
-            sender.join(timeout=10)
-        assert not sender.is_alive()
-        assert "C" not in b._links
+        assert eventually(lambda: made and made[0].fileno() == -1)
+        assert b._links["C"].sock is None
 
     def test_concurrent_large_sends_arrive_whole(self, live_network, monkeypatch):
         # Eight threads send 60 KB cells on one link through a 4 KB send
@@ -728,7 +824,7 @@ class TestRelayLinks:
 
         monkeypatch.setattr(socket, "create_connection", small_buffer_connect)
         cells = [Cell(i, CellCommand.RELAY, bytes([i]) * 60_000) for i in range(8)]
-        senders = [threading.Thread(target=b._send, args=("X", cell)) for cell in cells]
+        senders = [threading.Thread(target=send_from, args=(b, "X", cell)) for cell in cells]
         for t in senders:
             t.start()
         try:
@@ -763,22 +859,21 @@ class TestLinkFailures:
     def test_write_failure_drops_the_link_and_its_circuits(self, live_network, monkeypatch):
         # B fails to write the echo toward the client: B forgets that link
         # and its circuit and closes the socket, so the client reads EOF.
+        # The relay loop writes with socket.send, the client with sendall.
         params, dir_client, nodes, rng = live_network
+        b = nodes[0]
         client = StreamCircuitClient(params, dir_client, rng)
-        real_send_frame = transport.send_frame
 
-        def send_frame_from_client_only(sock, data):
-            if sock is not client._sock:
-                raise BrokenPipeError("write failed")
-            real_send_frame(sock, data)
+        def failing_send(sock, *args):
+            raise BrokenPipeError("write failed")
 
         try:
             assert client.build(["B"], timeout=2.0).phase == Phase.READY
-            monkeypatch.setattr(transport, "send_frame", send_frame_from_client_only)
+            monkeypatch.setattr(socket.socket, "send", failing_send)
             with pytest.raises(ConnectionError, match="entry node closed the connection"):
                 client.send_data(1, b"echo me")
-            with nodes[0]._lock:
-                assert (nodes[0].state.entries, nodes[0]._links) == ({}, {})
+            monkeypatch.undo()
+            assert on_loop(b, lambda: (dict(b.state.entries), dict(b._links))) == ({}, {})
         finally:
             client.close()
 
@@ -903,6 +998,26 @@ class TestLinkFailures:
             first.close()
             second.close()
 
+    def test_connect_timeouts(self, live_network, monkeypatch):
+        # A directory request and a relay's link connect with a 10 s timeout,
+        # a client's entry link with the timeout its build was given.
+        params, dir_client, nodes, rng = live_network
+        real_connect = socket.create_connection
+        timeouts = {}
+
+        def recording_connect(address, *args, **kwargs):
+            timeouts.setdefault("%s:%d" % address[:2], set()).add(kwargs.get("timeout"))
+            return real_connect(address, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", recording_connect)
+        client = StreamCircuitClient(params, DirectoryClient(dir_client.address), rng)
+        try:
+            assert client.build(["B", "C", "D"], timeout=3.0).phase == Phase.READY
+        finally:
+            client.close()
+        assert timeouts == {dir_client.address: {10}, nodes[0].address: {3.0},
+                            nodes[1].address: {10}, nodes[2].address: {10}}
+
     def test_idle_relay_links_stay_open(self, live_network, monkeypatch):
         # A relay opens its links to C and D with a connect timeout, here cut
         # to 0.2 s. It must not stay on as a read timeout, or a circuit idle
@@ -959,3 +1074,72 @@ class TestLinkModel:
         finally:
             x.close()
             y.close()
+
+
+class TestOneLoopPerServer:
+    def test_thread_count_does_not_grow_with_circuits(self, live_network):
+        # Each server runs one loop thread, however many links it serves. An
+        # open in flight holds one short-lived thread, so the count is read
+        # once no thread started since the network came up is left. It counts
+        # the threads alive then or now, so that a thread of an earlier test
+        # that ends meanwhile does not lower it.
+        params, dir_client, nodes, rng = live_network
+        before = set(threading.enumerate())
+
+        def at_rest():
+            eventually(lambda: set(threading.enumerate()) <= before, 2.0)
+            return len(before | set(threading.enumerate()))
+
+        counts, clients = {}, []
+        try:
+            for total in (1, 50, 100):
+                while len(clients) < total:
+                    clients.append(StreamCircuitClient(params, dir_client, rng))
+                    assert clients[-1].build(["B", "C", "D"], timeout=5.0).phase == Phase.READY
+                counts[total] = at_rest()
+            assert counts == {1: len(before), 50: len(before), 100: len(before)}
+            assert [len(node.state.entries) for node in nodes] == [100, 100, 100]
+        finally:
+            for client in clients:
+                client.close()
+
+    def test_oversize_frame_drops_only_its_link(self, live_network):
+        # A peer announces a frame over FRAME_MAX on its own link to B. B
+        # drops that link and its circuit, and echoes on through a bystander.
+        params, dir_client, nodes, rng = live_network
+        b = nodes[0]
+        bystander = StreamCircuitClient(params, dir_client, rng)
+        client = StreamCircuitClient(params, dir_client, rng)
+        try:
+            assert bystander.build(["B", "C", "D"], timeout=2.0).phase == Phase.READY
+            assert client.build(["B"], circ_id=2, timeout=2.0).phase == Phase.READY
+            client._sock.sendall((FRAME_MAX + 1).to_bytes(4, "big"))
+            with pytest.raises(ConnectionError, match="entry node closed the connection"):
+                client._recv()
+            assert on_loop(b, lambda: (len(b.state.entries), sorted(map(str, b._links)))) == \
+                (1, ["1", "C"])
+            assert bystander.send_data(1, b"still here") == b"still here"
+        finally:
+            bystander.close()
+            client.close()
+
+    def test_failed_snapshot_write_closes_only_its_connection(self, toy_world, tmp_path,
+                                                              writes):
+        # The directory's snapshot write fails with ENOSPC while it answers a
+        # REGISTER: that connection is closed unanswered, and an open
+        # bystander connection and the next client are answered.
+        params, digest = toy_world
+        desc = NodeDescriptor("B", "127.0.0.1:9001", keypair_from_secrets(params, 3, 13).public,
+                              digest)
+        server = DirectoryServer(Directory(digest, str(tmp_path / "directory.bin"))).start()
+        try:
+            with socket.create_connection(parse_address(server.address), timeout=5) as bystander:
+                writes.tear_next = True
+                with pytest.raises(ConnectionError, match="directory closed the connection"):
+                    DirectoryClient(server.address).register(desc)
+                send_frame(bystander, tlv.encode_record(tlv.TAG_DIR_LOOKUP, b"B"))
+                assert recv_frame(bystander) == tlv.encode_record(tlv.TAG_STATUS, bytes([1]))
+            DirectoryClient(server.address).register(desc)
+            assert DirectoryClient(server.address).lookup("B") == desc
+        finally:
+            server.stop()
