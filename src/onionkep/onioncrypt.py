@@ -46,14 +46,16 @@ Both directions work on packed ints, GROUP_BLOCKS blocks at a time
   bit (j + 1) * W for c >= r and at bit j * W + bits for m, so the highest
   flag names the first bad block in stream order, and in it ">= r" is
   reported before "decrypts out of range", as a block-by-block loop would.
-- Width and length dispatch. The masks of each power-of-two number of
-  units up to GROUP_BLOCKS = 1024 blocks are built once per modulus, by
-  doubling, for at most PLAN_MODULI moduli. One predicate, ``_packed``,
-  sends moduli wider than PACKED_MAX_BITS (the packed path is the slower
-  there, as at 256 bits) and messages of fewer than PACKED_MIN_BLOCKS
-  blocks, such as EXTEND frames, to the block loop in both directions,
-  in bits-byte groups of exactly 8 blocks. Every path gives the same
-  bytes and errors.
+- Width and length dispatch. One plan per modulus, for a full group of
+  GROUP_BLOCKS = 1024 blocks, is built once by doubling, for at most
+  PLAN_MODULI moduli. A shorter group runs at its own size: its int holds
+  its units alone, and CPython sizes an &'s result to the shorter operand,
+  so only the two constants it adds, 2**L - r and 2**(8*width) - r, are
+  shifted down to its units. One predicate, ``_packed``, sends moduli
+  wider than PACKED_MAX_BITS (the packed path is the slower there, as at
+  256 bits) and messages of fewer than PACKED_MIN_BLOCKS blocks, such as
+  EXTEND frames, to the block loop in both directions, in bits-byte groups
+  of exactly 8 blocks. Every path gives the same bytes and errors.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ PACKED_MIN_BLOCKS = 16
 # Blocks per packed group, and the largest plan: longer messages are
 # taken in groups of this many blocks. A multiple of 8, so that a full
 # group is whole bytes of the bit stream. The passes per group do not grow
-# with it; the plans do, to 22 * width * GROUP_BLOCKS bytes a modulus.
+# with it; the plan does, to 11 * width * GROUP_BLOCKS bytes a modulus.
 GROUP_BLOCKS = 1024
 # Moduli whose plans are kept; the least recently used one is dropped.
 PLAN_MODULI = 4
@@ -131,7 +133,7 @@ def _packed(r: int, nblocks: int) -> bool:
 
 
 class _Plan(NamedTuple):
-    """The constants of a packed group of up to 2**j units of 8 blocks.
+    """The constants of a full packed group, GROUP_BLOCKS / 8 units of 8 blocks.
     The passes act on the dense int, one block per 8*width-bit field; the
     rest act on each half, one block per 16*width-bit slot."""
 
@@ -148,12 +150,10 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=PLAN_MODULI)
-def _layout(r: int) -> tuple[_Plan, ...]:
-    """The packed layout of modulus r: one plan per power-of-two unit
-    count up to GROUP_BLOCKS / 8, plan j for up to 2**j units, each built
-    from the one before by doubling. A unit's two passes leave its blocks
-    in pairs, one pair per slot; the even block of a pair is its low
-    ``bits`` bits."""
+def _layout(r: int) -> _Plan:
+    """The plan of modulus r, built from one unit's by doubling. A unit's
+    two passes leave its blocks in pairs, one pair per slot; the even
+    block of a pair is its low ``bits`` bits."""
     L = r.bit_length()
     bits, width = L - 1, (L + 7) // 8
     W = 8 * width
@@ -163,16 +163,14 @@ def _layout(r: int) -> tuple[_Plan, ...]:
                  *(v * ones for v in ((1 << bits) - 1, (1 << W) - 1, (1 << 2 * W - L) - 1,
                                       (1 << L) - r, 1 << L, (1 << L) - 1, (1 << W) - r,
                                       1 << W, 1 << bits)))
-    plans = [plan]
     for j in range((GROUP_BLOCKS // 8).bit_length() - 1):
         at = 8 * W << j
         plan = _Plan(tuple((m | m << at, s) for m, s in plan.passes),
                      *(v | v << at for v in plan[1:]))
-        plans.append(plan)
-    return tuple(plans)
+    return plan
 
 
-def _mul_mod(x: int, k: int, mu: int, r: int, plan: _Plan) -> int:
+def _mul_mod(x: int, k: int, mu: int, r: int, plan: _Plan, add_r: int) -> int:
     """Every slot v < 2**L of x taken to v*k mod r, with mu = k*2**L // r:
     q = v*mu >> L is floor(v*k/r) or one less (Barrett, 1986), so v*k - q*r
     is below 2r, and bit L of each slot + 2**L - r flags the ones that take
@@ -180,11 +178,11 @@ def _mul_mod(x: int, k: int, mu: int, r: int, plan: _Plan) -> int:
     take that sum and every slot keeps only its low L bits. A slot
     v < 2**(8*width), as decrypt may pass, gets a value of no use, but no
     slot carries into the next: q*r never exceeds v*k, and
-    v*k < 2**(8*width) * r <= 2**(16*width)."""
+    v*k < 2**(8*width) * r <= 2**(16*width). add_r is plan.add_r cut to x."""
     L = r.bit_length()
     x = x * k - ((x * mu >> L) & plan.low) * r
-    flag = (x + plan.add_r) & plan.flag_r
-    return (x + (plan.add_r & flag - (flag >> L))) & plan.low_l
+    flag = (x + add_r) & plan.flag_r
+    return (x + (add_r & flag - (flag >> L))) & plan.low_l
 
 
 def chunk_encrypt(plain: bytes, key: SessionKey, params: SystemParams) -> bytes:
@@ -243,7 +241,7 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
 
 def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
     """chunk_encrypt GROUP_BLOCKS blocks at a time."""
-    plans, width = _layout(r), (bits + 8) // 8
+    plan, width = _layout(r), (bits + 8) // 8
     W, mu = 8 * width, (k << bits + 1) // r
     unit, gapped = f"{bits}s", f"{W - bits}x{bits}s"
     out = [(8 * len(plain)).to_bytes(8, "big")]
@@ -252,15 +250,16 @@ def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
         group = plain[start : start + step]
         n = -(-8 * len(group) // bits)
         units = -(-n // 8)  # zero blocks fill the last unit
-        plan = plans[(units - 1).bit_length()]
+        cut = (GROUP_BLOCKS - 8 * units) * W  # a short group's own slots (module docstring)
+        add_r = plan.add_r >> cut if cut else plan.add_r  # a shift by 0 copies the int
         group += bytes(units * bits - len(group))
         # Each unit, right-aligned in the bytes of its 8 fields.
         x = int.from_bytes(struct.pack(gapped * units, *struct.unpack(unit * units, group)), "big")
         for mask, shift in plan.passes:
             low = x & mask
             x = low | (x ^ low) << shift
-        even = _mul_mod(x & plan.pair, k, mu, r, plan)
-        odd = _mul_mod(x >> bits & plan.pair, k, mu, r, plan)
+        even = _mul_mod(x & plan.pair, k, mu, r, plan, add_r)
+        odd = _mul_mod(x >> bits & plan.pair, k, mu, r, plan, add_r)
         out.append((even | odd << W).to_bytes(8 * units * width, "big")[: n * width])
     return b"".join(out)
 
@@ -268,7 +267,7 @@ def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
 def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> bytes:
     """chunk_decrypt GROUP_BLOCKS blocks at a time, for a checked header
     and body."""
-    plans, width = _layout(r), (bits + 8) // 8
+    plan, width = _layout(r), (bits + 8) // 8
     W, mu = 8 * width, (k_inv << bits + 1) // r
     region = f"{W - bits}x{bits}s"
     nblocks = len(body) // width
@@ -276,17 +275,18 @@ def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> b
     for start in range(0, nblocks, GROUP_BLOCKS):
         n = min(GROUP_BLOCKS, nblocks - start)
         units = -(-n // 8)  # zero blocks fill the last unit
-        plan = plans[(units - 1).bit_length()]
+        cut = (GROUP_BLOCKS - 8 * units) * W  # as in _packed_encrypt
+        add_r, add_w = (plan.add_r >> cut, plan.add_w >> cut) if cut else (plan.add_r, plan.add_w)
         c = int.from_bytes(body[start * width : (start + n) * width], "big") << (8 * units - n) * W
         c_even, c_odd = c & plan.split, c >> W & plan.split
-        even = _mul_mod(c_even, k_inv, mu, r, plan)
-        odd = _mul_mod(c_odd, k_inv, mu, r, plan)
-        if (c_even + plan.add_w | c_odd + plan.add_w) & plan.flag_w or (even | odd) & plan.flag_m:
+        even = _mul_mod(c_even, k_inv, mu, r, plan, add_r)
+        odd = _mul_mod(c_odd, k_inv, mu, r, plan, add_r)
+        if (c_even + add_w | c_odd + add_w) & plan.flag_w or (even | odd) & plan.flag_m:
             # Block j of the dense layout is flagged at bit (j + 1) * W if
             # c >= r and at bit j * W + bits if m >= 2**bits: the top flag
             # is the first bad block, and in it c >= r comes first.
-            bad_even = (c_even + plan.add_w) & plan.flag_w | even & plan.flag_m
-            bad_odd = (c_odd + plan.add_w) & plan.flag_w | odd & plan.flag_m
+            bad_even = (c_even + add_w) & plan.flag_w | even & plan.flag_m
+            bad_odd = (c_odd + add_w) & plan.flag_w | odd & plan.flag_m
             top = (bad_even | bad_odd << W).bit_length() - 1
             i = start + 8 * units - 1 - (top - 1) // W
             if top % W == 0:

@@ -39,23 +39,29 @@ class FrameReader:
     """Cuts frames from a stream fed in chunks of any size, in time linear in its length."""
 
     def __init__(self):
-        self.buffer = bytearray()  # dropping a prefix of a bytearray costs O(1)
+        self.buffer = bytearray()  # an incomplete frame; whole ones are cut from each chunk
 
-    def wanted(self) -> int:
-        """The bytes the next frame, or first its header, lacks: 0 or less once whole;
-        raises FrameTooLarge as soon as a header announces more than FRAME_MAX."""
-        length = int.from_bytes(self.buffer[:4], "big") if len(self.buffer) >= 4 else 0
+    def wanted(self, stream: bytes | None = None, at: int = 0) -> int:
+        """What the frame at ``stream[at:]``, or the buffered one, or first its header, lacks:
+        0 or less once whole; raises FrameTooLarge as soon as a header announces over FRAME_MAX."""
+        stream = self.buffer if stream is None else stream
+        length = int.from_bytes(stream[at:at + 4], "big") if len(stream) - at >= 4 else 0
         if length > FRAME_MAX:
             raise FrameTooLarge(f"peer announced a {length}-byte frame")
-        return 4 + length - len(self.buffer)
+        return at + 4 + length - len(stream)
 
     def feed(self, data: bytes) -> list[bytes]:  # the frames data completes, in order
-        self.buffer += data
-        frames = []
-        while (missing := self.wanted()) <= 0:
-            end = len(self.buffer) + missing
-            frames.append(bytes(self.buffer[4:end]))
-            del self.buffer[:end]
+        frames, at = [], 0
+        while self.buffer and at < len(data):  # the buffered frame takes its header, then the rest
+            self.buffer += data[at:at + (take := self.wanted())]
+            at += take
+            if self.wanted() <= 0:
+                frames.append(bytes(self.buffer[4:]))
+                self.buffer.clear()
+        while (missing := self.wanted(data, at)) <= 0:
+            frames.append(data[at + 4:len(data) + missing])
+            at = len(data) + missing
+        self.buffer += data[at:]
         return frames
 
 

@@ -36,6 +36,7 @@ from onionkep.onioncrypt import (
     PACKED_MIN_BLOCKS,
     PLAN_MODULI,
     _layout,
+    _Plan,
     build_create_payload,
     build_created_payload,
     build_extend_data,
@@ -501,23 +502,62 @@ class TestPackedPath:
                 assert outcome(oracle_decrypt, cipher, key, params) == expected
 
 
+class TestEveryUnitCount:
+    """Every unit count of a packed group, 1 to GROUP_BLOCKS / 8, as the
+    last group of a message: 8u and 8u - 7 blocks, alone and behind one
+    full group. The ciphertext matches the oracle's and decrypts back, and
+    a bad last block of either kind is named by its index. A short group's
+    adds run over constants cut to its units, so each count takes its own
+    cut."""
+
+    @pytest.mark.parametrize("r", [1019, WIDE_PRIMES[1], WIDE_PRIMES[3]],
+                             ids=lambda r: f"{r.bit_length()}b")
+    def test_every_unit_count_matches_oracle(self, r):
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        rng = random.Random(r)
+        key = key_with_reduced(params, rng.randrange(1, r))
+        full = rng.randbytes(GROUP_BLOCKS * bits // 8)
+        # A full group is whole bits-byte pieces of the bit stream, so the
+        # blocks behind it are those of the tail alone: one oracle call
+        # each keeps the quadratic oracle off the 2-group messages.
+        full_body = oracle_encrypt(full, key, params)[8:]
+        for units in range(1, GROUP_BLOCKS // 8 + 1):
+            for length in (units * bits, (units - 1) * bits + 1):  # 8u and 8u - 7 blocks
+                tail = rng.randbytes(length)
+                tail_body = oracle_encrypt(tail, key, params)[8:]
+                assert len(tail_body) // width == 8 * units - 7 * (length % bits == 1)
+                for head, head_body in ((b"", b""), (full, full_body)):
+                    plain = head + tail
+                    cipher = chunk_encrypt(plain, key, params)
+                    assert cipher == (8 * len(plain)).to_bytes(8, "big") + head_body + tail_body
+                    assert chunk_decrypt(cipher, key, params) == plain
+                    last = len(cipher[8:]) // width - 1
+                    for c, reason in ((r, ">= r"),
+                                      ((1 << bits) * key.reduced % r, "decrypts out of range")):
+                        bad = cipher[:-width] + c.to_bytes(width, "big")
+                        assert outcome(chunk_decrypt, bad, key, params) \
+                            == (MalformedPayload, f"block {last} {reason}")
+
+
 class TestPlanStore:
-    """The packed layouts are bounded: log2(GROUP_BLOCKS / 8) + 1 plans
-    per modulus, each of a bounded size, for at most PLAN_MODULI moduli."""
+    """The packed layout is bounded: one plan per modulus, of a bounded
+    size, for at most PLAN_MODULI moduli."""
 
     @pytest.mark.parametrize("bits", [64, PACKED_MAX_BITS])
     def test_plan_bytes_stay_bounded(self, bits):
         # A plan holds 2 pass masks and 9 per-slot constants, each width
-        # bytes a block, and plan sizes double up to GROUP_BLOCKS blocks:
-        # under 2 * 11 * width * GROUP_BLOCKS bytes a modulus, 176 KiB at
-        # 64 bits and 528 KiB at 192.
+        # bytes a block over GROUP_BLOCKS blocks: under 11 * width *
+        # GROUP_BLOCKS bytes a modulus, 88 KiB at 64 bits and 264 KiB at 192.
         r = prime_above(1 << bits - 1)
-        ints = [v for plan in _layout(r) for v in (*(m for m, _ in plan.passes), *plan[1:])]
-        assert sum((v.bit_length() + 7) // 8 for v in ints) < 22 * widths(r)[1] * GROUP_BLOCKS
+        plan = _layout(r)
+        ints = [*(m for m, _ in plan.passes), *plan[1:]]
+        assert sum((v.bit_length() + 7) // 8 for v in ints) < 11 * widths(r)[1] * GROUP_BLOCKS
 
     def test_plans_stay_bounded(self, params_64):
         bits16 = make_params(2, 2, WIDE_PRIMES[0])
-        # Every 61st length up to 20 000, and each length at a plan size.
+        # Every 61st length up to 20 000, and each length at a power-of-two
+        # block count.
         lengths = set(range(0, 20_001, 61))
         for params in (bits16, params_64):
             bits = params.r.bit_length() - 1
@@ -527,12 +567,12 @@ class TestPlanStore:
             for length in sorted(lengths):
                 plain = bytes(range(256)) * (length // 256) + bytes(length % 256)
                 assert chunk_decrypt(chunk_encrypt(plain, key, params), key, params) == plain
-            assert len(_layout(params.r)) == (GROUP_BLOCKS // 8).bit_length()
+            assert isinstance(_layout(params.r), _Plan)  # one plan per modulus
             assert _layout.cache_info().currsize <= PLAN_MODULI
 
     def test_new_modulus_evicts(self):
         # The plans of PLAN_MODULI = 4 moduli are kept, written out so that
-        # a larger store fails: at most 4 * 528 KiB at 192 bits.
+        # a larger store fails: at most 4 * 264 KiB at 192 bits.
         _layout.cache_clear()
         moduli = [prime_above(1 << b) for b in range(20, 25)]
         for r in moduli:

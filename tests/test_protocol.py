@@ -158,10 +158,11 @@ class TestClientExtend:
         state, send = client_extend(state, "C", charlie.public, ScriptedRng([4, 19]))
         assert state.phase == Phase.EXTENDING
         assert send.link == "B"
-        # Exactly one layer: peeling with the entry key yields the frame.
+        # Exactly one layer: peeling with the entry key yields the frame,
+        # which rides stream 0 as every control frame does.
         frame = decode_relay_frame(
             chunk_decrypt(send.cell.payload, state.hops[0].session, toy_params))
-        assert frame.subcommand == RelaySubcommand.EXTEND
+        assert (frame.subcommand, frame.stream_id) == (RelaySubcommand.EXTEND, 0)
 
     def test_extend_requires_ready(self, toy_params, toy_bob):
         state, _ = client_create(toy_params, 9, "B", toy_bob.public,
@@ -203,6 +204,21 @@ class TestNodeRelay:
         send = client_send_data(client, 5, b"hi")
         state, actions = relay_transition(state, "A", send.cell)
         assert actions == [DeliverLocal(5, b"hi")]
+
+    @pytest.mark.parametrize("subcommand", [RelaySubcommand.END, RelaySubcommand.EXTENDED],
+                             ids=lambda subcommand: subcommand.name)
+    def test_end_tears_down_and_a_frame_meant_for_clients_is_ignored(
+            self, toy_params, toy_bob, bob_node, subcommand):
+        state, [created] = relay_transition(
+            bob_node, "A", Cell(9, CellCommand.CREATE, build_create_payload(12, 40, 28, 1)))
+        client, _ = client_create(toy_params, 9, "B", toy_bob.public, ScriptedRng([3, 13]))
+        client, _ = client_handle_cell(client, created.cell)
+        after = relay_transition(state, "A", _relay(subcommand, b"")(client))
+        if subcommand == RelaySubcommand.END:
+            assert after == (replace(state, entries={}), [
+                TearDown(9, "stream ended"), SendCell("A", Cell(9, CellCommand.DESTROY))])
+        else:
+            assert after == (state, [])
 
     def test_unknown_circuit_tears_down(self, bob_node):
         state, actions = relay_transition(bob_node, "A",
@@ -483,6 +499,17 @@ class TestCircuitIds:
         state, actions = self._extend(toy_params, toy_bob, bob_node, (), to="B")
         assert actions == [TearDown(9, "extend to self"), SendCell("A", Cell(9, CellCommand.DESTROY))]
         assert (state.entries, state.nexts, state.circ_seq) == ({}, {}, 1)
+
+    def test_extended_rides_stream_0(self, toy_params, toy_bob, bob_node):
+        state, [create] = self._extend(toy_params, toy_bob, bob_node, ())
+        charlie = NodeState(name="C", params=toy_params,
+                            keypair=keypair_from_secrets(toy_params, 7, 17))
+        _, [created] = relay_transition(charlie, "B", create.cell)
+        state, [extended] = relay_transition(state, "C", created.cell)
+        frame = decode_relay_frame(
+            chunk_decrypt(extended.cell.payload, state.entries["A", 9].session, toy_params))
+        assert (frame.subcommand, frame.stream_id, frame.data) == (
+            RelaySubcommand.EXTENDED, 0, created.cell.payload)
 
     def test_created_after_the_extension_completed_is_ignored(self, toy_params, toy_bob,
                                                               bob_node):

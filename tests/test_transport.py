@@ -1,6 +1,7 @@
 """TCP transport: framing, directory service, live three-hop circuits."""
 
 import contextlib
+import itertools
 import random
 import select
 import socket
@@ -176,11 +177,15 @@ FRAMES = st.lists(st.binary(max_size=300), max_size=8)
 class TestFrameReader:
     @given(frames=FRAMES, data=st.data())
     def test_any_split_yields_the_frames_of_one_feed(self, frames, data):
+        # After each feed the reader holds only the stream's incomplete tail.
         stream = framed(frames)
+        ends = [0, *itertools.accumulate(4 + len(frame) for frame in frames)]
         cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=12)))
         reader = FrameReader()
-        got = [frame for start, end in zip([0, *cuts], [*cuts, len(stream)])
-               for frame in reader.feed(stream[start:end])]
+        got = []
+        for start, end in zip([0, *cuts], [*cuts, len(stream)]):
+            got += reader.feed(stream[start:end])
+            assert reader.buffer == stream[max(e for e in ends if e <= end):end]
         assert got == FrameReader().feed(stream) == frames
         assert reader.buffer == b"" and reader.wanted() == 4
 

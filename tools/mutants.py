@@ -11,7 +11,8 @@ with ``-x`` in a scratch copy of ``src`` and ``tests``.
 A mutant that every test passes has survived: a missing test, or code
 that nothing needs. It fails the run unless ``equivalent_mutants.json``
 beside this file lists it with the reason why no test can tell it from
-the original.
+the original. A listed mutant that a test kills fails the run too: its
+reason no longer holds, and the list must lose it.
 
     python tools/mutants.py onioncrypt --sample 40
     python tools/mutants.py modmath --list        # every site, no runs
@@ -153,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"the unmutated tests fail: {' '.join(files)}", file=sys.stderr)
             return 2
         timeout = 10 * (time.monotonic() - start) + 30
-        unlisted = []
+        unlisted, stale = [], []
         print(f"{len(sample)} of {len(every)} {args.module} mutants, seed {SEED}")
         for m in sample:
             (work / target).write_text(m.source)
@@ -162,12 +163,17 @@ def main(argv: list[str] | None = None) -> int:
                 status = "equivalent" if m.id in equivalent else "SURVIVED"
                 if m.id not in equivalent:
                     unlisted.append(m)
+            elif status == "killed" and m.id in equivalent:
+                status = "STALE"
+                stale.append(m)
             print(f"{status:10s} {m.lineno:5d}  {m.id}", flush=True)
     if unlisted:
         print(f"{len(unlisted)} survivor(s) not in {EQUIVALENTS.name}: add a test that kills each, "
               "delete the code it shows unneeded, or list it with the reason no test can")
-        return 1
-    return 0
+    if stale:
+        print(f"{len(stale)} mutant(s) listed in {EQUIVALENTS.name} were killed: "
+              "remove each from the list")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":
