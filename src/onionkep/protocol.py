@@ -343,7 +343,7 @@ def node_handle_cell(state: NodeState, from_link: str,
         if cell.command == CellCommand.CREATED:
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
-            return _NOOP, [_toward_client(state, entry, None, 0, cell.payload)]
+            return _NOOP, [_toward_client(state, entry, cell.payload, state.peel_per_hop)]
         return _teardown(entry, "destroyed by peer", onward=False)  # DESTROY
     if cell.command == CellCommand.DESTROY:
         return _NOOP, []
@@ -356,7 +356,8 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     entry = state.entries.get((prev_link, circ_id))
     if entry is None:
         raise NotReady(f"no circuit {circ_id} from {prev_link}")
-    return _toward_client(state, entry, RelaySubcommand.DATA, stream_id, data)
+    frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
+    return _toward_client(state, entry, frame, True)
 
 
 def node_drop_link(state: NodeState, link: str) -> NodeDelta:
@@ -432,19 +433,16 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
         parse_created_payload(cell.payload, state.params.residue_width)
     except OnionKepError:
         return _teardown(entry, "malformed CREATED from next hop")
-    extended = _toward_client(state, entry, RelaySubcommand.EXTENDED, 0, cell.payload)
+    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0, cell.payload))
+    extended = _toward_client(state, entry, frame, True)
     return NodeDelta(put=(replace(entry, next_pending=False),)), [extended]
 
 
-def _toward_client(state: NodeState, entry: CircuitEntry, subcommand: RelaySubcommand | None,
-                   stream_id: int, data: bytes) -> SendCell:
-    """A RELAY cell back along ``entry``'s circuit: this relay's own frame under its
-    layer or, with no ``subcommand``, the next hop's ``data``, layered if ``peel_per_hop``."""
-    if subcommand is not None:
-        data = encode_relay_frame(RelayFrame(subcommand, stream_id, data))
-    if subcommand is not None or state.peel_per_hop:
-        data = chunk_encrypt(data, entry.session, state.params)
-    return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, data))
+def _toward_client(state: NodeState, entry: CircuitEntry, payload: bytes, layer: bool) -> SendCell:
+    """A RELAY cell back along ``entry``'s circuit, under this relay's layer if ``layer``."""
+    if layer:
+        payload = chunk_encrypt(payload, entry.session, state.params)
+    return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, payload))
 
 
 def _teardown(entry: CircuitEntry, reason: str, back: bool = True,

@@ -199,6 +199,23 @@ class TestFrameReader:
         with pytest.raises(FrameTooLarge, match=f"peer announced a {length}-byte frame"):
             reader.feed(stream[-1:])
 
+    def test_cutting_cost_is_linear(self):
+        # Many small frames fed as one chunk make the reader cut the most
+        # frames from one buffer. 8 times as many may cost at most 12 times
+        # as much, best of 5 in this thread's CPU time; a cut that copies
+        # the rest of the buffer cost about 30 times. The two sizes take
+        # turns, so that a slow spell of a shared host slows both.
+        counts = (2_000, 16_000)
+        streams = [framed([bytes(16)] * count) for count in counts]
+        best = [float("inf")] * 2
+        for _ in range(5):
+            for i, stream in enumerate(streams):
+                start = time.thread_time()
+                frames = FrameReader().feed(stream)
+                best[i] = min(best[i], time.thread_time() - start)
+                assert len(frames) == counts[i]
+        assert best[1] < 12 * best[0]
+
     def test_frame_max_is_accepted(self):
         reader = FrameReader()
         assert reader.feed(FRAME_MAX.to_bytes(4, "big")) == []

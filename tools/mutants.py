@@ -12,7 +12,8 @@ A mutant that every test passes has survived: a missing test, or code
 that nothing needs. It fails the run unless ``equivalent_mutants.json``
 beside this file lists it with the reason why no test can tell it from
 the original. A listed mutant that a test kills fails the run too: its
-reason no longer holds, and the list must lose it.
+reason no longer holds, and the list must lose it. So does a listed
+mutant of the module that is no longer one of its sites, sampled or not.
 
     python tools/mutants.py onioncrypt --sample 40
     python tools/mutants.py modmath --list        # every site, no runs
@@ -141,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     sample = sorted(random.Random(SEED).sample(every, min(args.sample, len(every))),
                     key=lambda m: m.lineno)
     equivalent = json.loads(EQUIVALENTS.read_text())
+    ids = {m.id for m in every}
+    orphans = [key for key in equivalent if key.startswith(f"{args.module}:") and key not in ids]
     files = TESTS[args.module]
     target = Path("src") / "onionkep" / f"{args.module}.py"
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
@@ -167,13 +170,18 @@ def main(argv: list[str] | None = None) -> int:
                 status = "STALE"
                 stale.append(m)
             print(f"{status:10s} {m.lineno:5d}  {m.id}", flush=True)
+    for key in orphans:
+        print(f"{'ORPHAN':10s}        {key}")
     if unlisted:
         print(f"{len(unlisted)} survivor(s) not in {EQUIVALENTS.name}: add a test that kills each, "
               "delete the code it shows unneeded, or list it with the reason no test can")
     if stale:
         print(f"{len(stale)} mutant(s) listed in {EQUIVALENTS.name} were killed: "
               "remove each from the list")
-    return 1 if unlisted or stale else 0
+    if orphans:
+        print(f"{len(orphans)} mutant(s) listed in {EQUIVALENTS.name} are no {args.module} site: "
+              "remove each from the list")
+    return 1 if unlisted or stale or orphans else 0
 
 
 if __name__ == "__main__":
