@@ -71,6 +71,7 @@ from .errors import EncodingOverflow, MalformedCell, MalformedPayload
 from .nikep import SessionKey, SystemParams
 
 MAX_PAYLOAD = 65535
+MAX_CIRC_ID = 2**32 - 1  # the cell header's four bytes; a relay's ids wrap after it
 # EXTEND carries a node name behind a one-byte length; a directory
 # descriptor's name is held to the same limit.
 MAX_NAME_BYTES = 255
@@ -327,6 +328,8 @@ def key_digest(key: SessionKey) -> bytes:
 def encode_cell(cell: Cell) -> bytes:
     if len(cell.payload) > MAX_PAYLOAD:
         raise EncodingOverflow(f"payload of {len(cell.payload)} bytes exceeds cap")
+    if not 0 <= cell.circ_id <= MAX_CIRC_ID:
+        raise EncodingOverflow(f"circuit id {cell.circ_id} does not fit in 4 bytes")
     return struct.pack(">IBH", cell.circ_id, cell.command, len(cell.payload)) + cell.payload
 
 

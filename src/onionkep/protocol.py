@@ -21,10 +21,11 @@ transition returns a ``NodeDelta`` of entries to put and to forget, which
 ``Relay`` applies to both maps in place by one rule, so that a cell costs
 the same however many circuits a relay holds.
 A link may carry ids drawn by both of its ends, so their keys are kept
-apart: an EXTEND skips any id its link already has in ``entries``, and a
-CREATE on a key of ``nexts`` is refused with DESTROY; an EXTEND naming the
-relay itself is torn down before it draws an id. A runtime that cannot
-open a link feeds the relay DESTROY from it, as if the next hop refused.
+apart: an EXTEND draws the next id from ``circ_seq`` that its link carries
+in neither map, wrapping from ``MAX_CIRC_ID`` to 1, and a CREATE on a key
+of ``nexts`` is refused with DESTROY; an EXTEND naming the relay itself is
+torn down before it draws an id. A runtime that cannot open a link feeds
+the relay DESTROY from it, as if the next hop refused.
 
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
@@ -33,16 +34,8 @@ and comes back as an EXTENDED relay frame. Every confirmation payload
 carries a digest of the shared key; a mismatch fails the circuit. A client
 hop keeps only its ephemeral secret k until then and its session key after.
 A client that fails a circuit sends DESTROY to its entry hop, and loses the
-circuit with that hop's link.
-
-Two relay-layering modes exist, the ``peel_per_hop`` flag of each machine:
-
-* True (default): the client wraps relayed frames once per established
-  hop and every relay peels (forward) or adds (backward) exactly one
-  layer. This matches the nested onion data flow.
-* False: frames are wrapped only for the hop that will consume them and
-  intermediate relays forward relay cells opaquely, reproducing the
-  sequence-diagram encryptions literally.
+circuit with that hop's link. The client wraps a relay cell once per
+confirmed hop, and each relay peels (forward) or adds (backward) one layer.
 """
 
 from __future__ import annotations
@@ -66,6 +59,7 @@ from .nikep import (
 from .onioncrypt import (
     Cell,
     CellCommand,
+    MAX_CIRC_ID,
     RelayFrame,
     RelaySubcommand,
     build_create_payload,
@@ -112,7 +106,6 @@ class CircuitState:
     circ_id: int
     hops: tuple[HopKeys, ...]
     phase: Phase
-    peel_per_hop: bool = True
     failure: str | None = None
 
 
@@ -144,13 +137,12 @@ TamperFn = Callable[[str, str, Cell], Union[Cell, None]]
 
 # -- client side -------------------------------------------------------------
 
-def client_create(params: SystemParams, circ_id: int, node_name: str,
-                  node_pub: PublicConstructor, rng: random.Random,
-                  peel_per_hop: bool = True) -> tuple[CircuitState, SendCell]:
+def client_create(params: SystemParams, circ_id: int, node_name: str, node_pub: PublicConstructor,
+                  rng: random.Random) -> tuple[CircuitState, SendCell]:
     """Open a circuit to the entry node with a fresh ephemeral constructor."""
     k, payload = _offer(params, node_pub, rng)
     state = CircuitState(params=params, circ_id=circ_id, hops=(HopKeys(node_name, k),),
-                         phase=Phase.CREATING, peel_per_hop=peel_per_hop)
+                         phase=Phase.CREATING)
     return state, SendCell(node_name, Cell(circ_id, CellCommand.CREATE, payload))
 
 
@@ -263,11 +255,9 @@ def _fail(state: CircuitState, reason: str) -> tuple[CircuitState, list[Action]]
 
 
 def _layer_keys(state: CircuitState) -> list[SessionKey]:
-    """The keys that layer a relay cell, entry first: every confirmed hop,
-    or without ``peel_per_hop`` only the last one. Wrapping applies them
-    in reverse, innermost first."""
-    keys = [hop.session for hop in state.hops if hop.confirmed]
-    return keys if state.peel_per_hop else keys[-1:]
+    """The keys that layer a relay cell, one per confirmed hop, entry first.
+    Wrapping applies them in reverse, innermost first."""
+    return [hop.session for hop in state.hops if hop.confirmed]
 
 
 # -- relay (node) side -------------------------------------------------------
@@ -293,7 +283,6 @@ class NodeState:
     name: str
     params: SystemParams
     keypair: KeyPair
-    peel_per_hop: bool = True
     entries: dict[tuple[str, int], CircuitEntry] = field(default_factory=dict)
     nexts: dict[tuple[str, int], tuple[str, int]] = field(default_factory=dict)
     circ_seq: int = 1
@@ -343,7 +332,7 @@ def node_handle_cell(state: NodeState, from_link: str,
         if cell.command == CellCommand.CREATED:
             return _node_handle_created(state, entry, cell)
         if cell.command == CellCommand.RELAY:
-            return _NOOP, [_toward_client(state, entry, cell.payload, state.peel_per_hop)]
+            return _NOOP, [_toward_client(state, entry, cell.payload)]
         return _teardown(entry, "destroyed by peer", onward=False)  # DESTROY
     if cell.command == CellCommand.DESTROY:
         return _NOOP, []
@@ -357,7 +346,7 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     if entry is None:
         raise NotReady(f"no circuit {circ_id} from {prev_link}")
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
-    return _toward_client(state, entry, frame, True)
+    return _toward_client(state, entry, frame)
 
 
 def node_drop_link(state: NodeState, link: str) -> NodeDelta:
@@ -389,18 +378,15 @@ def _node_handle_create(state: NodeState, from_link: str,
 
 def _node_forward_relay(state: NodeState, entry: CircuitEntry,
                         cell: Cell) -> tuple[NodeDelta, list[Action]]:
-    payload = cell.payload
-    relaying = entry.next_link is not None and not entry.next_pending
-    if state.peel_per_hop or not relaying:
-        try:
-            payload = chunk_decrypt(payload, entry.session, state.params)
-        except OnionKepError:
-            return _teardown(entry, "malformed relay payload")
-    if relaying:
-        return _NOOP, [SendCell(entry.next_link,
-                                Cell(entry.next_circ_id, CellCommand.RELAY, payload))]
+    try:
+        payload = chunk_decrypt(cell.payload, entry.session, state.params)
+    except OnionKepError:
+        return _teardown(entry, "malformed relay payload")
     if entry.next_pending:
         return _teardown(entry, "relay before extension completed")
+    if entry.next_link is not None:
+        return _NOOP, [SendCell(entry.next_link,
+                                Cell(entry.next_circ_id, CellCommand.RELAY, payload))]
     try:
         frame = decode_relay_frame(payload)
     except OnionKepError:
@@ -412,11 +398,11 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
             return _teardown(entry, "malformed EXTEND data")
         if name == state.name:
             return _teardown(entry, "extend to self")
-        next_circ = state.circ_seq
-        while (name, next_circ) in state.entries:  # an id the link's other end drew
-            next_circ += 1
+        next_circ = state.circ_seq  # skip the ids the link carries, drawn by either end
+        while (name, next_circ) in state.entries or (name, next_circ) in state.nexts:
+            next_circ = next_circ % MAX_CIRC_ID + 1
         updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
-        return (NodeDelta(put=(updated,), circ_seq=next_circ + 1),
+        return (NodeDelta(put=(updated,), circ_seq=next_circ % MAX_CIRC_ID + 1),
                 [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))])
     if frame.subcommand == RelaySubcommand.DATA:
         return _NOOP, [DeliverLocal(frame.stream_id, frame.data)]
@@ -434,14 +420,13 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
     except OnionKepError:
         return _teardown(entry, "malformed CREATED from next hop")
     frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0, cell.payload))
-    extended = _toward_client(state, entry, frame, True)
+    extended = _toward_client(state, entry, frame)
     return NodeDelta(put=(replace(entry, next_pending=False),)), [extended]
 
 
-def _toward_client(state: NodeState, entry: CircuitEntry, payload: bytes, layer: bool) -> SendCell:
-    """A RELAY cell back along ``entry``'s circuit, under this relay's layer if ``layer``."""
-    if layer:
-        payload = chunk_encrypt(payload, entry.session, state.params)
+def _toward_client(state: NodeState, entry: CircuitEntry, payload: bytes) -> SendCell:
+    """A RELAY cell back along ``entry``'s circuit, under this relay's layer."""
+    payload = chunk_encrypt(payload, entry.session, state.params)
     return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, payload))
 
 
@@ -471,10 +456,9 @@ class Relay:
     It changes ``state.entries`` and ``state.nexts`` in place, so a TCP relay
     calls it, and reads them beyond ``len()``, on its loop thread alone."""
 
-    def __init__(self, name: str, params: SystemParams, keypair: KeyPair,
-                 peel_per_hop: bool = True, echo_data: bool = True):
+    def __init__(self, name: str, params: SystemParams, keypair: KeyPair, echo_data: bool = True):
         self.name = name
-        self.state = NodeState(name, params, keypair, peel_per_hop)
+        self.state = NodeState(name, params, keypair)
         self.echo_data = echo_data
         self.delivered: list[tuple[int, bytes]] = []
 
@@ -505,14 +489,12 @@ class Client:
     constructor is noted on ``params``, which tabulates it for ``mix`` from
     the second time on, so every client host sharing ``params`` reads the tables."""
 
-    def __init__(self, name: str, params: SystemParams, directory,
-                 rng: random.Random, peel_per_hop: bool = True):
+    def __init__(self, name: str, params: SystemParams, directory, rng: random.Random):
         self.name = name
         self.params = params
         self.params_digest = params_digest(params)
         self.directory = directory
         self.rng = rng
-        self.peel_per_hop = peel_per_hop
         self.state: CircuitState | None = None
         self.path: list = []
         self.received: list[tuple[int, bytes]] = []
@@ -526,7 +508,7 @@ class Client:
         self.path = descs
         entry = descs[0]
         self.state, send = client_create(self.params, circ_id, entry.name,
-                                         entry.public, self.rng, self.peel_per_hop)
+                                         entry.public, self.rng)
         return send
 
     def handle(self, from_name: str, cell: Cell) -> list[SendCell]:

@@ -89,8 +89,8 @@ class SimNet:
                 self.post(dst, send.link, send.cell)
 
 
-def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
-                     peel_per_hop: bool = True) -> tuple[SimNet, SimClient, dict[str, SimNode]]:
+def build_simulation(r_bits: int, seed: int,
+                     node_names=("B", "C", "D")) -> tuple[SimNet, SimClient, dict[str, SimNode]]:
     """Seeded world: parameters, registered echoing relays and one client host 'A'."""
     if "A" in node_names:
         raise ValueError("relay name 'A' clashes with the client host 'A'")
@@ -102,12 +102,12 @@ def build_simulation(r_bits: int, seed: int, node_names=("B", "C", "D"),
     nodes: dict[str, SimNode] = {}
     for name in node_names:
         keypair = gen_keypair(params, rng)
-        node = SimNode(name, params, keypair, peel_per_hop)
+        node = SimNode(name, params, keypair)
         nodes[name] = node
         sim.add_host(name, node)
         directory.register(NodeDescriptor(name=name, address=f"sim://{name}",
                                           public=keypair.public, params_digest=digest))
-    client = SimClient("A", params, directory, rng, peel_per_hop)
+    client = SimClient("A", params, directory, rng)
     sim.add_host("A", client)
     return sim, client, nodes
 

@@ -204,6 +204,13 @@ class TestSnapshot:
 
 
 class TestRecordReader:
+    def test_wire_values(self):
+        tags = {name: tag for name, tag in vars(tlv).items() if name.startswith("TAG_")}
+        assert tags == {"TAG_P": 0x01, "TAG_Q": 0x02, "TAG_R": 0x03, "TAG_X": 0x05,
+                        "TAG_K": 0x06, "TAG_PUB_P": 0x07, "TAG_PUB_Q": 0x08,
+                        "TAG_DIR_REGISTER": 0x10, "TAG_DIR_LOOKUP": 0x11, "TAG_NAME": 0x20,
+                        "TAG_ADDRESS": 0x21, "TAG_PARAMS_DIGEST": 0x22, "TAG_STATUS": 0x7F}
+
     def test_split_first(self):
         data = tlv.encode_record(0x20, b"ab") + b"rest"
         assert tlv.split_first(data) == (0x20, b"ab", b"rest")
@@ -212,6 +219,11 @@ class TestRecordReader:
     def test_split_first_needs_a_whole_record(self, data):
         with pytest.raises(MalformedKeyFile):
             tlv.split_first(data)
+
+    def test_length_reads_all_four_bytes(self):
+        # The top length byte alone announces 2^24 bytes.
+        with pytest.raises(MalformedKeyFile, match="truncated value for tag 0x20"):
+            tlv.split_first(b"\x20\x01\x00\x00\x00" + bytes(255))
 
     def test_records_are_read_without_copying_the_rest(self, monkeypatch):
         # Each record read slices a memoryview of the input, so reading n

@@ -74,15 +74,12 @@ def test_generated_params(bits, seed, r, state_digest):
     assert sha256(repr(rng.getstate()).encode()) == state_digest
 
 
-@pytest.mark.parametrize("peel_per_hop,digest", [
-    (True, "f2802e58a004d0b524e1899e3075a217b3ffd72bfa581fe6d8d1f1f56617fade"),
-    (False, "20e4ad90a4b0646ff408834a60f0ba1924f170109f2edb6e67477a7c0e39194f"),
-], ids=["peel-per-hop", "literal"])
-def test_simulator_transcript(peel_per_hop, digest):
-    sim, client, _ = build_simulation(32, 112, peel_per_hop=peel_per_hop)
+def test_simulator_transcript():
+    sim, client, _ = build_simulation(32, 112)
     run_build(sim, client, ["B", "C", "D"])
     run_send(sim, client, 1, b"golden probe")
-    assert sha256(serialize(sim.transcript)) == digest
+    assert sha256(serialize(sim.transcript)) == \
+        "f2802e58a004d0b524e1899e3075a217b3ffd72bfa581fe6d8d1f1f56617fade"
 
 
 # Every path crosses each relay link in the B->C->D direction only, so the

@@ -32,6 +32,7 @@ from onionkep.errors import EncodingOverflow, MalformedCell, MalformedPayload
 from onionkep.modmath import is_probable_prime
 from onionkep.onioncrypt import (
     GROUP_BLOCKS,
+    MAX_CIRC_ID,
     PACKED_MAX_BITS,
     PACKED_MIN_BLOCKS,
     PLAN_MODULI,
@@ -733,6 +734,17 @@ class TestCellCodec:
     def test_payload_cap(self):
         with pytest.raises(EncodingOverflow):
             encode_cell(Cell(1, CellCommand.RELAY, b"\x00" * 65536))
+
+    @pytest.mark.parametrize("circ_id", [-1, MAX_CIRC_ID + 1])
+    def test_circ_id_out_of_range(self, circ_id):
+        with pytest.raises(EncodingOverflow, match=f"circuit id {circ_id} does not fit"):
+            encode_cell(Cell(circ_id, CellCommand.DESTROY))
+
+    @pytest.mark.parametrize("circ_id, header", [(0, "00000000"), (MAX_CIRC_ID, "ffffffff")])
+    def test_circ_id_bounds_round_trip(self, circ_id, header):
+        cell = Cell(circ_id, CellCommand.DESTROY)
+        assert encode_cell(cell) == bytes.fromhex(header + "040000")
+        assert decode_cell(encode_cell(cell)) == cell
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(CellCommand)),
            st.binary(max_size=256))

@@ -22,6 +22,7 @@ from onionkep import (
 )
 from onionkep.errors import NotReady
 from onionkep.onioncrypt import (
+    MAX_CIRC_ID,
     RelayFrame,
     build_create_payload,
     build_created_payload,
@@ -480,6 +481,37 @@ class TestCircuitIds:
         assert state.circ_seq == next_id + 1
         assert not state.entries.keys() & state.nexts.keys()
 
+    @staticmethod
+    def _build_through_b(sim, first, nodes, count):
+        """``count`` new clients each build B->C->D: the ids B drew toward C."""
+        ids = []
+        for i in range(count):
+            client = SimClient(f"U{i}", first.params, first.directory, first.rng)
+            sim.add_host(client.name, client)
+            assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+            ids.append(nodes["B"].state.entries[client.name, 1].next_circ_id)
+        return ids
+
+    def test_ids_wrap_below_2_32(self):
+        # A relay at the top of the id space serves on: after MAX_CIRC_ID its
+        # draws go on at 1, never at 0, and a wrapped circuit carries data.
+        sim, first, nodes = build_simulation(16, 3)
+        nodes["B"].state = replace(nodes["B"].state, circ_seq=MAX_CIRC_ID - 1)
+        ids = self._build_through_b(sim, first, nodes, 10)
+        assert ids == [MAX_CIRC_ID - 1, MAX_CIRC_ID, *range(1, 9)]
+        assert nodes["B"].state.circ_seq == 9
+        client = sim.hosts["U9"]
+        run_send(sim, client, 1, b"after the wrap")
+        assert client.received == [(1, b"after the wrap")]
+
+    def test_a_wrapped_draw_skips_an_id_still_live_in_nexts(self):
+        sim, first, nodes = build_simulation(16, 3)
+        assert run_build(sim, first, ["B", "C", "D"]).phase == Phase.READY
+        assert nodes["B"].state.entries["A", 1].next_circ_id == 1
+        nodes["B"].state = replace(nodes["B"].state, circ_seq=MAX_CIRC_ID)
+        assert self._build_through_b(sim, first, nodes, 2) == [MAX_CIRC_ID, 2]
+        assert nodes["B"].state.circ_seq == 3
+
     def test_create_on_an_id_drawn_for_that_link_is_refused(self, toy_params, toy_bob,
                                                             bob_node):
         state, [send] = self._extend(toy_params, toy_bob, bob_node, ())
@@ -864,15 +896,3 @@ class TestRelayNeverTabulates:
         assert shared._mix_tables == before
         assert all(shared._mix_tables[pub] is rows for pub, rows in before.items())
         assert replies[True] == replies[False]
-
-
-class TestLiteralLayeringMode:
-    def test_end_to_end(self, toy_params):
-        # Figure-literal mode: relayed frames carry only the consumer's
-        # layer and intermediates forward opaquely.
-        sim, client, nodes = build_simulation(16, 3, peel_per_hop=False)
-        state = run_build(sim, client, ["B", "C", "D"])
-        assert state.phase == Phase.READY
-        run_send(sim, client, 1, b"literal mode")
-        assert nodes["D"].delivered == [(1, b"literal mode")]
-        assert client.received == [(1, b"literal mode")]

@@ -45,7 +45,8 @@ TESTS = {
     "modmath": ["tests/test_modmath.py", "tests/test_nikep.py", "tests/test_golden.py"],
     "nikep": ["tests/test_nikep.py", "tests/test_golden.py"],
     "onioncrypt": ["tests/test_onioncrypt.py"],
-    "tlv": ["tests/test_directory.py"],
+    "tlv": ["tests/test_directory.py", "tests/test_nikep.py", "tests/test_golden.py",
+            "tests/test_cli.py"],
     "directory": ["tests/test_directory.py"],
     "protocol": ["tests/test_protocol.py", "tests/test_simnet.py"],
     "simnet": ["tests/test_simnet.py", "tests/test_golden.py"],
