@@ -47,6 +47,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from . import tlv
 from .errors import InvalidValue, MalformedKeyFile
@@ -144,27 +145,23 @@ def _table_pow(rows: tuple[tuple[int, ...], ...], x: int, r: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
-class PublicConstructor:
+class PublicConstructor(NamedTuple):
     P: int
     Q: int
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(NamedTuple):
     x: int
     y: int
     k: int
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     public: PublicConstructor
     private: PrivateKey
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(NamedTuple):
     """Shared secret: raw k_s mod n plus its invertible reduction mod r."""
 
     raw: int
@@ -202,7 +199,7 @@ def keypair_from_secrets(params: SystemParams, x: int, k: int) -> KeyPair:
         t = _table_pow(params._p_table, x, params.r)
         P = _by_crt(params, _pow_pq(params, p, 2 * x) * k, t * t * k)
         Q = _by_crt(params, _pow_pq(params, p, y) * k, p * pow(t, -1, params.r) * k)
-    return KeyPair(public=PublicConstructor(P=P, Q=Q), private=PrivateKey(x=x, y=y, k=k))
+    return KeyPair(PublicConstructor(P, Q), PrivateKey(x, y, k))
 
 
 def gen_keypair(params: SystemParams, rng: random.Random,

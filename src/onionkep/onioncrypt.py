@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
@@ -91,15 +90,22 @@ class RelaySubcommand(IntEnum):
     END = 0x05
 
 
-@dataclass(frozen=True)
-class Cell:
+# The members again as module names, for the circuit path: on CPython 3.11
+# reading a member off its Enum class is a descriptor call. The decoders
+# map a wire byte to its member through one dict per enum.
+CREATE, CREATED, RELAY, DESTROY = CellCommand
+EXTEND, EXTENDED, DATA, END = RelaySubcommand
+_COMMANDS = {c.value: c for c in CellCommand}
+_SUBCOMMANDS = {s.value: s for s in RelaySubcommand}
+
+
+class Cell(NamedTuple):
     circ_id: int
     command: CellCommand
     payload: bytes = b""
 
 
-@dataclass(frozen=True)
-class RelayFrame:
+class RelayFrame(NamedTuple):
     subcommand: RelaySubcommand
     stream_id: int
     data: bytes = b""
@@ -336,14 +342,13 @@ def encode_cell(cell: Cell) -> bytes:
 def decode_cell(data: bytes) -> Cell:
     if len(data) < 7:
         raise MalformedCell(f"cell of {len(data)} bytes is shorter than the header")
-    circ_id, command, length = struct.unpack(">IBH", data[:7])
-    try:
-        command = CellCommand(command)
-    except ValueError:
-        raise MalformedCell(f"command byte {command:#04x}") from None
+    circ_id, byte, length = struct.unpack(">IBH", data[:7])
+    command = _COMMANDS.get(byte)
+    if command is None:
+        raise MalformedCell(f"command byte {byte:#04x}")
     if len(data) != 7 + length:
         raise MalformedCell(f"declared {length} payload bytes, got {len(data) - 7}")
-    return Cell(circ_id=circ_id, command=command, payload=data[7:])
+    return Cell(circ_id, command, data[7:])
 
 
 # -- relay frame codec -------------------------------------------------------
@@ -357,14 +362,13 @@ def encode_relay_frame(frame: RelayFrame) -> bytes:
 def decode_relay_frame(data: bytes) -> RelayFrame:
     if len(data) < 5:
         raise MalformedCell(f"frame of {len(data)} bytes is shorter than the header")
-    sub, stream_id, length = struct.unpack(">BHH", data[:5])
-    try:
-        sub = RelaySubcommand(sub)
-    except ValueError:
-        raise MalformedCell(f"subcommand byte {sub:#04x}") from None
+    byte, stream_id, length = struct.unpack(">BHH", data[:5])
+    sub = _SUBCOMMANDS.get(byte)
+    if sub is None:
+        raise MalformedCell(f"subcommand byte {byte:#04x}")
     if len(data) != 5 + length:
         raise MalformedCell(f"declared {length} data bytes, got {len(data) - 5}")
-    return RelayFrame(subcommand=sub, stream_id=stream_id, data=data[5:])
+    return RelayFrame(sub, stream_id, data[5:])
 
 
 # -- structured payload helpers ---------------------------------------------

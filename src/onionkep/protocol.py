@@ -1,9 +1,10 @@
 """Client and relay state machines for telescoping circuit construction.
 
 Every transition is a pure function from (state, input cell) to (new
-state, or on a relay a delta, and an ordered list of output actions);
-states are frozen dataclasses and nothing here performs I/O, so identical
-inputs always replay to identical outputs.
+state, or on a relay a delta, and an ordered list of output actions).
+States are frozen dataclasses; cells, frames and actions are tuples
+(``NamedTuple``), the cheaper to build on the circuit path. Nothing here
+performs I/O, so identical inputs always replay to identical outputs.
 
 Every protocol rule lives here once. ``Client`` is the one client host,
 which drives its build through ``client_step``, and ``Relay`` the one
@@ -43,7 +44,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import NotReady, OnionKepError, ParamsMismatch
 from .nikep import (
@@ -57,9 +58,9 @@ from .nikep import (
     params_digest,
 )
 from .onioncrypt import (
-    Cell,
-    CellCommand,
+    CREATE, CREATED, DATA, DESTROY, END, EXTEND, EXTENDED, RELAY,
     MAX_CIRC_ID,
+    Cell,
     RelayFrame,
     RelaySubcommand,
     build_create_payload,
@@ -89,6 +90,11 @@ class Phase(Enum):
     FAILED = "failed"
 
 
+# Module names of the members, as in onioncrypt: reading a member off its
+# Enum class is a descriptor call on CPython 3.11.
+CREATING, EXTENDING, READY, FAILED = Phase
+
+
 @dataclass(frozen=True)
 class HopKeys:
     node_name: str
@@ -111,20 +117,17 @@ class CircuitState:
 
 # -- actions -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SendCell:
+class SendCell(NamedTuple):
     link: str
     cell: Cell
 
 
-@dataclass(frozen=True)
-class DeliverLocal:
+class DeliverLocal(NamedTuple):
     stream_id: int
     data: bytes
 
 
-@dataclass(frozen=True)
-class TearDown:
+class TearDown(NamedTuple):
     circ_id: int
     reason: str
 
@@ -142,37 +145,37 @@ def client_create(params: SystemParams, circ_id: int, node_name: str, node_pub: 
     """Open a circuit to the entry node with a fresh ephemeral constructor."""
     k, payload = _offer(params, node_pub, rng)
     state = CircuitState(params=params, circ_id=circ_id, hops=(HopKeys(node_name, k),),
-                         phase=Phase.CREATING)
-    return state, SendCell(node_name, Cell(circ_id, CellCommand.CREATE, payload))
+                         phase=CREATING)
+    return state, SendCell(node_name, Cell(circ_id, CREATE, payload))
 
 
 def client_extend(state: CircuitState, node_name: str, node_pub: PublicConstructor,
                   rng: random.Random) -> tuple[CircuitState, SendCell]:
     """Tunnel an EXTEND frame for the next hop through the built prefix."""
-    if state.phase != Phase.READY:
+    if state.phase != READY:
         raise NotReady(f"cannot extend a circuit in phase {state.phase.value}")
     k, create = _offer(state.params, node_pub, rng)
-    send = _client_relay(state, RelaySubcommand.EXTEND, 0, build_extend_data(node_name, create))
-    return replace(state, hops=state.hops + (HopKeys(node_name, k),),
-                   phase=Phase.EXTENDING), send
+    send = _client_relay(state, EXTEND, 0, build_extend_data(node_name, create))
+    hops = state.hops + (HopKeys(node_name, k),)
+    return CircuitState(state.params, state.circ_id, hops, EXTENDING), send
 
 
 def client_send_data(state: CircuitState, stream_id: int, data: bytes) -> SendCell:
     """Wrap application data for the exit hop; innermost layer is the exit key."""
-    if state.phase != Phase.READY:
+    if state.phase != READY:
         raise NotReady(f"cannot send on a circuit in phase {state.phase.value}")
-    return _client_relay(state, RelaySubcommand.DATA, stream_id, data)
+    return _client_relay(state, DATA, stream_id, data)
 
 
 def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, list[Action]]:
     """Feed one inbound cell to the client machine."""
-    if cell.circ_id != state.circ_id or state.phase == Phase.FAILED:
+    if cell.circ_id != state.circ_id or state.phase == FAILED:
         return state, []
-    if cell.command == CellCommand.CREATED:
-        return _confirm_hop(state, Phase.CREATING, cell.payload, "CREATED payload")
-    if cell.command == CellCommand.DESTROY:
-        return replace(state, phase=Phase.FAILED, failure="destroyed by relay"), []
-    if cell.command != CellCommand.RELAY:
+    if cell.command == CREATED:
+        return _confirm_hop(state, CREATING, cell.payload, "CREATED payload")
+    if cell.command == DESTROY:
+        return replace(state, phase=FAILED, failure="destroyed by relay"), []
+    if cell.command != RELAY:
         return state, []
     payload = cell.payload
     try:
@@ -181,9 +184,9 @@ def client_handle_cell(state: CircuitState, cell: Cell) -> tuple[CircuitState, l
         frame = decode_relay_frame(payload)
     except OnionKepError:
         return _fail(state, "malformed relay payload")
-    if frame.subcommand == RelaySubcommand.EXTENDED:
-        return _confirm_hop(state, Phase.EXTENDING, frame.data, "EXTENDED data")
-    if frame.subcommand == RelaySubcommand.DATA:
+    if frame.subcommand == EXTENDED:
+        return _confirm_hop(state, EXTENDING, frame.data, "EXTENDED data")
+    if frame.subcommand == DATA:
         return state, [DeliverLocal(frame.stream_id, frame.data)]
     return state, []
 
@@ -193,7 +196,7 @@ def client_step(state: CircuitState, cell: Cell, path,
     """Build driver: feed one cell, then, once the built prefix is READY,
     extend toward the next descriptor (``name``, ``public``) of ``path``."""
     state, actions = client_handle_cell(state, cell)
-    if state.phase == Phase.READY and len(state.hops) < len(path):
+    if state.phase == READY and len(state.hops) < len(path):
         desc = path[len(state.hops)]
         state, send = client_extend(state, desc.name, desc.public, rng)
         actions = actions + [send]
@@ -213,7 +216,7 @@ def _client_relay(state: CircuitState, subcommand: RelaySubcommand, stream_id: i
     """One relay frame, layered for the built prefix, to the entry node."""
     frame = encode_relay_frame(RelayFrame(subcommand, stream_id, data))
     payload = onion_wrap(frame, _layer_keys(state)[::-1], state.params)
-    return SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.RELAY, payload))
+    return SendCell(state.hops[0].node_name, Cell(state.circ_id, RELAY, payload))
 
 
 def _confirm_hop(state: CircuitState, phase: Phase, payload: bytes,
@@ -235,22 +238,22 @@ def _confirm_hop(state: CircuitState, phase: Phase, payload: bytes,
     if key_digest(session) != digest:
         return _fail(state, "key digest mismatch")
     hops = state.hops[:-1] + (HopKeys(hop.node_name, None, session),)
-    return replace(state, hops=hops, phase=Phase.READY), []
+    return CircuitState(state.params, state.circ_id, hops, READY), []
 
 
 def client_drop_link(state: CircuitState, link: str) -> tuple[CircuitState, list[Action]]:
     """Losing the entry hop's link fails a live circuit; no other link is its own."""
-    if link != state.hops[0].node_name or state.phase == Phase.FAILED:
+    if link != state.hops[0].node_name or state.phase == FAILED:
         return state, []
     lost = "entry link lost"
-    return replace(state, phase=Phase.FAILED, failure=lost), [TearDown(state.circ_id, lost)]
+    return replace(state, phase=FAILED, failure=lost), [TearDown(state.circ_id, lost)]
 
 
 def _fail(state: CircuitState, reason: str) -> tuple[CircuitState, list[Action]]:
     """Fail the circuit for ``reason`` and DESTROY it at the entry hop, which passes it on."""
     tagged = f"{INTEGRITY_FAILURE}: {reason}"
-    failed = replace(state, phase=Phase.FAILED, failure=tagged)
-    destroy = SendCell(state.hops[0].node_name, Cell(state.circ_id, CellCommand.DESTROY))
+    failed = replace(state, phase=FAILED, failure=tagged)
+    destroy = SendCell(state.hops[0].node_name, Cell(state.circ_id, DESTROY))
     return failed, [TearDown(state.circ_id, tagged), destroy]
 
 
@@ -317,24 +320,24 @@ def _apply(state: NodeState, delta: NodeDelta) -> NodeState:
 def node_handle_cell(state: NodeState, from_link: str,
                      cell: Cell) -> tuple[NodeDelta, list[Action]]:
     """Feed one inbound cell to the relay machine."""
-    if cell.command == CellCommand.CREATE:
+    if cell.command == CREATE:
         return _node_handle_create(state, from_link, cell)
     entry = state.entries.get((from_link, cell.circ_id))
     if entry is not None:
-        if cell.command == CellCommand.RELAY:
+        if cell.command == RELAY:
             return _node_forward_relay(state, entry, cell)
-        if cell.command == CellCommand.DESTROY:
+        if cell.command == DESTROY:
             return _teardown(entry, "destroyed by peer", back=False)
         return _NOOP, []
     key = state.nexts.get((from_link, cell.circ_id))
     if key is not None:
         entry = state.entries[key]
-        if cell.command == CellCommand.CREATED:
+        if cell.command == CREATED:
             return _node_handle_created(state, entry, cell)
-        if cell.command == CellCommand.RELAY:
+        if cell.command == RELAY:
             return _NOOP, [_toward_client(state, entry, cell.payload)]
         return _teardown(entry, "destroyed by peer", onward=False)  # DESTROY
-    if cell.command == CellCommand.DESTROY:
+    if cell.command == DESTROY:
         return _NOOP, []
     return _refuse(from_link, cell.circ_id, "unknown circuit")
 
@@ -345,7 +348,7 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
     entry = state.entries.get((prev_link, circ_id))
     if entry is None:
         raise NotReady(f"no circuit {circ_id} from {prev_link}")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.DATA, stream_id, data))
+    frame = encode_relay_frame(RelayFrame(DATA, stream_id, data))
     return _toward_client(state, entry, frame)
 
 
@@ -372,7 +375,7 @@ def _node_handle_create(state: NodeState, from_link: str,
     reply = mix(state.params, PublicConstructor(P=eph_p, Q=eph_q), state.keypair.private)
     payload = build_created_payload(reply, key_digest(session), width)
     entry = CircuitEntry(circ_id=cell.circ_id, prev_link=from_link, session=session)
-    send = SendCell(from_link, Cell(cell.circ_id, CellCommand.CREATED, payload))
+    send = SendCell(from_link, Cell(cell.circ_id, CREATED, payload))
     return NodeDelta(put=(entry,)), [send]
 
 
@@ -385,13 +388,12 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
     if entry.next_pending:
         return _teardown(entry, "relay before extension completed")
     if entry.next_link is not None:
-        return _NOOP, [SendCell(entry.next_link,
-                                Cell(entry.next_circ_id, CellCommand.RELAY, payload))]
+        return _NOOP, [SendCell(entry.next_link, Cell(entry.next_circ_id, RELAY, payload))]
     try:
         frame = decode_relay_frame(payload)
     except OnionKepError:
         return _teardown(entry, "unparseable relay frame")
-    if frame.subcommand == RelaySubcommand.EXTEND:
+    if frame.subcommand == EXTEND:
         try:
             name, create = parse_extend_data(frame.data, state.params.residue_width)
         except OnionKepError:
@@ -401,12 +403,12 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
         next_circ = state.circ_seq  # skip the ids the link carries, drawn by either end
         while (name, next_circ) in state.entries or (name, next_circ) in state.nexts:
             next_circ = next_circ % MAX_CIRC_ID + 1
-        updated = replace(entry, next_link=name, next_circ_id=next_circ, next_pending=True)
+        updated = CircuitEntry(entry.circ_id, entry.prev_link, entry.session, name, next_circ, True)
         return (NodeDelta(put=(updated,), circ_seq=next_circ % MAX_CIRC_ID + 1),
-                [SendCell(name, Cell(next_circ, CellCommand.CREATE, create))])
-    if frame.subcommand == RelaySubcommand.DATA:
+                [SendCell(name, Cell(next_circ, CREATE, create))])
+    if frame.subcommand == DATA:
         return _NOOP, [DeliverLocal(frame.stream_id, frame.data)]
-    if frame.subcommand == RelaySubcommand.END:
+    if frame.subcommand == END:
         return _teardown(entry, "stream ended")
     return _NOOP, []
 
@@ -419,15 +421,17 @@ def _node_handle_created(state: NodeState, entry: CircuitEntry,
         parse_created_payload(cell.payload, state.params.residue_width)
     except OnionKepError:
         return _teardown(entry, "malformed CREATED from next hop")
-    frame = encode_relay_frame(RelayFrame(RelaySubcommand.EXTENDED, 0, cell.payload))
+    frame = encode_relay_frame(RelayFrame(EXTENDED, 0, cell.payload))
     extended = _toward_client(state, entry, frame)
-    return NodeDelta(put=(replace(entry, next_pending=False),)), [extended]
+    done = CircuitEntry(entry.circ_id, entry.prev_link, entry.session, entry.next_link,
+                        entry.next_circ_id)
+    return NodeDelta(put=(done,)), [extended]
 
 
 def _toward_client(state: NodeState, entry: CircuitEntry, payload: bytes) -> SendCell:
     """A RELAY cell back along ``entry``'s circuit, under this relay's layer."""
     payload = chunk_encrypt(payload, entry.session, state.params)
-    return SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.RELAY, payload))
+    return SendCell(entry.prev_link, Cell(entry.circ_id, RELAY, payload))
 
 
 def _teardown(entry: CircuitEntry, reason: str, back: bool = True,
@@ -437,15 +441,15 @@ def _teardown(entry: CircuitEntry, reason: str, back: bool = True,
     link name: ``prev_link`` may equal ``next_link``."""
     actions: list[Action] = [TearDown(entry.circ_id, reason)]
     if back:
-        actions.append(SendCell(entry.prev_link, Cell(entry.circ_id, CellCommand.DESTROY)))
+        actions.append(SendCell(entry.prev_link, Cell(entry.circ_id, DESTROY)))
     if onward and entry.next_link is not None:
-        actions.append(SendCell(entry.next_link, Cell(entry.next_circ_id, CellCommand.DESTROY)))
+        actions.append(SendCell(entry.next_link, Cell(entry.next_circ_id, DESTROY)))
     return NodeDelta(forget=(entry,)), actions
 
 
 def _refuse(link: str, circ_id: int, reason: str) -> tuple[NodeDelta, list[Action]]:
     """Answer a cell that no circuit takes with DESTROY on its own link."""
-    return _NOOP, [TearDown(circ_id, reason), SendCell(link, Cell(circ_id, CellCommand.DESTROY))]
+    return _NOOP, [TearDown(circ_id, reason), SendCell(link, Cell(circ_id, DESTROY))]
 
 
 # -- relay host --------------------------------------------------------------
@@ -464,7 +468,8 @@ class Relay:
 
     def handle(self, link: str, cell: Cell) -> list[SendCell]:
         delta, actions = node_handle_cell(self.state, link, cell)
-        self.state = _apply(self.state, delta)
+        if delta is not _NOOP:
+            self.state = _apply(self.state, delta)
         sends = [a for a in actions if isinstance(a, SendCell)]
         for action in actions:
             if isinstance(action, DeliverLocal):

@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .directory import Directory, NodeDescriptor
 from .errors import StepBudgetExceeded
 from . import protocol
 from .nikep import gen_keypair, gen_params, params_digest
-from .onioncrypt import Cell, CellCommand, encode_cell
+from .onioncrypt import CREATE, DESTROY, Cell, encode_cell
 from .protocol import CircuitState, TamperFn
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
+class TranscriptEntry(NamedTuple):
     step: int
     direction: str
     data: bytes
@@ -70,9 +69,8 @@ class SimNet:
             self.step += 1
             if self.step > self.step_budget:
                 raise StepBudgetExceeded(f"exceeded {self.step_budget} steps")
-            if cell.command == CellCommand.CREATE and not isinstance(
-                    self.hosts.get(dst), protocol.Relay):
-                for send in self.hosts[src].handle(dst, Cell(cell.circ_id, CellCommand.DESTROY)):
+            if cell.command == CREATE and not isinstance(self.hosts.get(dst), protocol.Relay):
+                for send in self.hosts[src].handle(dst, Cell(cell.circ_id, DESTROY)):
                     self.post(src, send.link, send.cell)
                 continue
             if dst not in self.hosts:

@@ -22,7 +22,7 @@ from . import protocol, tlv
 from .directory import Directory, NodeDescriptor, decode_descriptor, encode_descriptor, read_answer
 from .errors import FrameTooLarge, NotReady, OnionKepError
 from .nikep import KeyPair, SystemParams, params_digest
-from .onioncrypt import Cell, CellCommand, decode_cell, encode_cell
+from .onioncrypt import DESTROY, Cell, decode_cell, encode_cell
 from .protocol import CircuitState, Phase, TamperFn
 
 FRAME_MAX = 70_000
@@ -282,7 +282,7 @@ class NodeServer(protocol.Relay, _Server):
         if sock is not None:
             return self._add(self._links[name], sock)
         for frame in FrameReader().feed(self._links.pop(name).out):
-            self._send(self.handle(name, Cell(decode_cell(frame).circ_id, CellCommand.DESTROY)))
+            self._send(self.handle(name, Cell(decode_cell(frame).circ_id, DESTROY)))
 
 
 # -- circuit client over TCP -------------------------------------------------

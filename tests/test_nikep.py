@@ -348,6 +348,11 @@ class TestPrefixAttack:
         with pytest.raises(InvalidValue, match="^prefix attack as stated requires p = q = 2$"):
             prefix_recover(make_params(3, 5, 11), 4, 8)
 
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2)])
+    def test_one_factor_of_2_is_not_enough(self, p, q):
+        with pytest.raises(InvalidValue, match="^prefix attack as stated requires p = q = 2$"):
+            prefix_recover(make_params(p, q, 11), 4, 8)
+
 
 class TestKeySizes:
     def test_1024_bit_modulus(self):

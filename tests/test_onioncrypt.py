@@ -28,6 +28,7 @@ from onionkep import (
     onion_wrap,
     reduce_key,
 )
+from onionkep import onioncrypt
 from onionkep.errors import EncodingOverflow, MalformedCell, MalformedPayload
 from onionkep.modmath import is_probable_prime
 from onionkep.onioncrypt import (
@@ -710,6 +711,25 @@ class TestCellCodec:
         assert {c.name: c.value for c in RelaySubcommand} \
             == {"EXTEND": 1, "EXTENDED": 2, "DATA": 3, "END": 5}
 
+    def test_module_names_are_the_members(self):
+        for member in CellCommand:
+            assert getattr(onioncrypt, member.name) is member
+        for member in RelaySubcommand:
+            assert getattr(onioncrypt, member.name) is member
+
+    def test_every_command_byte(self):
+        # Each assigned byte decodes to its member and every other byte is
+        # refused by value, so a wrong entry of the byte table fails here.
+        members = {1: CellCommand.CREATE, 2: CellCommand.CREATED, 3: CellCommand.RELAY,
+                   4: CellCommand.DESTROY}
+        for byte in range(256):
+            data = bytes([0, 0, 0, 1, byte, 0, 0])
+            if byte in members:
+                assert decode_cell(data).command is members[byte]
+            else:
+                with pytest.raises(MalformedCell, match=f"^command byte {byte:#04x}$"):
+                    decode_cell(data)
+
     def test_worked_layout(self):
         cell = Cell(1, CellCommand.CREATE, b"")
         assert encode_cell(cell) == bytes.fromhex("00000001010000")
@@ -758,6 +778,17 @@ class TestRelayFrameCodec:
     def test_unknown_subcommand(self):
         with pytest.raises(MalformedCell, match="subcommand byte 0xff"):
             decode_relay_frame(bytes.fromhex("ff00010000"))
+
+    def test_every_subcommand_byte(self):
+        members = {1: RelaySubcommand.EXTEND, 2: RelaySubcommand.EXTENDED,
+                   3: RelaySubcommand.DATA, 5: RelaySubcommand.END}
+        for byte in range(256):
+            data = bytes([byte, 0, 1, 0, 0])
+            if byte in members:
+                assert decode_relay_frame(data).subcommand is members[byte]
+            else:
+                with pytest.raises(MalformedCell, match=f"^subcommand byte {byte:#04x}$"):
+                    decode_relay_frame(data)
 
     def test_truncated(self):
         with pytest.raises(MalformedCell, match="declared 5 data bytes, got 1"):

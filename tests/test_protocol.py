@@ -1,5 +1,6 @@
 """Client/relay state machines: toy traces, failure paths, purity."""
 
+import inspect
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -20,7 +21,9 @@ from onionkep import (
     mix,
     reduce_key,
 )
+from onionkep import protocol
 from onionkep.errors import NotReady
+from onionkep.nikep import KeyPair, PrivateKey, PublicConstructor, SessionKey
 from onionkep.onioncrypt import (
     MAX_CIRC_ID,
     RelayFrame,
@@ -49,7 +52,7 @@ from onionkep.protocol import (
     node_handle_cell,
     node_reply_data,
 )
-from onionkep.simnet import SimClient, build_simulation, run_build, run_send
+from onionkep.simnet import SimClient, TranscriptEntry, build_simulation, run_build, run_send
 from conftest import (ScriptedRng, check_hop_keys, node_apply, raw_extend_cell, session_keys,
                       tabulate)
 
@@ -896,3 +899,43 @@ class TestRelayNeverTabulates:
         assert shared._mix_tables == before
         assert all(shared._mix_tables[pub] is rows for pub, rows in before.items())
         assert replies[True] == replies[False]
+
+
+# The records every cell, frame, action and handshake creates: each with
+# its fields in order and their defaults.
+RECORDS = [pytest.param(cls, fields, defaults, id=cls.__name__) for cls, fields, defaults in [
+    (Cell, ("circ_id", "command", "payload"), {"payload": b""}),
+    (RelayFrame, ("subcommand", "stream_id", "data"), {"data": b""}),
+    (SendCell, ("link", "cell"), {}),
+    (DeliverLocal, ("stream_id", "data"), {}),
+    (TearDown, ("circ_id", "reason"), {}),
+    (TranscriptEntry, ("step", "direction", "data"), {}),
+    (PublicConstructor, ("P", "Q"), {}),
+    (PrivateKey, ("x", "y", "k"), {}),
+    (KeyPair, ("public", "private"), {}),
+    (SessionKey, ("raw", "reduced", "reduced_inv"), {}),
+]]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, defaults", RECORDS)
+    def test_fields_in_order_with_defaults(self, cls, fields, defaults):
+        params = inspect.signature(cls).parameters
+        assert tuple(params) == fields
+        assert {name: p.default for name, p in params.items()
+                if p.default is not p.empty} == defaults
+        record = cls(**{name: i for i, name in enumerate(fields)})
+        assert [getattr(record, name) for name in fields] == list(range(len(fields)))
+
+    @pytest.mark.parametrize("cls, fields, defaults", RECORDS)
+    def test_immutable_and_hashable(self, cls, fields, defaults):
+        record = cls(*range(len(fields)))
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, -1)
+        twin = cls(*range(len(fields)))
+        assert twin == record and hash(twin) == hash(record)
+
+    def test_module_names_are_the_phases(self):
+        for phase in Phase:
+            assert getattr(protocol, phase.name) is phase

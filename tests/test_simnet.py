@@ -10,7 +10,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 from onionkep import Cell, CellCommand, decode_cell
 from onionkep.errors import StepBudgetExceeded
 from onionkep.protocol import Phase, client_create, client_extend, client_send_data
-from onionkep.simnet import SimClient, build_simulation, run_build, run_send
+from onionkep.simnet import SimClient, SimNet, build_simulation, run_build, run_send
 from conftest import (built_tables, check_hop_keys, on_link, raw_extend_cell, serialize,
                       session_keys)
 
@@ -365,6 +365,9 @@ TestSimNetLinkModel = SimNetLinkModel.TestCase
 
 
 class TestStepBudget:
+    def test_default_budget(self):
+        assert SimNet().step_budget == 100_000
+
     def test_budget_enforced(self):
         sim, client, _ = build_simulation(16, 7)
         sim.step_budget = 3
