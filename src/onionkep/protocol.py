@@ -14,19 +14,16 @@ rule: every parse, chunk decrypt and session-key derivation fails with an
 ``OnionKepError`` subclass, and the machines catch that base class to fail
 only the circuit the bytes arrived on.
 
-A relay finds a circuit from the (link, circ_id) a cell arrives with, in
-two maps of its NodeState: ``entries`` is keyed by the previous hop's side,
-(prev_link, circ_id), and ``nexts`` by the next hop's side,
-(next_link, next_circ_id), pointing back at the ``entries`` key. A relay
-transition returns a ``NodeDelta`` of entries to put and to forget, which
-``Relay`` applies to both maps in place by one rule, so that a cell costs
-the same however many circuits a relay holds.
-A link may carry ids drawn by both of its ends, so their keys are kept
-apart: an EXTEND draws the next id from ``circ_seq`` that its link carries
-in neither map, wrapping from ``MAX_CIRC_ID`` to 1, and a CREATE on a key
-of ``nexts`` is refused with DESTROY; an EXTEND naming the relay itself is
-torn down before it draws an id. A runtime that cannot open a link feeds
-the relay DESTROY from it, as if the next hop refused.
+A relay asks every question about a link of one index, ``NodeState.by_link``,
+which holds both ends of each circuit and no link without one: the circuit a
+cell from a next hop names, the ids a link carries, the circuits its loss
+ends. ``Relay`` applies each transition's ``NodeDelta`` in place by one
+rule, so a cell or a lost link costs the same however many other circuits
+the relay holds. An EXTEND draws the next id from ``circ_seq`` that its
+link does not carry, wrapping from ``MAX_CIRC_ID`` to 1, and a CREATE on an
+id the link carries toward a next hop is refused with DESTROY. A runtime
+that cannot open a link feeds the relay DESTROY from it, as if the next hop
+refused.
 
 Circuit build runs hop by hop: CREATE/CREATED establishes the entry hop,
 then each extension travels as an EXTEND relay frame tunnelled through the
@@ -283,11 +280,13 @@ class CircuitEntry:
 
 @dataclass(frozen=True)
 class NodeState:
+    """``entries``: (prev_link, circ_id) -> circuit; ``by_link``: link -> circ_id -> that key."""
+
     name: str
     params: SystemParams
     keypair: KeyPair
     entries: dict[tuple[str, int], CircuitEntry] = field(default_factory=dict)
-    nexts: dict[tuple[str, int], tuple[str, int]] = field(default_factory=dict)
+    by_link: dict[str, dict[int, tuple[str, int]]] = field(default_factory=dict)
     circ_seq: int = 1
 
 
@@ -304,16 +303,20 @@ _NOOP = NodeDelta()
 
 
 def _apply(state: NodeState, delta: NodeDelta) -> NodeState:
-    """The one rule that changes a relay's maps, in place: each ``nexts``
-    key is read off its entry, and a new ``circ_seq`` shares the maps."""
+    """The one rule that changes a relay's maps, in place: both ends of each
+    entry are read off it, and a new ``circ_seq`` shares the maps."""
     for entry in delta.forget:
         del state.entries[entry.key]
-        if entry.next_link is not None:
-            del state.nexts[entry.next_link, entry.next_circ_id]
+        for link, circ_id in (entry.key, (entry.next_link, entry.next_circ_id)):
+            if link is not None:
+                del state.by_link[link][circ_id]
+                if not state.by_link[link]:
+                    del state.by_link[link]
     for entry in delta.put:
         state.entries[entry.key] = entry
+        state.by_link.setdefault(entry.prev_link, {})[entry.circ_id] = entry.key
         if entry.next_link is not None:
-            state.nexts[entry.next_link, entry.next_circ_id] = entry.key
+            state.by_link.setdefault(entry.next_link, {})[entry.next_circ_id] = entry.key
     return state if delta.circ_seq is None else replace(state, circ_seq=delta.circ_seq)
 
 
@@ -329,7 +332,7 @@ def node_handle_cell(state: NodeState, from_link: str,
         if cell.command == DESTROY:
             return _teardown(entry, "destroyed by peer", back=False)
         return _NOOP, []
-    key = state.nexts.get((from_link, cell.circ_id))
+    key = state.by_link.get(from_link, {}).get(cell.circ_id)  # the next hop's side
     if key is not None:
         entry = state.entries[key]
         if cell.command == CREATED:
@@ -353,10 +356,10 @@ def node_reply_data(state: NodeState, circ_id: int, prev_link: str,
 
 
 def node_drop_link(state: NodeState, link: str) -> NodeDelta:
-    """Forget every circuit riding on a lost link, in either direction. No
-    DESTROY goes to the other neighbour, so relays further along keep them."""
-    return NodeDelta(forget=tuple(e for e in state.entries.values()
-                                  if link in (e.prev_link, e.next_link)))
+    """Forget every circuit riding on a lost link, in either direction, once.
+    No DESTROY goes to the other neighbour, so relays further along keep them."""
+    keys = dict.fromkeys(state.by_link.get(link, {}).values())
+    return NodeDelta(forget=tuple(state.entries[key] for key in keys))
 
 
 def _node_handle_create(state: NodeState, from_link: str,
@@ -364,7 +367,7 @@ def _node_handle_create(state: NodeState, from_link: str,
     existing = state.entries.get((from_link, cell.circ_id))
     if existing is not None:
         return _teardown(existing, "duplicate CREATE")
-    if (from_link, cell.circ_id) in state.nexts:
+    if cell.circ_id in state.by_link.get(from_link, ()):
         return _refuse(from_link, cell.circ_id, "circuit id in use")
     width = state.params.residue_width
     try:
@@ -401,7 +404,7 @@ def _node_forward_relay(state: NodeState, entry: CircuitEntry,
         if name == state.name:
             return _teardown(entry, "extend to self")
         next_circ = state.circ_seq  # skip the ids the link carries, drawn by either end
-        while (name, next_circ) in state.entries or (name, next_circ) in state.nexts:
+        while next_circ in state.by_link.get(name, ()):
             next_circ = next_circ % MAX_CIRC_ID + 1
         updated = CircuitEntry(entry.circ_id, entry.prev_link, entry.session, name, next_circ, True)
         return (NodeDelta(put=(updated,), circ_seq=next_circ % MAX_CIRC_ID + 1),
@@ -457,7 +460,7 @@ def _refuse(link: str, circ_id: int, reason: str) -> tuple[NodeDelta, list[Actio
 class Relay:
     """The relay host of both runtimes: owns one NodeState, keeps its latest
     exit deliveries and, unless ``echo_data`` is false, echoes each one back.
-    It changes ``state.entries`` and ``state.nexts`` in place, so a TCP relay
+    It changes ``state.entries`` and ``state.by_link`` in place, so a TCP relay
     calls it, and reads them beyond ``len()``, on its loop thread alone."""
 
     def __init__(self, name: str, params: SystemParams, keypair: KeyPair, echo_data: bool = True):

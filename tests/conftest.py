@@ -135,9 +135,24 @@ def on_link(transcript, a: str, b: str) -> list:
 
 
 def node_apply(state, delta):
-    """``state`` with the relay ``delta`` applied, on copies of its maps: the
-    pure fold that the relay host's in-place updates are checked against."""
-    return _apply(replace(state, entries=dict(state.entries), nexts=dict(state.nexts)), delta)
+    """``state`` with the relay ``delta`` applied, on copies of its maps and of
+    each link's ids: the pure fold that the relay host's in-place updates are
+    checked against."""
+    by_link = {link: dict(ids) for link, ids in state.by_link.items()}
+    return _apply(replace(state, entries=dict(state.entries), by_link=by_link), delta)
+
+
+def link_index(entries) -> dict:
+    """The ``by_link`` index that ``entries`` imply: both ends of each circuit,
+    link -> circ_id -> entry key, with no link that carries none. It fails
+    if two ends share one (link, circ_id), which the relay must keep apart."""
+    index: dict = {}
+    for key, entry in entries.items():
+        for link, circ_id in (key, (entry.next_link, entry.next_circ_id)):
+            if link is not None:
+                assert circ_id not in index.get(link, {}), (link, circ_id)
+                index.setdefault(link, {})[circ_id] = key
+    return index
 
 
 def outcome(fn, *args, **kwargs):

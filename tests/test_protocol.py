@@ -2,6 +2,9 @@
 
 import inspect
 import random
+import statistics
+import time
+from collections import deque
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -53,8 +56,8 @@ from onionkep.protocol import (
     node_reply_data,
 )
 from onionkep.simnet import SimClient, TranscriptEntry, build_simulation, run_build, run_send
-from conftest import (ScriptedRng, check_hop_keys, node_apply, raw_extend_cell, session_keys,
-                      tabulate)
+from conftest import (ScriptedRng, check_hop_keys, link_index, node_apply, raw_extend_cell,
+                      session_keys, tabulate)
 
 
 @pytest.fixture
@@ -219,7 +222,7 @@ class TestNodeRelay:
         client, _ = client_handle_cell(client, created.cell)
         after = relay_transition(state, "A", _relay(subcommand, b"")(client))
         if subcommand == RelaySubcommand.END:
-            assert after == (replace(state, entries={}), [
+            assert after == (replace(state, entries={}, by_link={}), [
                 TearDown(9, "stream ended"), SendCell("A", Cell(9, CellCommand.DESTROY))])
         else:
             assert after == (state, [])
@@ -458,7 +461,7 @@ class TestDropLink:
 
 class TestCircuitIds:
     # A link may carry circuit ids drawn by both of its ends, so a relay
-    # keeps its entries and nexts keys apart on its own.
+    # keeps the ids of a link's two ends apart in its index on its own.
     def _extend(self, toy_params, toy_bob, bob_node, from_c, to="C"):
         """B holding one circuit from C per id in ``from_c``, then asked by
         A's circuit 9 to extend to ``to``: B's new state and its actions."""
@@ -482,7 +485,9 @@ class TestCircuitIds:
         assert (send.link, send.cell.circ_id, send.cell.command) == ("C", next_id,
                                                                     CellCommand.CREATE)
         assert state.circ_seq == next_id + 1
-        assert not state.entries.keys() & state.nexts.keys()
+        assert state.by_link == link_index(state.entries)
+        assert list(state.by_link["C"].items()) == [
+            (circ_id, ("C", circ_id)) for circ_id in from_c] + [(next_id, ("A", 9))]
 
     @staticmethod
     def _build_through_b(sim, first, nodes, count):
@@ -507,7 +512,7 @@ class TestCircuitIds:
         run_send(sim, client, 1, b"after the wrap")
         assert client.received == [(1, b"after the wrap")]
 
-    def test_a_wrapped_draw_skips_an_id_still_live_in_nexts(self):
+    def test_a_wrapped_draw_skips_an_id_still_live_on_the_link(self):
         sim, first, nodes = build_simulation(16, 3)
         assert run_build(sim, first, ["B", "C", "D"]).phase == Phase.READY
         assert nodes["B"].state.entries["A", 1].next_circ_id == 1
@@ -527,13 +532,13 @@ class TestCircuitIds:
         state, _ = self._extend(toy_params, toy_bob, bob_node, ())
         state, actions = relay_transition(state, "C", Cell(1, CellCommand.DESTROY))
         assert actions == [TearDown(9, "destroyed by peer"), SendCell("A", Cell(9, CellCommand.DESTROY))]
-        assert state.entries == {} and state.nexts == {}
+        assert state.entries == {} and state.by_link == {}
 
     def test_extend_to_self_is_torn_down_before_an_id_is_drawn(self, toy_params, toy_bob,
                                                                bob_node):
         state, actions = self._extend(toy_params, toy_bob, bob_node, (), to="B")
         assert actions == [TearDown(9, "extend to self"), SendCell("A", Cell(9, CellCommand.DESTROY))]
-        assert (state.entries, state.nexts, state.circ_seq) == ({}, {}, 1)
+        assert (state.entries, state.by_link, state.circ_seq) == ({}, {}, 1)
 
     def test_extended_rides_stream_0(self, toy_params, toy_bob, bob_node):
         state, [create] = self._extend(toy_params, toy_bob, bob_node, ())
@@ -576,11 +581,12 @@ class TestRelayHost:
         # Each transition updates the host's two dicts in place, so a cell
         # costs the same however many circuits the relay holds.
         sim, client, nodes = build_simulation(16, 5)
-        maps = {name: (node.state.entries, node.state.nexts) for name, node in nodes.items()}
+        maps = {name: (node.state.entries, node.state.by_link) for name, node in nodes.items()}
 
         def entries_held():
             for name, node in nodes.items():
-                assert node.state.entries is maps[name][0] and node.state.nexts is maps[name][1]
+                assert node.state.entries is maps[name][0] and node.state.by_link is maps[name][1]
+                assert node.state.by_link == link_index(node.state.entries)
             return [len(node.state.entries) for node in nodes.values()]
 
         # CREATE, EXTEND, CREATED, then RELAY both ways.
@@ -595,6 +601,63 @@ class TestRelayHost:
         nodes["C"].drop_link("B")
         assert entries_held() == [1, 0, 0]
         assert [node.state.circ_seq for node in nodes.values()] == [3, 2, 1]
+
+
+class TestLinkIndex:
+    def test_circuits_ended_by_their_clients_leave_no_link(self):
+        # As in the ``circuit_churn`` workload: each new client builds
+        # B->C->D, and once more than 5 are open the oldest ends its circuit
+        # with DESTROY and leaves. A link goes from the index with its last
+        # circuit, so a relay that serves one client after another keeps none.
+        sim, first, nodes = build_simulation(16, 5)
+        standing = deque()
+
+        def end_oldest():
+            old = standing.popleft()
+            sim.post(old.name, "B", Cell(old.state.circ_id, CellCommand.DESTROY))
+            sim.run()
+            del sim.hosts[old.name]
+            links = {c.name for c in standing} | ({"C"} if standing else set())
+            assert set(nodes["B"].state.by_link) == links
+
+        for i in range(50):
+            client = SimClient(f"U{i}", first.params, first.directory, first.rng)
+            sim.add_host(client.name, client)
+            assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+            standing.append(client)
+            if len(standing) > 5:
+                end_oldest()
+        while standing:
+            end_oldest()
+        assert [(node.state.entries, node.state.by_link) for node in nodes.values()] == [
+            ({}, {})] * 3
+
+    def test_link_loss_costs_the_links_own_circuits(self, toy_params, toy_bob):
+        # A relay holding n links of one circuit each, links numbered as TCP
+        # inbound connections are, loses every one of them. 4 times as many
+        # links may cost at most 8 times as much, in this thread's CPU time;
+        # a loss that scans every circuit read about 16 times (Python 3.11,
+        # 2-CPU host). Each turn runs the two sizes back to back and takes
+        # their ratio, and the median of 5 turns is checked, so a slow spell
+        # of a shared host spoils only its turns.
+        session = SessionKey(36, 3, 4)
+
+        def drop_every_link(count):
+            entries = tuple(protocol.CircuitEntry(1, link, session) for link in range(count))
+            state = protocol._apply(NodeState("B", toy_params, toy_bob),
+                                    protocol.NodeDelta(put=entries))
+            start = time.thread_time()
+            for link in range(count):
+                state = protocol._apply(state, node_drop_link(state, link))
+            cost = time.thread_time() - start
+            assert state.entries == state.by_link == {}
+            return cost
+
+        ratios = []
+        for _ in range(5):
+            small = drop_every_link(1000)
+            ratios.append(drop_every_link(4000) / small)
+        assert statistics.median(ratios) < 8
 
 
 RELAY_NAMES = ("B", "C", "D")
@@ -633,7 +696,7 @@ class TestRelayMaps:
             elif step[0] == "drop":
                 _, relay, index = step
                 state = nodes[relay].state
-                links = sorted({link for link, _ in [*state.entries, *state.nexts]})
+                links = sorted(state.by_link)
                 if not links:
                     continue
                 peer = links[index % len(links)]
@@ -653,11 +716,15 @@ class TestRelayMaps:
                 sim.post(client.name, client.path[0].name, cell)
             sim.run()
             for name, node in nodes.items():
-                entries, nexts = node.state.entries, node.state.nexts
-                assert nexts == {(e.next_link, e.next_circ_id): key
-                                 for key, e in entries.items() if e.next_link is not None}
+                by_link = node.state.by_link
+                assert by_link == link_index(node.state.entries)
                 lost = {peer for pair in dead if name in pair for peer in pair - {name}}
-                assert not {link for link, _ in [*entries, *nexts]} & lost
+                assert not by_link.keys() & lost
+
+
+def _index_items(state):
+    """``state.by_link`` as nested item lists, so that order counts too."""
+    return [(link, list(ids.items())) for link, ids in state.by_link.items()]
 
 
 class FoldedRelay(Relay):
@@ -679,7 +746,7 @@ class FoldedRelay(Relay):
 
     def _fold(self, transition):
         def contents(state):
-            return list(state.entries.items()), list(state.nexts.items()), state.circ_seq
+            return list(state.entries.items()), _index_items(state), state.circ_seq
         before = contents(self.folded)
         delta = transition(self.folded)
         assert contents(self.folded) == before
@@ -724,7 +791,7 @@ class TestRelayDeltas:
             elif step[0] == "drop":
                 _, name, index = step
                 state = relays[name].state
-                links = sorted({link for link, _ in [*state.entries, *state.nexts]})
+                links = sorted(state.by_link)
                 if links:
                     peer = links[index % len(links)]
                     relays[name].drop_link(peer)
@@ -732,7 +799,8 @@ class TestRelayDeltas:
                         relays[peer].drop_link(name)
             elif step[0] == "destroy_next":
                 _, name, index = step
-                outs = list(relays[name].state.nexts)
+                outs = [(link, circ_id) for link, ids in relays[name].state.by_link.items()
+                        for circ_id, key in ids.items() if key != (link, circ_id)]
                 if outs:
                     link, circ_id = outs[index % len(outs)]
                     sim.post(link, name, Cell(circ_id, CellCommand.DESTROY))
@@ -752,11 +820,9 @@ class TestRelayDeltas:
             for relay in relays.values():
                 state, folded = relay.state, relay.folded
                 assert list(state.entries.items()) == list(folded.entries.items())
-                assert list(state.nexts.items()) == list(folded.nexts.items())
+                assert _index_items(state) == _index_items(folded)
                 assert state.circ_seq == folded.circ_seq
-                assert state.nexts == {(e.next_link, e.next_circ_id): key
-                                       for key, e in state.entries.items()
-                                       if e.next_link is not None}
+                assert state.by_link == link_index(state.entries)
 
 
 def _toy_world():

@@ -11,8 +11,8 @@ from onionkep import Cell, CellCommand, decode_cell
 from onionkep.errors import StepBudgetExceeded
 from onionkep.protocol import Phase, client_create, client_extend, client_send_data
 from onionkep.simnet import SimClient, SimNet, build_simulation, run_build, run_send
-from conftest import (built_tables, check_hop_keys, on_link, raw_extend_cell, serialize,
-                      session_keys)
+from conftest import (built_tables, check_hop_keys, link_index, on_link, raw_extend_cell,
+                      serialize, session_keys)
 
 EXPECTED_BUILD_COMMANDS = [
     "CREATE", "CREATED", "RELAY",            # hop 1 up, then extend to hop 2
@@ -231,7 +231,7 @@ class TestLinkModel:
         # B tears the circuit down before it draws an id for itself.
         sim, client, nodes = build_simulation(16, 7)
         assert run_build(sim, client, ["B", "B"]).failure == "destroyed by relay"
-        assert (nodes["B"].state.entries, nodes["B"].state.nexts) == ({}, {})
+        assert (nodes["B"].state.entries, nodes["B"].state.by_link) == ({}, {})
 
     @pytest.mark.parametrize("name", ["A", "U"])
     def test_extend_naming_a_client_host_fails_that_circuit(self, name):
@@ -331,10 +331,7 @@ class SimNetLinkModel(RuleBasedStateMachine):
     @invariant()
     def relay_maps_agree(self):
         for node in self.nodes.values():
-            entries, nexts = node.state.entries, node.state.nexts
-            assert not entries.keys() & nexts.keys()
-            assert nexts == {(e.next_link, e.next_circ_id): key
-                             for key, e in entries.items() if e.next_link is not None}
+            assert node.state.by_link == link_index(node.state.entries)
 
     @invariant()
     def relays_hold_exactly_the_open_circuits(self):
