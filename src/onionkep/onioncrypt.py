@@ -39,13 +39,10 @@ Both directions work on packed ints, GROUP_BLOCKS blocks at a time
   r; those slots take that sum, and since a remainder may lie in
   [2**L, 2r), every slot then keeps only its low L bits. Each of these is
   one multiply, add or mask over a half; no slot carries into the next.
-- Error order. Decrypt reads a group with one int.from_bytes. In each
-  half it flags c >= r in bit 8 * width of every slot + 2**(8 * width) - r,
-  and m >= 2**bits in bit ``bits`` of the decrypted slot, with adds and
-  ANDs. With the halves joined, block j of the dense layout is flagged at
-  bit (j + 1) * W for c >= r and at bit j * W + bits for m, so the highest
-  flag names the first bad block in stream order, and in it ">= r" is
-  reported before "decrypts out of range", as a block-by-block loop would.
+- Flags. Decrypt flags c >= r in bit 8 * width of every slot
+  + 2**(8 * width) - r, and m >= 2**bits in bit ``bits`` of the decrypted
+  slot. A flagged stream, like a header that declares a partial byte, goes
+  to the block loop, the one rule that names its first bad block.
 - Width and length dispatch. One plan per modulus, for a full group of
   GROUP_BLOCKS = 1024 blocks, is built once by doubling, for at most
   PLAN_MODULI moduli. A shorter group runs at its own size: its int holds
@@ -226,8 +223,10 @@ def chunk_decrypt(cipher: bytes, key: SessionKey, params: SystemParams) -> bytes
     nblocks = len(body) // width
     if -(-nbits // bits) != nblocks:
         raise MalformedPayload("block count does not match declared length")
-    if _packed(r, nblocks):
-        return _packed_decrypt(body, nbits, k_inv, r, bits)
+    if not nbits % 8 and _packed(r, nblocks):
+        data = _packed_decrypt(body, nbits, k_inv, r, bits)
+        if data is not None:
+            return data
     groups = []
     value = 0
     for i in range(nblocks):
@@ -271,9 +270,9 @@ def _packed_encrypt(plain: bytes, k: int, r: int, bits: int) -> bytes:
     return b"".join(out)
 
 
-def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> bytes:
-    """chunk_decrypt GROUP_BLOCKS blocks at a time, for a checked header
-    and body."""
+def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> bytes | None:
+    """chunk_decrypt GROUP_BLOCKS blocks at a time, for a checked header of
+    whole bytes and its body; None once a block is flagged (module docstring)."""
     plan, width = _layout(r), (bits + 8) // 8
     W, mu = 8 * width, (k_inv << bits + 1) // r
     region = f"{W - bits}x{bits}s"
@@ -289,26 +288,14 @@ def _packed_decrypt(body: bytes, nbits: int, k_inv: int, r: int, bits: int) -> b
         even = _mul_mod(c_even, k_inv, mu, r, plan, add_r)
         odd = _mul_mod(c_odd, k_inv, mu, r, plan, add_r)
         if (c_even + add_w | c_odd + add_w) & plan.flag_w or (even | odd) & plan.flag_m:
-            # Block j of the dense layout is flagged at bit (j + 1) * W if
-            # c >= r and at bit j * W + bits if m >= 2**bits: the top flag
-            # is the first bad block, and in it c >= r comes first.
-            bad_even = (c_even + add_w) & plan.flag_w | even & plan.flag_m
-            bad_odd = (c_odd + add_w) & plan.flag_w | odd & plan.flag_m
-            top = (bad_even | bad_odd << W).bit_length() - 1
-            i = start + 8 * units - 1 - (top - 1) // W
-            if top % W == 0:
-                raise MalformedPayload(f"block {i} >= r")
-            raise MalformedPayload(f"block {i} decrypts out of range")
+            return None
         m = even | odd << bits
         for mask, shift in reversed(plan.passes):
             low = m & mask
             m = low | (m ^ low) >> shift
         # Each unit is the last `bits` bytes of its 8 fields.
         pieces += struct.unpack(region * units, m.to_bytes(8 * units * width, "big"))
-    data = b"".join(pieces)[: (nbits + 7) // 8]
-    if nbits % 8:  # only a crafted header declares a partial byte
-        data = (int.from_bytes(data, "big") >> -nbits % 8).to_bytes(len(data), "big")
-    return data
+    return b"".join(pieces)[: nbits // 8]
 
 
 def onion_wrap(plain: bytes, keys: list[SessionKey], params: SystemParams) -> bytes:

@@ -2,7 +2,8 @@
 
 Every transition is a pure function from (state, input cell) to (new
 state, or on a relay a delta, and an ordered list of output actions).
-States are frozen dataclasses; cells, frames and actions are tuples
+Client states are frozen dataclasses, a relay's ``NodeState`` changes in
+place through ``_apply`` alone, and cells, frames and actions are tuples
 (``NamedTuple``), the cheaper to build on the circuit path. Nothing here
 performs I/O, so identical inputs always replay to identical outputs.
 
@@ -278,7 +279,7 @@ class CircuitEntry:
         return self.prev_link, self.circ_id
 
 
-@dataclass(frozen=True)
+@dataclass
 class NodeState:
     """``entries``: (prev_link, circ_id) -> circuit; ``by_link``: link -> circ_id -> that key."""
 
@@ -302,9 +303,9 @@ class NodeDelta:
 _NOOP = NodeDelta()
 
 
-def _apply(state: NodeState, delta: NodeDelta) -> NodeState:
-    """The one rule that changes a relay's maps, in place: both ends of each
-    entry are read off it, and a new ``circ_seq`` shares the maps."""
+def _apply(state: NodeState, delta: NodeDelta) -> None:
+    """The one rule that changes a relay's state, in place: both ends of each
+    entry are read off it."""
     for entry in delta.forget:
         del state.entries[entry.key]
         for link, circ_id in (entry.key, (entry.next_link, entry.next_circ_id)):
@@ -317,7 +318,8 @@ def _apply(state: NodeState, delta: NodeDelta) -> NodeState:
         state.by_link.setdefault(entry.prev_link, {})[entry.circ_id] = entry.key
         if entry.next_link is not None:
             state.by_link.setdefault(entry.next_link, {})[entry.next_circ_id] = entry.key
-    return state if delta.circ_seq is None else replace(state, circ_seq=delta.circ_seq)
+    if delta.circ_seq is not None:
+        state.circ_seq = delta.circ_seq
 
 
 def node_handle_cell(state: NodeState, from_link: str,
@@ -472,7 +474,7 @@ class Relay:
     def handle(self, link: str, cell: Cell) -> list[SendCell]:
         delta, actions = node_handle_cell(self.state, link, cell)
         if delta is not _NOOP:
-            self.state = _apply(self.state, delta)
+            _apply(self.state, delta)
         sends = [a for a in actions if isinstance(a, SendCell)]
         for action in actions:
             if isinstance(action, DeliverLocal):
@@ -484,7 +486,7 @@ class Relay:
         return sends
 
     def drop_link(self, link: str) -> None:
-        self.state = _apply(self.state, node_drop_link(self.state, link))
+        _apply(self.state, node_drop_link(self.state, link))
 
 
 # -- client host -------------------------------------------------------------

@@ -139,7 +139,9 @@ def node_apply(state, delta):
     each link's ids: the pure fold that the relay host's in-place updates are
     checked against."""
     by_link = {link: dict(ids) for link, ids in state.by_link.items()}
-    return _apply(replace(state, entries=dict(state.entries), by_link=by_link), delta)
+    state = replace(state, entries=dict(state.entries), by_link=by_link)
+    _apply(state, delta)
+    return state
 
 
 def link_index(entries) -> dict:

@@ -85,6 +85,12 @@ class TestKeygen:
         assert code == 2
         assert err.startswith("error=")
 
+    def test_width_below_three_bits_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "keygen", "--r-bits", "2",
+                                 "--seed", "0", "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (2, "", "error=bits must be >= 3\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestServers:
     def test_directory_and_node_listen_until_interrupted(self, tmp_path, capsys,

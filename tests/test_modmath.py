@@ -1,5 +1,6 @@
 """Number-theory layer, checked against brute-force oracles throughout."""
 
+import inspect
 import math
 import random
 from types import SimpleNamespace
@@ -151,6 +152,17 @@ class TestGenPrime:
         with pytest.raises(GenerationFailed):
             gen_prime_with_two_primitive(3, random.Random(0), max_attempts=50)
 
+    def test_default_budget(self):
+        # Half a million candidates: 1024-bit parameters run out of them.
+        budget = inspect.signature(gen_prime_with_two_primitive).parameters["max_attempts"]
+        assert budget.default == 500_000
+
+    @pytest.mark.parametrize("bits", [2, 1])
+    def test_fewer_than_three_bits_is_refused(self, bits):
+        # No safe prime has 2 bits: s = 1 would make r = 3, whose s is no prime.
+        with pytest.raises(ValueError, match=r"^bits must be >= 3$"):
+            gen_prime_with_two_primitive(bits, random.Random(0), max_attempts=1)
+
     @pytest.mark.parametrize("bits", [4, 8, 16, 32])
     def test_output_contract(self, bits):
         rng = random.Random(bits)
@@ -210,6 +222,13 @@ class TestAgainstOracle:
             assert not is_probable_prime(p * p, rng=rng)
             assert not is_probable_prime(p * 2003, rng=rng)
         assert rng.getstate() == state
+
+    def test_sieve_is_its_definition(self):
+        # The primes up to and including each limit, none past it: the
+        # search calls it once, at 2000, where 2001 is composite.
+        for limit in range(1, 200):
+            assert modmath._sieve(limit) == [n for n in range(2, limit + 1)
+                                             if all(n % d for d in range(2, n))]
 
     def test_wheel_is_its_definition(self):
         # The differential tests cannot see a wheel that admits s == 3

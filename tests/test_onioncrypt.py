@@ -487,6 +487,25 @@ class TestPackedPath:
         assert chunk_decrypt(cipher, key, params) == plain
         assert (_layout.cache_info().misses == 1) == packed
 
+    @pytest.mark.parametrize("r", [227, 1019] + list(WIDE_PRIMES[:4]),
+                             ids=lambda r: f"{r.bit_length()}b")
+    def test_packed_decrypt_reads_well_formed_streams_itself(self, r):
+        # chunk_decrypt gives the same bytes when the packed path hands a
+        # stream to the block loop, so only a direct call shows that the
+        # packed path flags no good block, and that it flags a bad one.
+        params = make_params(2, 2, r)
+        bits, width = widths(r)
+        rng = random.Random(r)
+        key = key_with_reduced(params, rng.randrange(1, r))
+        for count in self.COUNTS[1:]:
+            plain = rng.randbytes(count * bits // 8)
+            body = chunk_encrypt(plain, key, params)[8:]
+            args = (8 * len(plain), key.reduced_inv, r, bits)
+            assert onioncrypt._packed_decrypt(body, *args) == plain
+            for c in (r, (1 << bits) * key.reduced % r):
+                assert onioncrypt._packed_decrypt(body[:-width] + c.to_bytes(width, "big"),
+                                                  *args) is None
+
     @pytest.mark.parametrize("r", WIDE_PRIMES[:4], ids=lambda r: f"{r.bit_length()}b")
     def test_bad_block_in_padded_unit(self, r):
         # The last 8-block unit of 8u + 1 blocks holds one block and seven

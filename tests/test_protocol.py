@@ -602,6 +602,16 @@ class TestRelayHost:
         assert entries_held() == [1, 0, 0]
         assert [node.state.circ_seq for node in nodes.values()] == [3, 2, 1]
 
+    def test_keeps_one_state_for_its_life(self):
+        # An EXTEND's new circ_seq is set on the relay's one NodeState, as
+        # every map change is, so no copy shares its maps.
+        sim, client, nodes = build_simulation(16, 5)
+        states = {name: node.state for name, node in nodes.items()}
+        assert run_build(sim, client, ["B", "C", "D"]).phase == Phase.READY
+        nodes["B"].drop_link("C")
+        assert [node.state.circ_seq for node in nodes.values()] == [2, 2, 1]
+        assert all(node.state is states[name] for name, node in nodes.items())
+
 
 class TestLinkIndex:
     def test_circuits_ended_by_their_clients_leave_no_link(self):
@@ -644,11 +654,11 @@ class TestLinkIndex:
 
         def drop_every_link(count):
             entries = tuple(protocol.CircuitEntry(1, link, session) for link in range(count))
-            state = protocol._apply(NodeState("B", toy_params, toy_bob),
-                                    protocol.NodeDelta(put=entries))
+            state = NodeState("B", toy_params, toy_bob)
+            protocol._apply(state, protocol.NodeDelta(put=entries))
             start = time.thread_time()
             for link in range(count):
-                state = protocol._apply(state, node_drop_link(state, link))
+                protocol._apply(state, node_drop_link(state, link))
             cost = time.thread_time() - start
             assert state.entries == state.by_link == {}
             return cost

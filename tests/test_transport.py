@@ -37,7 +37,7 @@ from onionkep.errors import (
     ParamsMismatch,
 )
 from onionkep.onioncrypt import MAX_CIRC_ID
-from onionkep.protocol import Phase, SendCell
+from onionkep.protocol import Phase, SendCell, client_create, client_send_data
 from onionkep.simnet import build_simulation, run_build, run_send
 from onionkep.transport import (
     FRAME_MAX,
@@ -922,6 +922,68 @@ class TestLinkFailures:
             monkeypatch.undo()
             assert on_loop(b, lambda: (dict(b.state.entries), dict(b._links))) == ({}, {})
         finally:
+            client.close()
+
+    def test_frames_behind_a_write_failure_are_not_served(self, live_network, monkeypatch):
+        # One read carries two CREATEs, and the answer to the first fails to
+        # write, which drops the link: the second is not served on it, so no
+        # circuit is left on a link that is gone.
+        params, _, nodes, rng = live_network
+        b = nodes[0]
+        creates = [encode_cell(client_create(params, circ_id, "B", b.state.keypair.public,
+                                             rng)[1].cell) for circ_id in (1, 2)]
+
+        def failing_send(sock, *args):
+            raise BrokenPipeError("write failed")
+
+        with socket.create_connection(parse_address(b.address), timeout=2.0) as sock:
+            assert eventually(lambda: on_loop(b, lambda: len(b._links)) == 1)
+            monkeypatch.setattr(socket.socket, "send", failing_send)
+            sock.sendall(framed(creates))
+            assert sock.recv(1) == b""  # B closed the link unanswered
+            monkeypatch.undo()
+        assert on_loop(b, lambda: (dict(b.state.entries), dict(b.state.by_link),
+                                   dict(b._links))) == ({}, {}, {})
+
+    def test_a_peer_that_stops_reading_keeps_its_link(self, live_network, monkeypatch):
+        # A client with a small receive window stops reading while B echoes
+        # 16 KB cells to it through a small send buffer, so B's writes find
+        # no room. B keeps the link and its queue, a bystander circuit still
+        # echoes, and the client reads every echo once it reads again.
+        params, dir_client, nodes, rng = live_network
+        b = nodes[0]
+        bystander = StreamCircuitClient(params, dir_client, rng)
+        client = StreamCircuitClient(params, dir_client, rng)
+
+        def small_window_connect(address, timeout=None, *args, **kwargs):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(timeout)
+            sock.connect(address)
+            return sock
+
+        def client_link():
+            link = next(link for link, circ_id in b.state.entries if circ_id == 7)
+            b._links[link].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            return link
+
+        sent = [bytes([i]) * 16384 for i in range(8)]
+        try:
+            assert bystander.build(["B", "C", "D"], timeout=5.0).phase == Phase.READY
+            monkeypatch.setattr(socket, "create_connection", small_window_connect)
+            assert client.build(["B"], circ_id=7, timeout=5.0).phase == Phase.READY
+            monkeypatch.undo()
+            link = on_loop(b, client_link)
+            for data in sent:
+                send_frame(client._sock, encode_cell(client_send_data(client.state, 1, data).cell))
+            assert eventually(lambda: on_loop(b, lambda: len(b.delivered)) == len(sent))
+            assert bystander.send_data(1, b"still here") == b"still here"
+            assert on_loop(b, lambda: link in b._links and len(b._links[link].out) > 0)
+            for _ in sent:
+                client.handle("B", client._recv())
+            assert [data for _, data in client.received] == sent
+        finally:
+            bystander.close()
             client.close()
 
     def _extend_from_c(self, live_network, name: bytes):
